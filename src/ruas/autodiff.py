@@ -520,6 +520,20 @@ class SGD:
             p.data = p.data - self.lr * v
         self.zero_grad()
 
+    def backward_step(self, loss):
+        """Clear the gradients, back-propagate ``loss``, then step.
+
+        A parameter off every gradient path of ``loss`` (an operator behind a
+        dead ReLU, say) steps on a zero gradient: weight decay and momentum
+        only.
+        """
+        self.zero_grad()
+        backward(loss)
+        for p in self.params:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+        self.step()
+
     def zero_grad(self):
         for p in self.params:
             p.grad = None

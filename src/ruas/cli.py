@@ -31,8 +31,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .scene import scene_loss
-from .search import SearchConfig, run_search, uniform_cell_baseline
+from .search import SearchConfig, run_search
 from .search_space import (
     CellSpec,
     OPS_BY_NAME,
@@ -43,6 +42,7 @@ from .search_space import (
 )
 from .task import VARIANTS
 from .train import (
+    _run_epochs,
     evaluate,
     metrics_csv,
     train_end_to_end,
@@ -337,7 +337,10 @@ def cmd_fixed_op(args):
     # supernet row: the mixed scene cell at its current (uniform-ish) logits
     rng = np.random.default_rng(seed)
     supernet = SearchModel(rng, scene_cfg=cfg.scene_config())
-    _train_supernet_scene(supernet, records, tcfg)
+    epochs = max(tcfg.pretrain_epochs, 1)
+    _run_epochs(
+        supernet, supernet.omega_s(), records, SearchModel.scene_loss, tcfg, epochs, []
+    )
     rows = _evaluate_supernet_scene(supernet, records)
     sup_params = count_params(supernet.omega_s())
     sup_flops = _supernet_scene_flops(supernet, h, w)
@@ -346,29 +349,6 @@ def cmd_fixed_op(args):
     )
     (out / "fixed_op.csv").write_text("\n".join(lines) + "\n")
     return 0
-
-
-def _train_supernet_scene(supernet, records, tcfg):
-    from .autodiff import SGD, backward
-
-    opt = SGD(
-        supernet.omega_s(),
-        tcfg.lr,
-        tcfg.momentum,
-        tcfg.weight_decay,
-        clip_norm=tcfg.grad_clip,
-    )
-    for _ in range(max(tcfg.pretrain_epochs, 1)):
-        for rec in records:
-            y = Tensor(rec.input())
-            opt.zero_grad()
-            _, t, _ = supernet.scene_out(y)
-            loss = scene_loss(t, y, supernet.scene_cfg)
-            backward(loss)
-            for p in opt.params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-            opt.step()
 
 
 def _evaluate_supernet_scene(supernet, records):

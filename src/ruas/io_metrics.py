@@ -348,19 +348,6 @@ def split_records(records, val_fraction=0.25, rng=None):
     return SplitDataset(train=recs[n_val:], val=recs[:n_val])
 
 
-def write_split(records, path):
-    Path(path).write_text("".join(r.id + "\n" for r in records))
-
-
-def read_split(records, path):
-    ids = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
-    by_id = {r.id: r for r in records}
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise ConfigError(f"split file {path} names unknown ids: {missing[:5]}")
-    return [by_id[i] for i in ids]
-
-
 def make_synthetic_dataset(
     out_dir, count, size=64, seed=0, noise_sigma=0.03, gamma_range=(1.5, 2.5)
 ):

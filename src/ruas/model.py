@@ -66,11 +66,12 @@ class SearchModel:
         cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
         return self.remover.forward(u, theta, cell_fn)
 
-    def scene_val_loss(self, y):
+    # the same losses serve as training and validation objectives in search
+    def scene_loss(self, y):
         _, t, _ = self.scene_out(y)
         return scene_loss(t, y, self.scene_cfg)
 
-    def task_val_loss(self, y):
+    def task_loss(self, y):
         u, _, _ = self.scene_out(y)
         x = self.task_out(u)
         return task_loss(x, u, tv_weight=self.tv_weight)

@@ -1,15 +1,20 @@
 """Cooperative differentiable architecture search, plus the independent and
 global baseline strategies used for strategy comparisons.
 
-The cooperative loop alternates: update the scene logits with a one-step
-finite-difference hypergradient (including the coupling term through the
-task validation loss), step the scene weights, then do the same for the
-task side with the scene frozen.
+Every strategy is the same bilevel problem: a phase pairs architecture
+logits (alpha) with weights (omega), updates alpha with a one-step
+finite-difference hypergradient of its validation loss, then steps omega on
+its training loss.  The strategies differ only in their phases and in
+whether the phases interleave or run one after the other.  Cooperative
+interleaves a scene phase, whose validation loss includes the task loss
+(the coupling term), with a task phase; independent runs the scene phase
+to the end and then the task phase; global is one joint phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +22,7 @@ from . import autodiff as ad
 from .autodiff import SGD, Tensor, backward
 from .errors import ConfigError, NumericError
 from .model import SearchModel
-from .scene import scene_loss
-from .search_space import DiscreteCell, op_registry
-from .task import task_loss
+from .search_space import discretize
 
 STRATEGIES = ("cooperative", "independent", "global")
 
@@ -136,40 +139,15 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
     ]
 
 
-def _apply_alpha_grads(alphas, grads, optimizer):
-    for a, g in zip(alphas, grads):
-        a.grad = g
-    optimizer.step()
-
-
 # ---------------------------------------------------------------------------
-# loss closures over the supernet
+# the search loop
 
 
-def _scene_tr_loss(model, y):
-    _, t, _ = model.scene_out(y)
-    return scene_loss(t, y, model.scene_cfg)
-
-
-def _scene_val_loss(model, y):
-    return model.scene_val_loss(y)
-
-
-def _task_val_loss(model, y):
-    return model.task_val_loss(y)
-
-
-def _task_tr_loss(model, y):
-    u, _, _ = model.scene_out(y)
-    x = model.task_out(u)
-    return task_loss(x, u, tv_weight=model.tv_weight)
-
-
-def _combined_val(model, y, beta):
-    s = model.scene_val_loss(y)
+def _combined_loss(model, y, beta):
+    s = model.scene_loss(y)
     if beta == 0:
         return s
-    return ad.add(s, ad.mul(model.task_val_loss(y), beta))
+    return ad.add(s, ad.mul(model.task_loss(y), beta))
 
 
 def _eval_val_losses(model, val_records, beta):
@@ -177,15 +155,11 @@ def _eval_val_losses(model, val_records, beta):
         ls, lt = 0.0, 0.0
         for rec in val_records:
             y = Tensor(rec.input())
-            ls += float(model.scene_val_loss(y).data)
-            lt += float(model.task_val_loss(y).data)
+            ls += float(model.scene_loss(y).data)
+            lt += float(model.task_loss(y).data)
         n = len(val_records)
         ls, lt = ls / n, lt / n
         return {"scene_val": ls, "task_val": lt, "combined": ls + beta * lt}
-
-
-# ---------------------------------------------------------------------------
-# search drivers
 
 
 @dataclass
@@ -205,15 +179,52 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
-def _make_optimizers(model, cfg, momentum):
-    wd = cfg.weight_decay
-    clip = cfg.grad_clip
-    return {
-        "alpha_s": SGD(model.alpha_s.parameters(), cfg.lr_alpha, momentum, clip_norm=clip),
-        "alpha_t": SGD(model.alpha_t.parameters(), cfg.lr_alpha, momentum, clip_norm=clip),
-        "omega_s": SGD(model.omega_s(), cfg.lr_omega, momentum, wd, clip_norm=clip),
-        "omega_t": SGD(model.omega_t(), cfg.lr_omega, momentum, wd, clip_norm=clip),
-    }
+@dataclass
+class Phase:
+    """One (alpha, omega) pair of the bilevel problem.
+
+    ``val_loss`` and ``tr_loss`` map an input image tensor to a scalar loss.
+    """
+
+    alphas: list
+    omegas: list
+    val_loss: Callable
+    tr_loss: Callable
+    opt_alpha: SGD
+    opt_omega: SGD
+
+
+def _stages(model, cfg, momentum):
+    """The strategy as a list of stages; each stage is a list of phases.
+
+    Stages run one after the other, each over every epoch; the phases of a
+    stage take turns on every (train, val) pair.
+    """
+
+    def phase(alphas, omegas, val_loss, tr_loss):
+        clip = cfg.grad_clip
+        return Phase(
+            alphas,
+            omegas,
+            val_loss,
+            tr_loss,
+            SGD(alphas, cfg.lr_alpha, momentum, clip_norm=clip),
+            SGD(omegas, cfg.lr_omega, momentum, cfg.weight_decay, clip_norm=clip),
+        )
+
+    alpha_s, alpha_t = model.alpha_s.parameters(), model.alpha_t.parameters()
+    omega_s, omega_t = model.omega_s(), model.omega_t()
+    combined = lambda y: _combined_loss(model, y, cfg.beta)
+    if cfg.strategy == "global":
+        joint = lambda y: ad.add(model.scene_loss(y), model.task_loss(y))
+        return [[phase(alpha_s + alpha_t, omega_s + omega_t, combined, joint)]]
+    task = phase(alpha_t, omega_t, model.task_loss, model.task_loss)
+    if cfg.strategy == "independent":
+        # scene first with no coupling, then the task side on the frozen scene
+        scene = phase(alpha_s, omega_s, model.scene_loss, model.scene_loss)
+        return [[scene], [task]]
+    # cooperative: the scene logits see the task validation loss through beta
+    return [[phase(alpha_s, omega_s, combined, model.scene_loss), task]]
 
 
 def _batches(data, epoch):
@@ -227,187 +238,43 @@ def _batches(data, epoch):
     return out
 
 
-def _omega_step(model, loss_fn, y, opt):
-    opt.zero_grad()
-    loss = loss_fn(model, y)
-    backward(loss)
-    _fill_missing_grads(opt.params)
-    opt.step()
-
-
-def _fill_missing_grads(params):
-    # operators not on any gradient path this step (e.g. behind a dead ReLU)
-    # take a pure weight-decay step
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-
-
-def coop_search(model, data, cfg, rng):
-    """Algorithm: alternate scene-side and task-side (alpha, omega) updates."""
-    if cfg.strategy != "cooperative":
-        raise ConfigError("coop_search requires strategy=cooperative")
-    momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
-    opts = _make_optimizers(model, cfg, momentum)
-    history = []
-    for epoch in range(cfg.epochs):
-        warm = epoch < cfg.warmup_epochs
-        for tr_rec, val_rec in _batches(data, epoch):
-            y_tr = Tensor(tr_rec.input())
-            y_val = Tensor(val_rec.input())
-            for _ in range(cfg.inner_steps):
-                if not warm:
-                    g = hypergrad_onestep(
-                        model.alpha_s.parameters(),
-                        model.omega_s(),
-                        lambda: _combined_val(model, y_val, cfg.beta),
-                        lambda: _scene_tr_loss(model, y_tr),
-                        cfg.lr_omega,
-                        cfg.fd_step,
-                    )
-                    _apply_alpha_grads(model.alpha_s.parameters(), g, opts["alpha_s"])
-                _omega_step(model, _scene_tr_loss, y_tr, opts["omega_s"])
-            for _ in range(cfg.inner_steps):
-                if not warm:
-                    g = hypergrad_onestep(
-                        model.alpha_t.parameters(),
-                        model.omega_t(),
-                        lambda: _task_val_loss(model, y_val),
-                        lambda: _task_tr_loss(model, y_tr),
-                        cfg.lr_omega,
-                        cfg.fd_step,
-                    )
-                    _apply_alpha_grads(model.alpha_t.parameters(), g, opts["alpha_t"])
-                _omega_step(model, _task_tr_loss, y_tr, opts["omega_t"])
-        history.append(_eval_val_losses(model, data.val, cfg.beta))
-    from .search_space import discretize
-
-    return SearchResult(
-        scene_ops=discretize(model.alpha_s),
-        task_ops=discretize(model.alpha_t),
-        history=history,
-        momentum=momentum,
-        model=model,
-    )
-
-
-def baseline_search(model, data, cfg, rng):
-    """Independent (scene first, then task) or global (one joint supernet)."""
-    if cfg.strategy == "independent":
-        return _independent_search(model, data, cfg, rng)
-    if cfg.strategy == "global":
-        return _global_search(model, data, cfg, rng)
-    raise ConfigError(f"baseline_search got strategy {cfg.strategy!r}")
-
-
-def _independent_search(model, data, cfg, rng):
-    momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
-    opts = _make_optimizers(model, cfg, momentum)
-    history = []
-    # phase 1: scene only, no coupling
-    for epoch in range(cfg.epochs):
-        warm = epoch < cfg.warmup_epochs
-        for tr_rec, val_rec in _batches(data, epoch):
-            y_tr = Tensor(tr_rec.input())
-            y_val = Tensor(val_rec.input())
-            if not warm:
-                g = hypergrad_onestep(
-                    model.alpha_s.parameters(),
-                    model.omega_s(),
-                    lambda: _scene_val_loss(model, y_val),
-                    lambda: _scene_tr_loss(model, y_tr),
-                    cfg.lr_omega,
-                    cfg.fd_step,
-                )
-                _apply_alpha_grads(model.alpha_s.parameters(), g, opts["alpha_s"])
-            _omega_step(model, _scene_tr_loss, y_tr, opts["omega_s"])
-        history.append(_eval_val_losses(model, data.val, cfg.beta))
-    # phase 2: task side with the scene frozen
-    for epoch in range(cfg.epochs):
-        warm = epoch < cfg.warmup_epochs
-        for tr_rec, val_rec in _batches(data, epoch):
-            y_tr = Tensor(tr_rec.input())
-            y_val = Tensor(val_rec.input())
-            if not warm:
-                g = hypergrad_onestep(
-                    model.alpha_t.parameters(),
-                    model.omega_t(),
-                    lambda: _task_val_loss(model, y_val),
-                    lambda: _task_tr_loss(model, y_tr),
-                    cfg.lr_omega,
-                    cfg.fd_step,
-                )
-                _apply_alpha_grads(model.alpha_t.parameters(), g, opts["alpha_t"])
-            _omega_step(model, _task_tr_loss, y_tr, opts["omega_t"])
-        history.append(_eval_val_losses(model, data.val, cfg.beta))
-    from .search_space import discretize
-
-    return SearchResult(
-        scene_ops=discretize(model.alpha_s),
-        task_ops=discretize(model.alpha_t),
-        history=history,
-        momentum=momentum,
-        model=model,
-    )
-
-
-def _global_search(model, data, cfg, rng):
-    momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
-    alphas = model.alpha_s.parameters() + model.alpha_t.parameters()
-    omegas = model.omega_s() + model.omega_t()
-    opt_alpha = SGD(alphas, cfg.lr_alpha, momentum, clip_norm=cfg.grad_clip)
-    opt_omega = SGD(omegas, cfg.lr_omega, momentum, cfg.weight_decay, clip_norm=cfg.grad_clip)
-
-    def joint_tr(y):
-        return ad.add(_scene_tr_loss(model, y), _task_tr_loss(model, y))
-
-    history = []
-    for epoch in range(cfg.epochs):
-        warm = epoch < cfg.warmup_epochs
-        for tr_rec, val_rec in _batches(data, epoch):
-            y_tr = Tensor(tr_rec.input())
-            y_val = Tensor(val_rec.input())
-            if not warm:
-                g = hypergrad_onestep(
-                    alphas,
-                    omegas,
-                    lambda: _combined_val(model, y_val, cfg.beta),
-                    lambda: joint_tr(y_tr),
-                    cfg.lr_omega,
-                    cfg.fd_step,
-                )
-                _apply_alpha_grads(alphas, g, opt_alpha)
-            opt_omega.zero_grad()
-            backward(joint_tr(y_tr))
-            _fill_missing_grads(omegas)
-            opt_omega.step()
-        history.append(_eval_val_losses(model, data.val, cfg.beta))
-    from .search_space import discretize
-
-    return SearchResult(
-        scene_ops=discretize(model.alpha_s),
-        task_ops=discretize(model.alpha_t),
-        history=history,
-        momentum=momentum,
-        model=model,
-    )
-
-
 def run_search(data, cfg, seed, scene_cfg=None):
-    """Build a fresh supernet and run the configured strategy."""
+    """Build a fresh supernet and run the configured strategy.
+
+    Every phase takes ``cfg.inner_steps`` (alpha, omega) updates per
+    (train, val) pair; alpha updates start after the warm-up epochs.
+    History gets one row per stage and epoch.
+    """
     rng = np.random.default_rng(seed)
     model = SearchModel(rng, scene_cfg=scene_cfg)
-    if cfg.strategy == "cooperative":
-        return coop_search(model, data, cfg, rng)
-    return baseline_search(model, data, cfg, rng)
-
-
-def uniform_cell_baseline(kind, width, rng):
-    """A cell with every edge fixed to one operator kind; no search."""
-    registry = op_registry("low_task")
-    if kind not in registry:
-        raise ConfigError(f"{kind} is not in the low-level registry")
-    from .search_space import CellSpec
-
-    spec = CellSpec(width=width)
-    return DiscreteCell(spec, [kind] * len(spec.edges), rng)
+    momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
+    history = []
+    for stage in _stages(model, cfg, momentum):
+        for epoch in range(cfg.epochs):
+            warm = epoch < cfg.warmup_epochs
+            for tr_rec, val_rec in _batches(data, epoch):
+                y_tr = Tensor(tr_rec.input())
+                y_val = Tensor(val_rec.input())
+                for ph in stage:
+                    for _ in range(cfg.inner_steps):
+                        if not warm:
+                            grads = hypergrad_onestep(
+                                ph.alphas,
+                                ph.omegas,
+                                lambda: ph.val_loss(y_val),
+                                lambda: ph.tr_loss(y_tr),
+                                cfg.lr_omega,
+                                cfg.fd_step,
+                            )
+                            for a, g in zip(ph.alphas, grads):
+                                a.grad = g
+                            ph.opt_alpha.step()
+                        ph.opt_omega.backward_step(ph.tr_loss(y_tr))
+            history.append(_eval_val_losses(model, data.val, cfg.beta))
+    return SearchResult(
+        scene_ops=discretize(model.alpha_s),
+        task_ops=discretize(model.alpha_t),
+        history=history,
+        momentum=momentum,
+        model=model,
+    )

@@ -63,16 +63,11 @@ _LOW_LEVEL_NAMES = ("1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC")
 def op_registry(task_kind):
     """Ordered candidate operators for a task kind.
 
-    ``scene`` and ``low_task`` share the compact 7-op set; ``high_task``
-    uses the 10 non-residual, non-skip operators.
+    ``scene`` and ``low_task`` share the compact 7-op set.
     """
     if task_kind in ("scene", "low_task"):
         return [OPS_BY_NAME[n] for n in _LOW_LEVEL_NAMES]
-    if task_kind == "high_task":
-        return [op for op in ALL_OPS if not op.residual and not op.skip]
-    raise ConfigError(
-        f"unknown task kind {task_kind!r}; expected scene, low_task or high_task"
-    )
+    raise ConfigError(f"unknown task kind {task_kind!r}; expected scene or low_task")
 
 
 def init_conv_weights(c_out, c_in, k, rng, name):
@@ -287,16 +282,6 @@ class DiscreteCell:
             out.extend(params.values())
         out.extend([self.fusion_w, self.fusion_b])
         return out
-
-    def init_fusion_averaging(self):
-        """Make the fusion conv average its four input blocks channel-wise."""
-        w = np.zeros_like(self.fusion_w.data)
-        width = self.spec.width
-        for o in range(width):
-            for m in range(4):
-                w[o, o + m * width, 0, 0] = 0.25
-        self.fusion_w.data = w
-        self.fusion_b.data = np.zeros_like(self.fusion_b.data)
 
     def forward(self, x):
         if x.data.shape[1] != self.spec.width:

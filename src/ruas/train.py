@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SGD, Tensor, backward
+from .autodiff import SGD, Tensor
 from .errors import ConfigError
 from .scene import scene_loss
 from .task import task_loss
@@ -78,17 +78,12 @@ def _run_epochs(model, params, records, loss_fn, cfg, epochs, curve):
         total = 0.0
         for rec in records:
             y = Tensor(rec.input())
-            opt.zero_grad()
             loss = loss_fn(model, y)
             value = float(loss.data)
             if not np.isfinite(value):
                 _restore(params, last_good)
                 return False
-            backward(loss)
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-            opt.step()
+            opt.backward_step(loss)
             total += value
         curve.append(total / len(records))
         last_good = _snapshot(params)
@@ -147,21 +142,15 @@ def train_noise_estimator(estimator, pairs, epochs=20, lr=3e-3, momentum=0.9):
     ``pairs`` holds (noisy, clean) image arrays; the regression target is the
     absolute residual between them.
     """
-    params = estimator.parameters()
-    opt = SGD(params, lr, momentum)
+    opt = SGD(estimator.parameters(), lr, momentum)
     curve = []
     for _ in range(epochs):
         total = 0.0
         for noisy, clean in pairs:
             target = np.abs(np.asarray(noisy) - np.asarray(clean))
-            opt.zero_grad()
             pred = estimator.forward(Tensor(noisy))
             loss = ad.reduce_l2sq(ad.sub(pred, Tensor(target)))
-            backward(loss)
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-            opt.step()
+            opt.backward_step(loss)
             total += float(loss.data)
         curve.append(total / len(pairs))
     return curve

@@ -257,6 +257,17 @@ def test_sgd_missing_grad_raises():
         opt.step()
 
 
+def test_sgd_backward_step_treats_unused_param_as_zero_grad():
+    used = Parameter(np.array([1.0, 2.0]), "used")
+    unused = Parameter(np.array([10.0]), "unused")
+    used.grad = np.array([5.0, 5.0])  # stale; cleared before back-propagation
+    opt = SGD([used, unused], lr=0.1, weight_decay=0.1)
+    opt.backward_step(ad.reduce_sum(used))
+    np.testing.assert_allclose(used.data, [0.89, 1.88])
+    np.testing.assert_allclose(unused.data, [9.9])  # weight decay only
+    assert used.grad is None and unused.grad is None
+
+
 def test_sgd_validates_config():
     p = Parameter(np.zeros(1), "p")
     with pytest.raises(ConfigError):

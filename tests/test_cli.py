@@ -276,3 +276,48 @@ def test_enhance_corrupt_png_exits_3(tmp_path, fast_config, tiny_dataset):
         ]
     )
     assert code == 3
+
+
+# no hypergradient (warm-up covers the one epoch) keeps the sweeps cheap
+SMOKE = {
+    "search": {"epochs": 1, "warmup_epochs": 1, "lr_omega": 3e-5},
+    "train": {"epochs": 1, "pretrain_epochs": 1, "lr": 3e-5},
+}
+
+
+def _csv_rows(path):
+    lines = path.read_text().strip().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "command, csv_name, header, names",
+    [
+        (
+            "compare-strategies",
+            "strategies.csv",
+            "strategy,scene_val,task_val,combined,scene_params,task_params",
+            ["global", "independent", "cooperative"],
+        ),
+        (
+            "fixed-op",
+            "fixed_op.csv",
+            "model,psnr_db,ssim,params,mult_adds",
+            ["1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC", "supernet"],
+        ),
+    ],
+    ids=["compare-strategies", "fixed-op"],
+)
+def test_comparison_commands_smoke(tmp_path, tiny_dataset, command, csv_name, header, names):
+    root, _ = tiny_dataset
+    cfg = tmp_path / "smoke.json"
+    cfg.write_text(json.dumps(SMOKE))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--config", str(cfg), "--data", str(root), "--out", str(out), "--seed", "2"]
+    )
+    assert code == 0
+    got_header, rows = _csv_rows(out / csv_name)
+    assert got_header == header
+    assert [r[0] for r in rows] == names
+    assert all(np.isfinite(float(v)) for r in rows for v in r[1:])

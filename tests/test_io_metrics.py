@@ -13,12 +13,10 @@ from ruas.io_metrics import (
     make_synthetic_dataset,
     psnr,
     random_clean_image,
-    read_split,
     save_png,
     split_records,
     ssim,
     synth_lowlight,
-    write_split,
 )
 
 
@@ -225,14 +223,3 @@ def test_split_too_small(tiny_dataset):
     _, records = tiny_dataset
     with pytest.raises(ConfigError):
         split_records(records[:1])
-
-
-def test_split_round_trip(tiny_dataset, tmp_path):
-    _, records = tiny_dataset
-    path = tmp_path / "split.txt"
-    write_split(records[:3], path)
-    back = read_split(records, path)
-    assert [r.id for r in back] == [r.id for r in records[:3]]
-    path.write_text("img9999\n")
-    with pytest.raises(ConfigError):
-        read_split(records, path)

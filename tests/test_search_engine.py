@@ -1,4 +1,4 @@
-"""Bilevel search: hypergradient vs a closed-form quadratic oracle, drivers."""
+"""Bilevel search: hypergradient vs a closed-form quadratic oracle, the search loop."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,7 @@ from ruas import autodiff as ad
 from ruas.autodiff import Parameter, Tensor
 from ruas.errors import ConfigError
 from ruas.io_metrics import split_records
-from ruas.search import (
-    SearchConfig,
-    baseline_search,
-    coop_search,
-    hypergrad_onestep,
-    run_search,
-    uniform_cell_baseline,
-)
-from ruas.search_space import OPS_BY_NAME
-from ruas.model import SearchModel
+from ruas.search import SearchConfig, hypergrad_onestep, run_search
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +88,7 @@ def test_hypergrad_coupling_term_matters(rng):
 
 
 # ---------------------------------------------------------------------------
-# config and drivers
+# config and the search loop
 
 
 def test_search_config_validation():
@@ -111,14 +102,6 @@ def test_search_config_validation():
         SearchConfig(epochs=0)
     with pytest.raises(ConfigError):
         SearchConfig(grad_clip=0.0)
-
-
-def test_strategy_dispatch_guards(rng):
-    model = SearchModel(rng)
-    with pytest.raises(ConfigError):
-        coop_search(model, None, SearchConfig(strategy="global"), rng)
-    with pytest.raises(ConfigError):
-        baseline_search(model, None, SearchConfig(strategy="cooperative"), rng)
 
 
 def small_split(records):
@@ -174,9 +157,18 @@ def test_global_search_runs(tiny_dataset):
     assert all(np.isfinite(row["combined"]) for row in res.history)
 
 
-def test_uniform_cell_baseline(rng):
-    cell = uniform_cell_baseline(OPS_BY_NAME["3-C"], 3, rng)
-    assert len(cell.kinds) == 7
-    assert all(k.name == "3-C" for k in cell.kinds)
-    with pytest.raises(ConfigError):
-        uniform_cell_baseline(OPS_BY_NAME["5-C"], 3, rng)
+@pytest.mark.parametrize("strategy", ["independent", "global"])
+def test_inner_steps_apply_to_every_strategy(tiny_dataset, strategy):
+    _, records = tiny_dataset
+    data = small_split(records)
+    histories = [
+        run_search(
+            data,
+            SearchConfig(
+                strategy=strategy, epochs=1, warmup_epochs=1, lr_omega=3e-5, inner_steps=n
+            ),
+            seed=3,
+        ).history
+        for n in (1, 2)
+    ]
+    assert histories[0] != histories[1]

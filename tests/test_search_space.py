@@ -29,9 +29,6 @@ def test_registry_contents():
     low = [op.name for op in op_registry("scene")]
     assert low == ["1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC"]
     assert [op.name for op in op_registry("low_task")] == low
-    high = op_registry("high_task")
-    assert len(high) == 10
-    assert all(not op.residual and not op.skip for op in high)
     with pytest.raises(ConfigError):
         op_registry("mid_task")
 
@@ -130,7 +127,13 @@ def test_mixed_cell_discretize_copies_weights(rng):
 def test_all_skip_cell_with_averaging_fusion_is_identity(rng):
     spec = CellSpec(width=3)
     cell = DiscreteCell(spec, [OPS_BY_NAME["SC"]] * 7, rng)
-    cell.init_fusion_averaging()
+    # the fusion conv averages its four input blocks channel-wise
+    w = np.zeros_like(cell.fusion_w.data)
+    for o in range(3):
+        for m in range(4):
+            w[o, o + m * 3, 0, 0] = 0.25
+    cell.fusion_w.data = w
+    cell.fusion_b.data = np.zeros_like(cell.fusion_b.data)
     x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 5, 5)))
     np.testing.assert_allclose(cell.forward(x).data, x.data, atol=1e-12)
 
