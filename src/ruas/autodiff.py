@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ContractError, DomainError, ShapeError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DomainError,
+    NumericError,
+    ShapeError,
+)
 
 DIV_GUARD = 1e-12
 
@@ -482,7 +488,8 @@ class SGD:
     l2 norm when it exceeds it (before momentum).  The losses here are
     pixel sums, so raw gradient magnitudes scale with image area; clipping
     keeps one bad batch from throwing the iterate into a clamped region
-    where the gradient dies.
+    where the gradient dies.  A non-finite gradient norm raises
+    ``NumericError`` and leaves the weights as they were, clip or not.
     """
 
     def __init__(self, params, lr, momentum=0.0, weight_decay=0.0, clip_norm=None):
@@ -508,12 +515,13 @@ class SGD:
                 raise ContractError(
                     f"parameter {name} has no gradient; run backward first"
                 )
-        if self.clip_norm is not None:
-            total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in self.params))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                for p in self.params:
-                    p.grad = p.grad * scale
+        total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in self.params))
+        if not np.isfinite(total):
+            raise NumericError(f"non-finite gradient norm {total}; no step taken")
+        if self.clip_norm is not None and total > self.clip_norm:
+            scale = self.clip_norm / total
+            for p in self.params:
+                p.grad = p.grad * scale
         for p, v in zip(self.params, self._velocity):
             v *= self.momentum
             v += p.grad + self.weight_decay * p.data

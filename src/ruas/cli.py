@@ -19,7 +19,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig, resolve_seed
 from .diagnostics import TOLERANCE, run_all
-from .errors import ConfigError, DataIOError, NumericError, RuasError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DataIOError,
+    DomainError,
+    NumericError,
+    RuasError,
+)
 from .io_metrics import load_dataset, load_png, save_png, split_records
 from .model import (
     DEFAULT_SCENE_OPS,
@@ -450,7 +457,7 @@ def main(argv=None):
     except DataIOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericError as exc:
+    except (NumericError, DomainError, ContractError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except RuasError as exc:

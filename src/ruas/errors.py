@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto stable exit codes: ConfigError -> 2,
-DataIOError -> 3, NumericError -> 4.
+DataIOError -> 3, and NumericError, DomainError (a value outside an
+operator's domain) and ContractError (an API misuse met mid-computation,
+such as a step with no gradient) -> 4.  Any other RuasError exits with 2.
 """
 
 

@@ -73,8 +73,11 @@ class SearchModel:
 
     def task_loss(self, y):
         u, _, _ = self.scene_out(y)
-        x = self.task_out(u)
-        return task_loss(x, u, tv_weight=self.tv_weight)
+        return self.task_loss_on(u)
+
+    def task_loss_on(self, u):
+        """Task loss on a given scene output ``u``."""
+        return task_loss(self.task_out(u), u, tv_weight=self.tv_weight)
 
 
 class RuasModel:

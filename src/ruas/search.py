@@ -8,7 +8,9 @@ its training loss.  The strategies differ only in their phases and in
 whether the phases interleave or run one after the other.  Cooperative
 interleaves a scene phase, whose validation loss includes the task loss
 (the coupling term), with a task phase; independent runs the scene phase
-to the end and then the task phase; global is one joint phase.
+to the end and then the task phase; global is one joint phase.  Outside
+global, the task phase steps no scene weight, so its losses take the scene
+output computed once per (train, val) pair without a tape.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import autodiff as ad
 from .autodiff import SGD, Tensor, backward
 from .errors import ConfigError, NumericError
 from .model import SearchModel
+from .scene import scene_loss
 from .search_space import discretize
 
 STRATEGIES = ("cooperative", "independent", "global")
@@ -55,6 +58,11 @@ class SearchConfig:
             raise ConfigError("epochs must be >= 1")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigError("grad_clip must be positive (or None)")
+        if self.batch != 1:
+            raise ConfigError(
+                f"search.batch must be 1, got {self.batch}: search feeds one image"
+                " per step until minibatches land (ROADMAP item 3)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +163,9 @@ def _eval_val_losses(model, val_records, beta):
         ls, lt = 0.0, 0.0
         for rec in val_records:
             y = Tensor(rec.input())
-            ls += float(model.scene_loss(y).data)
-            lt += float(model.task_loss(y).data)
+            u, t, _ = model.scene_out(y)
+            ls += float(scene_loss(t, y, model.scene_cfg).data)
+            lt += float(model.task_loss_on(u).data)
         n = len(val_records)
         ls, lt = ls / n, lt / n
         return {"scene_val": ls, "task_val": lt, "combined": ls + beta * lt}
@@ -171,10 +180,11 @@ class SearchResult:
     model: SearchModel
 
     def history_csv(self):
-        lines = ["epoch,scene_val,task_val,combined"]
-        for i, row in enumerate(self.history):
+        lines = ["stage,epoch,scene_val,task_val,combined"]
+        for row in self.history:
             lines.append(
-                f"{i},{row['scene_val']:.8f},{row['task_val']:.8f},{row['combined']:.8f}"
+                f"{row['stage']},{row['epoch']},{row['scene_val']:.8f},"
+                f"{row['task_val']:.8f},{row['combined']:.8f}"
             )
         return "\n".join(lines) + "\n"
 
@@ -183,7 +193,9 @@ class SearchResult:
 class Phase:
     """One (alpha, omega) pair of the bilevel problem.
 
-    ``val_loss`` and ``tr_loss`` map an input image tensor to a scalar loss.
+    ``loss_input`` maps an input image tensor to the losses' input, once
+    per (train, val) pair; ``val_loss`` and ``tr_loss`` map that to a
+    scalar loss.
     """
 
     alphas: list
@@ -192,6 +204,7 @@ class Phase:
     tr_loss: Callable
     opt_alpha: SGD
     opt_omega: SGD
+    loss_input: Callable = lambda y: y
 
 
 def _stages(model, cfg, momentum):
@@ -201,7 +214,7 @@ def _stages(model, cfg, momentum):
     stage take turns on every (train, val) pair.
     """
 
-    def phase(alphas, omegas, val_loss, tr_loss):
+    def phase(alphas, omegas, val_loss, tr_loss, **kw):
         clip = cfg.grad_clip
         return Phase(
             alphas,
@@ -210,6 +223,7 @@ def _stages(model, cfg, momentum):
             tr_loss,
             SGD(alphas, cfg.lr_alpha, momentum, clip_norm=clip),
             SGD(omegas, cfg.lr_omega, momentum, cfg.weight_decay, clip_norm=clip),
+            **kw,
         )
 
     alpha_s, alpha_t = model.alpha_s.parameters(), model.alpha_t.parameters()
@@ -218,7 +232,16 @@ def _stages(model, cfg, momentum):
     if cfg.strategy == "global":
         joint = lambda y: ad.add(model.scene_loss(y), model.task_loss(y))
         return [[phase(alpha_s + alpha_t, omega_s + omega_t, combined, joint)]]
-    task = phase(alpha_t, omega_t, model.task_loss, model.task_loss)
+
+    # the task side steps no scene weight, so it sees the scene output as a
+    # constant, computed once per pair without a tape
+    def frozen_scene_out(y):
+        with ad.no_grad():
+            u, _, _ = model.scene_out(y)
+        return u
+
+    task_loss = model.task_loss_on
+    task = phase(alpha_t, omega_t, task_loss, task_loss, loss_input=frozen_scene_out)
     if cfg.strategy == "independent":
         # scene first with no coupling, then the task side on the frozen scene
         scene = phase(alpha_s, omega_s, model.scene_loss, model.scene_loss)
@@ -243,34 +266,38 @@ def run_search(data, cfg, seed, scene_cfg=None):
 
     Every phase takes ``cfg.inner_steps`` (alpha, omega) updates per
     (train, val) pair; alpha updates start after the warm-up epochs.
-    History gets one row per stage and epoch.
+    History gets one row per stage and epoch, tagged with both; epochs
+    restart at 0 in each stage.
     """
     rng = np.random.default_rng(seed)
     model = SearchModel(rng, scene_cfg=scene_cfg)
     momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
     history = []
-    for stage in _stages(model, cfg, momentum):
+    for stage_index, stage in enumerate(_stages(model, cfg, momentum)):
         for epoch in range(cfg.epochs):
             warm = epoch < cfg.warmup_epochs
             for tr_rec, val_rec in _batches(data, epoch):
                 y_tr = Tensor(tr_rec.input())
                 y_val = Tensor(val_rec.input())
                 for ph in stage:
+                    x_tr = ph.loss_input(y_tr)
+                    x_val = None if warm else ph.loss_input(y_val)
                     for _ in range(cfg.inner_steps):
                         if not warm:
                             grads = hypergrad_onestep(
                                 ph.alphas,
                                 ph.omegas,
-                                lambda: ph.val_loss(y_val),
-                                lambda: ph.tr_loss(y_tr),
+                                lambda: ph.val_loss(x_val),
+                                lambda: ph.tr_loss(x_tr),
                                 cfg.lr_omega,
                                 cfg.fd_step,
                             )
                             for a, g in zip(ph.alphas, grads):
                                 a.grad = g
                             ph.opt_alpha.step()
-                        ph.opt_omega.backward_step(ph.tr_loss(y_tr))
-            history.append(_eval_val_losses(model, data.val, cfg.beta))
+                        ph.opt_omega.backward_step(ph.tr_loss(x_tr))
+            row = {"stage": stage_index, "epoch": epoch}
+            history.append(row | _eval_val_losses(model, data.val, cfg.beta))
     return SearchResult(
         scene_ops=discretize(model.alpha_s),
         task_ops=discretize(model.alpha_t),

@@ -5,7 +5,13 @@ import pytest
 
 from ruas import autodiff as ad
 from ruas.autodiff import SGD, Parameter, Tensor, backward, grad_check
-from ruas.errors import ConfigError, ContractError, DomainError, ShapeError
+from ruas.errors import (
+    ConfigError,
+    ContractError,
+    DomainError,
+    NumericError,
+    ShapeError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +254,18 @@ def test_sgd_clip_norm():
     p.grad = np.array([3.0, 4.0])  # norm 5, rescaled to 1
     opt.step()
     np.testing.assert_allclose(p.data, [-0.6, -0.8])
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sgd_nonfinite_grad_norm_raises(clip_norm, bad):
+    # NaN > clip_norm is False, so a NaN norm used to slip through the clip
+    p = Parameter(np.array([1.0, 2.0]), "p")
+    opt = SGD([p], lr=0.1, momentum=0.5, clip_norm=clip_norm)
+    p.grad = np.array([bad, 0.0])
+    with pytest.raises(NumericError):
+        opt.step()
+    np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
 
 def test_sgd_missing_grad_raises():

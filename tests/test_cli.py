@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ruas.cli import main
+from ruas.errors import ContractError, DomainError
 from ruas.train import TrainReport
 
 FAST = {
@@ -321,3 +322,15 @@ def test_comparison_commands_smoke(tmp_path, tiny_dataset, command, csv_name, he
     assert got_header == header
     assert [r[0] for r in rows] == names
     assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
+
+
+@pytest.mark.parametrize("error", [DomainError, ContractError])
+def test_domain_and_contract_errors_exit_4(tmp_path, monkeypatch, capsys, error):
+    import ruas.cli as cli_mod
+
+    def raising(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_gradcheck", raising)
+    assert main(["gradcheck", "--out", str(tmp_path)]) == 4
+    assert "boom" in capsys.readouterr().err

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ruas import autodiff as ad
+from ruas import search
 from ruas.autodiff import Parameter, Tensor
 from ruas.errors import ConfigError
 from ruas.io_metrics import split_records
+from ruas.model import SearchModel
 from ruas.search import SearchConfig, hypergrad_onestep, run_search
 
 
@@ -104,6 +106,14 @@ def test_search_config_validation():
         SearchConfig(grad_clip=0.0)
 
 
+@pytest.mark.parametrize("batch", [0, 2, 8])
+def test_search_batch_other_than_one_is_rejected(batch):
+    # minibatches are not wired through search yet; a silent no-op would lie
+    with pytest.raises(ConfigError, match="ROADMAP item 3"):
+        SearchConfig(batch=batch)
+    assert SearchConfig(batch=1).batch == 1
+
+
 def small_split(records):
     return split_records(records[:4], val_fraction=0.25)
 
@@ -129,12 +139,13 @@ def test_search_result_shape_and_csv(tiny_dataset):
     res = run_search(data, cfg, seed=1)
     assert len(res.scene_ops) == 7 and len(res.task_ops) == 7
     assert len(res.history) == 1
-    assert set(res.history[0]) == {"scene_val", "task_val", "combined"}
+    keys = {"stage", "epoch", "scene_val", "task_val", "combined"}
+    assert set(res.history[0]) == keys
     assert 0.5 <= res.momentum < 0.999
     csv = res.history_csv()
     lines = csv.strip().splitlines()
-    assert lines[0] == "epoch,scene_val,task_val,combined"
-    assert lines[1].startswith("0,")
+    assert lines[0] == "stage,epoch,scene_val,task_val,combined"
+    assert lines[1].startswith("0,0,")
     assert len(lines) == 2
 
 
@@ -146,6 +157,10 @@ def test_independent_history_covers_both_phases(tiny_dataset):
     )
     res = run_search(data, cfg, seed=3)
     assert len(res.history) == 4  # scene epochs then task epochs
+    assert [row["stage"] for row in res.history] == [0, 0, 1, 1]
+    assert [row["epoch"] for row in res.history] == [0, 1, 0, 1]
+    rows = [line.split(",")[:2] for line in res.history_csv().splitlines()[1:]]
+    assert rows == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
 
 
 def test_global_search_runs(tiny_dataset):
@@ -172,3 +187,100 @@ def test_inner_steps_apply_to_every_strategy(tiny_dataset, strategy):
         for n in (1, 2)
     ]
     assert histories[0] != histories[1]
+
+
+# ---------------------------------------------------------------------------
+# the task phase sees the scene output as a constant
+
+
+def test_frozen_scene_task_grads_equal_full_tape(tiny_dataset):
+    _, records = tiny_dataset
+    model = SearchModel(np.random.default_rng(11))
+    y = Tensor(records[0].input())
+    task_params = model.alpha_t.parameters() + model.omega_t()
+    scene_params = model.alpha_s.parameters() + model.omega_s()
+
+    full = model.task_loss(y)
+    ad.backward(full)
+    want = [np.array(p.grad, copy=True) for p in task_params]
+    assert all(p.grad is not None for p in scene_params)
+
+    for p in task_params + scene_params:
+        p.grad = None
+    with ad.no_grad():
+        u, _, _ = model.scene_out(y)
+    frozen = model.task_loss_on(u)
+    ad.backward(frozen)
+    assert float(frozen.data) == float(full.data)
+    for p, g in zip(task_params, want):
+        assert np.array_equal(p.grad, g), p.name
+    assert all(p.grad is None for p in scene_params)
+
+
+def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatch):
+    """In a cooperative run the task phase calls ``scene_out`` once for each
+    image of a (train, val) pair, never inside its losses, and none of its
+    backward passes reaches a scene parameter."""
+    _, records = tiny_dataset
+    data = small_split(records)
+    cfg = SearchConfig(epochs=2, warmup_epochs=1, lr_omega=3e-5)
+    where = [None]  # which part of the task phase is running
+    calls = {"input": 0, "loss": 0}
+    seen = {"task_backward": 0, "leaked": []}
+    last_task_loss = [None]
+    scene_params = []
+
+    scene_out = SearchModel.scene_out
+
+    def counting_scene_out(self, y):
+        if where[0] is not None:
+            calls[where[0]] += 1
+        return scene_out(self, y)
+
+    def tagged(fn, tag):
+        def wrapped(x):
+            where[0] = tag
+            try:
+                out = fn(x)
+            finally:
+                where[0] = None
+            if tag == "loss":
+                last_task_loss[0] = out
+            return out
+
+        return wrapped
+
+    stages = search._stages
+
+    def tagging_stages(model, cfg, momentum):
+        out = stages(model, cfg, momentum)
+        scene_params.extend(model.alpha_s.parameters() + model.omega_s())
+        (_, task), = out
+        task.loss_input = tagged(task.loss_input, "input")
+        task.val_loss = tagged(task.val_loss, "loss")
+        task.tr_loss = tagged(task.tr_loss, "loss")
+        return out
+
+    backward = ad.backward
+
+    def checking_backward(loss):
+        if loss is not last_task_loss[0]:
+            return backward(loss)
+        for p in scene_params:
+            p.grad = None
+        backward(loss)
+        seen["task_backward"] += 1
+        seen["leaked"] += [p.name for p in scene_params if p.grad is not None]
+
+    monkeypatch.setattr(SearchModel, "scene_out", counting_scene_out)
+    monkeypatch.setattr(search, "_stages", tagging_stages)
+    monkeypatch.setattr(search, "backward", checking_backward)
+    monkeypatch.setattr(ad, "backward", checking_backward)
+    run_search(data, cfg, seed=5)
+
+    pairs = len(data.train)
+    # warm-up epoch: the training image only; then the training and val image
+    assert calls == {"input": pairs + 2 * pairs, "loss": 0}
+    # every task step back-propagates at least its omega update
+    assert seen["task_backward"] >= cfg.epochs * pairs
+    assert seen["leaked"] == []
