@@ -32,21 +32,12 @@ from .model import (
     DEFAULT_SCENE_OPS,
     DEFAULT_TASK_OPS,
     RuasModel,
-    SCENE_WIDTH,
-    TASK_WIDTH,
     SearchModel,
     load_checkpoint,
     save_checkpoint,
 )
-from .search import SearchConfig, run_search
-from .search_space import (
-    CellSpec,
-    OPS_BY_NAME,
-    arch_dump,
-    cell_flops,
-    count_params,
-    op_registry,
-)
+from .search import run_search
+from .search_space import SEARCH_OPS, arch_dump, cell_flops, count_params
 from .task import VARIANTS
 from .train import (
     _run_epochs,
@@ -81,11 +72,17 @@ def _model_from_config(cfg, rng, arch_path=None):
     task_ops = task["task_ops"] or list(DEFAULT_TASK_OPS)
     if arch_path:
         try:
-            arch = json.loads(Path(arch_path).read_text())
+            raw = Path(arch_path).read_bytes()
         except OSError as exc:
             raise DataIOError(f"cannot read architecture file {arch_path}: {exc}") from exc
-        scene_ops = arch["scene"]["ops"]
-        task_ops = arch["task"]["ops"]
+        try:
+            arch = json.loads(raw)
+            scene_ops, task_ops = list(arch["scene"]["ops"]), list(arch["task"]["ops"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"architecture file {arch_path} must be JSON with scene.ops and"
+                f" task.ops lists: {exc!r}"
+            ) from exc
     return RuasModel(
         rng,
         variant=task["variant"],
@@ -327,7 +324,7 @@ def cmd_fixed_op(args):
     tcfg = cfg.train_config()
     h, w = records[0].input().shape[2:]
     lines = ["model,psnr_db,ssim,params,mult_adds"]
-    for kind in op_registry("scene"):
+    for kind in SEARCH_OPS:
         rng = np.random.default_rng(seed)
         model = RuasModel(
             rng,
@@ -350,7 +347,7 @@ def cmd_fixed_op(args):
     )
     rows = _evaluate_supernet_scene(supernet, records)
     sup_params = count_params(supernet.omega_s())
-    sup_flops = _supernet_scene_flops(supernet, h, w)
+    sup_flops = supernet.scene_cfg.stages * cell_flops(supernet.scene_cell, h, w)
     lines.append(
         f"supernet,{rows['psnr']:.4f},{rows['ssim']:.6f},{sup_params},{sup_flops}"
     )
@@ -371,19 +368,6 @@ def _evaluate_supernet_scene(supernet, records):
         ps.append(psnr(x, ref))
         ss.append(ssim(x, ref))
     return {"psnr": float(np.mean(ps)), "ssim": float(np.mean(ss))}
-
-
-def _supernet_scene_flops(supernet, h, w):
-    from .search_space import conv_flops
-
-    total = 0
-    spec = supernet.scene_spec
-    for kind in op_registry("scene"):
-        if kind.skip:
-            continue
-        total += conv_flops(spec.width, spec.width, kind.kernel, h, w) * len(spec.edges)
-    total += conv_flops(spec.width, 4 * spec.width, 1, h, w)
-    return total * supernet.scene_cfg.stages
 
 
 # ---------------------------------------------------------------------------

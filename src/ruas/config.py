@@ -5,6 +5,7 @@ effective (post-default) config is echoed into every output directory."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigError, DataIOError
@@ -13,40 +14,9 @@ from .search import SearchConfig
 from .train import TrainConfig
 
 _SECTION_DEFAULTS = {
-    "scene": {
-        "stages": 3,
-        "window": 3,
-        "gamma": 0.5,
-        "warm_start": "no_rectify",
-        "t_floor": 1e-3,
-        "rtv_weight": 0.1,
-        "rtv_sigma": 1.5,
-        "rtv_eps": 1e-3,
-    },
-    "search": {
-        "beta": 1.0,
-        "lr_omega": 3e-4,
-        "lr_alpha": 3e-4,
-        "fd_step": 1e-2,
-        "epochs": 20,
-        "batch": 1,
-        "strategy": "cooperative",
-        "inner_steps": 1,
-        "warmup_epochs": 3,
-        "weight_decay": 1e-3,
-        "momentum": None,
-        "grad_clip": 1.0,
-    },
-    "train": {
-        "lambda_weight": 1.0,
-        "strategy": "end_to_end",
-        "epochs": 100,
-        "lr": 3e-4,
-        "momentum": 0.9,
-        "weight_decay": 1e-3,
-        "pretrain_epochs": 30,
-        "grad_clip": 1.0,
-    },
+    "scene": asdict(SceneConfig()),
+    "search": asdict(SearchConfig()),
+    "train": asdict(TrainConfig()),
     "task": {
         "gate_eps": 0.01,
         "tv_weight": 0.05,

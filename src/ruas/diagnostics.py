@@ -11,13 +11,12 @@ from .autodiff import Tensor, grad_check
 from .model import DEFAULT_SCENE_OPS, SCENE_WIDTH
 from .scene import SceneConfig, scene_forward, scene_loss
 from .search_space import (
-    ArchParams,
+    SEARCH_OPS,
     CellSpec,
     DiscreteCell,
-    MixedCell,
-    OPS_BY_NAME,
+    lookup_op,
+    make_op_params,
     mixed_forward,
-    op_registry,
 )
 
 TOLERANCE = 1e-3
@@ -111,14 +110,11 @@ def primitive_checks(seed=7):
 def mixed_logits_check(seed=7):
     """Gradient of the mixed edge w.r.t. its logits."""
     rng = np.random.default_rng(seed)
-    registry = op_registry("scene")
-    from .search_space import make_op_params
-
-    weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
+    weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(SEARCH_OPS)]
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    logits = _rand(rng, len(registry))
+    logits = _rand(rng, len(SEARCH_OPS))
     err = grad_check(
-        lambda t: ad.reduce_l2sq(mixed_forward(x, t, weights, registry)), logits
+        lambda t: ad.reduce_l2sq(mixed_forward(x, t, weights, SEARCH_OPS)), logits
     )
     return [("mixed_forward_logits", err)]
 
@@ -128,7 +124,7 @@ def scene_composite_checks(seed=7, per_param_limit=None):
     rng = np.random.default_rng(seed)
     cfg = SceneConfig(stages=3)
     cell = DiscreteCell(
-        CellSpec(width=SCENE_WIDTH), [OPS_BY_NAME[n] for n in DEFAULT_SCENE_OPS], rng
+        CellSpec(width=SCENE_WIDTH), [lookup_op(n) for n in DEFAULT_SCENE_OPS], rng
     )
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
     params = cell.parameters()

@@ -9,18 +9,18 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
-from .errors import ConfigError, ShapeError
+from .autodiff import Tensor
+from .errors import ConfigError, DataIOError
 from .scene import SceneConfig, scene_forward, scene_loss
 from .search_space import (
     ArchParams,
     CellSpec,
     DiscreteCell,
     MixedCell,
-    OPS_BY_NAME,
     cell_flops,
     conv_flops,
     count_params,
+    lookup_op,
 )
 from .task import NoiseEstimator, NoiseRemover, VARIANTS, noise_gate, task_loss
 
@@ -42,13 +42,13 @@ class SearchModel:
         self.scene_spec = CellSpec(width=SCENE_WIDTH)
         self.task_spec = CellSpec(width=TASK_WIDTH)
         self.scene_cell = MixedCell(
-            self.scene_spec, "scene", rng, name="sm.cell", fusion_init="zeros"
+            self.scene_spec, rng, name="sm.cell", fusion_init="zeros"
         )
         self.task_cell = MixedCell(
-            self.task_spec, "low_task", rng, name="tm.cell", fusion_init="zeros"
+            self.task_spec, rng, name="tm.cell", fusion_init="zeros"
         )
-        self.alpha_s = ArchParams(self.scene_spec, "scene", rng, name="alpha_s")
-        self.alpha_t = ArchParams(self.task_spec, "low_task", rng, name="alpha_t")
+        self.alpha_s = ArchParams(self.scene_spec, rng, name="alpha_s")
+        self.alpha_t = ArchParams(self.task_spec, rng, name="alpha_t")
         self.remover = NoiseRemover(rng, width=TASK_WIDTH, name="tm.psi_r")
 
     def omega_s(self):
@@ -105,7 +105,7 @@ class RuasModel:
         self.task_spec = CellSpec(width=TASK_WIDTH)
         self.scene_cell = DiscreteCell(
             self.scene_spec,
-            [OPS_BY_NAME[n] for n in self.scene_ops],
+            [lookup_op(n) for n in self.scene_ops],
             rng,
             name="sm.cell",
             fusion_init="zeros",
@@ -116,7 +116,7 @@ class RuasModel:
         if variant in ("ruas", "ruas_a"):
             self.task_cell = DiscreteCell(
                 self.task_spec,
-                [OPS_BY_NAME[n] for n in self.task_ops],
+                [lookup_op(n) for n in self.task_ops],
                 rng,
                 name="tm.cell",
                 fusion_init="zeros",
@@ -243,18 +243,26 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Rebuild a RuasModel from a checkpoint file."""
-    from .errors import DataIOError
+    """Rebuild a RuasModel from a checkpoint file.
 
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DataIOError(f"{path} is not a checkpoint file")
-        hlen = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(hlen).decode())
+    The file is untrusted: every defect in it raises DataIOError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataIOError(f"cannot read checkpoint {path}: {exc}") from exc
+    start = len(_MAGIC) + 4
+    if len(blob) < start or blob[: len(_MAGIC)] != _MAGIC:
+        raise DataIOError(f"{path} is not a checkpoint file")
+    end = start + int.from_bytes(blob[len(_MAGIC) : start], "little")
+    if end > len(blob):
+        raise DataIOError(f"checkpoint header runs past the end of {path}")
+    try:
+        header = json.loads(blob[start:end].decode())
         cfg = header["config"]
-        rng = np.random.default_rng(0)
         model = RuasModel(
-            rng,
+            np.random.default_rng(0),
             variant=cfg["variant"],
             scene_cfg=SceneConfig(**cfg["scene_cfg"]),
             scene_ops=cfg["scene_ops"],
@@ -265,18 +273,22 @@ def load_checkpoint(path):
         if model.config_hash() != header["config_hash"]:
             raise DataIOError(f"checkpoint config hash mismatch in {path}")
         by_name = {p.name: p for p in model.parameters()}
-        for meta in header["params"]:
-            shape = tuple(meta["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise DataIOError(f"truncated checkpoint {path}")
-            p = by_name.get(meta["name"])
-            if p is None:
-                raise DataIOError(f"unknown parameter {meta['name']} in {path}")
-            if p.data.shape != shape:
-                raise DataIOError(
-                    f"shape mismatch for {meta['name']}: {p.data.shape} vs {shape}"
-                )
-            p.data = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+        stored = [(meta["name"], tuple(meta["shape"])) for meta in header["params"]]
+        names = [name for name, _ in stored]
+        if len(names) != len(set(names)) or set(names) != set(by_name):
+            raise DataIOError(f"parameters in {path} do not match the model's")
+    except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
+        raise DataIOError(f"bad checkpoint header in {path}: {exc!r}") from exc
+    for name, shape in stored:
+        if by_name[name].data.shape != shape:
+            raise DataIOError(
+                f"shape mismatch for {name}: {by_name[name].data.shape} vs {shape}"
+            )
+    if len(blob) - end != 8 * sum(p.data.size for p in by_name.values()):
+        raise DataIOError(f"checkpoint {path} is truncated or has trailing bytes")
+    for name, _ in stored:
+        p = by_name[name]
+        n = p.data.size
+        p.data = np.frombuffer(blob, np.float64, n, end).reshape(p.data.shape).copy()
+        end += 8 * n
     return model

@@ -1,5 +1,6 @@
-"""Candidate operator registry, the 5-node distillation cell, and its
-continuous (softmax-mixed) and discrete forms.
+"""Candidate operator registry and the 5-node distillation cell, whose
+edges hold every search candidate (the softmax-mixed supernet) or one
+operator each (the derived cell).
 
 The cell is a DAG: node 0 is the input, nodes 1..4 are produced by chain
 edges (i, i+1), and nodes 0..2 additionally feed the output node through
@@ -10,12 +11,12 @@ width with a fixed (non-searched) 1x1 convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import ConfigError, ShapeError
 
 
@@ -57,17 +58,20 @@ ALL_OPS = (
 
 OPS_BY_NAME = {op.name: op for op in ALL_OPS}
 
-_LOW_LEVEL_NAMES = ("1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC")
+
+def lookup_op(name):
+    """The table operator called ``name``."""
+    try:
+        return OPS_BY_NAME[name]
+    except (KeyError, TypeError):
+        known = ", ".join(OPS_BY_NAME)
+        raise ConfigError(f"unknown operator {name!r}; known: {known}") from None
 
 
-def op_registry(task_kind):
-    """Ordered candidate operators for a task kind.
-
-    ``scene`` and ``low_task`` share the compact 7-op set.
-    """
-    if task_kind in ("scene", "low_task"):
-        return [OPS_BY_NAME[n] for n in _LOW_LEVEL_NAMES]
-    raise ConfigError(f"unknown task kind {task_kind!r}; expected scene or low_task")
+# the candidates of every searched edge, in the scene and the task cell alike
+SEARCH_OPS = tuple(
+    lookup_op(n) for n in ("1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC")
+)
 
 
 def init_conv_weights(c_out, c_in, k, rng, name):
@@ -155,11 +159,9 @@ class CellSpec:
 class ArchParams:
     """Per-edge operator logits for one searchable cell."""
 
-    def __init__(self, spec, task_kind, rng=None, init_scale=1e-3, name="alpha"):
+    def __init__(self, spec, rng=None, init_scale=1e-3, name="alpha"):
         self.spec = spec
-        self.task_kind = task_kind
-        self.registry = op_registry(task_kind)
-        n = len(self.registry)
+        n = len(SEARCH_OPS)
         self.logits = []
         for e, (i, j) in enumerate(spec.edges):
             init = np.zeros(n) if rng is None else rng.normal(0.0, init_scale, n)
@@ -173,96 +175,36 @@ class ArchParams:
 
 
 def discretize(arch):
-    """Argmax operator per edge; ties break toward the lowest registry index."""
+    """Argmax operator per edge; ties break toward the lowest candidate index."""
     choices = []
     for logits in arch.logits:
         if not np.all(np.isfinite(logits.data)):
             raise ConfigError("cannot discretize non-finite logits")
-        choices.append(arch.registry[int(np.argmax(logits.data))])
+        choices.append(SEARCH_OPS[int(np.argmax(logits.data))])
     return choices
 
 
-class MixedCell:
-    """The searchable cell: every edge holds weights for every candidate."""
+class Cell:
+    """The cell; each edge holds one or several candidate operators.
 
-    def __init__(self, spec, task_kind, rng, name="cell", fusion_init="random"):
-        self.spec = spec
-        self.task_kind = task_kind
-        self.registry = op_registry(task_kind)
-        self.edge_weights = []
-        for e, (i, j) in enumerate(spec.edges):
-            per_op = [
-                make_op_params(kind, spec.width, rng, f"{name}.edge{e}.{kind.name}")
-                for kind in self.registry
-            ]
-            self.edge_weights.append(per_op)
-        self.fusion_w, self.fusion_b = init_conv_weights(
-            spec.width, 4 * spec.width, 1, rng, f"{name}.fusion"
-        )
-        if fusion_init == "zeros":
-            self.fusion_w.data = np.zeros_like(self.fusion_w.data)
-        elif fusion_init != "random":
-            raise ConfigError(f"unknown fusion_init {fusion_init!r}")
+    ``forward(x, arch)`` mixes every edge's candidates under ``arch``'s
+    logits (search); ``forward(x)`` runs each edge's single candidate (the
+    derived cell).  Every candidate has its own parameters.
+    """
 
-    def parameters(self):
-        out = []
-        for per_op in self.edge_weights:
-            for params in per_op:
-                out.extend(params.values())
-        out.extend([self.fusion_w, self.fusion_b])
-        return out
-
-    def forward(self, x, arch):
-        if x.data.shape[1] != self.spec.width:
-            raise ShapeError(
-                f"cell expects {self.spec.width} channels, got {x.data.shape[1]}"
-            )
-        nodes = [x]
-        n_chain = len(self.spec.chain_edges)
-        for e in range(n_chain):
-            nodes.append(
-                mixed_forward(nodes[e], arch.logits[e], self.edge_weights[e], self.registry)
-            )
-        distill = []
-        for d, (i, _) in enumerate(self.spec.distill_edges):
-            e = n_chain + d
-            distill.append(
-                mixed_forward(nodes[i], arch.logits[e], self.edge_weights[e], self.registry)
-            )
-        merged = ad.concat(distill + [nodes[-1]], axis=1)
-        return ad.conv2d(merged, self.fusion_w, self.fusion_b)
-
-    def discretize(self, arch):
-        choices = discretize(arch)
-        cell = DiscreteCell.__new__(DiscreteCell)
-        cell.spec = self.spec
-        cell.task_kind = self.task_kind
-        cell.kinds = choices
-        cell.edge_params = []
-        for e, kind in enumerate(choices):
-            src = self.edge_weights[e][self.registry.index(kind)]
-            cell.edge_params.append(
-                {k: Parameter(p.data.copy(), p.name) for k, p in src.items()}
-            )
-        cell.fusion_w = Parameter(self.fusion_w.data.copy(), self.fusion_w.name)
-        cell.fusion_b = Parameter(self.fusion_b.data.copy(), self.fusion_b.name)
-        return cell
-
-
-class DiscreteCell:
-    """A cell with one fixed operator per edge."""
-
-    def __init__(self, spec, kinds, rng, name="cell", fusion_init="random"):
-        if len(kinds) != len(spec.edges):
+    def __init__(self, spec, edge_ops, rng, name="cell", fusion_init="random"):
+        if len(edge_ops) != len(spec.edges):
             raise ConfigError(
-                f"need {len(spec.edges)} operator choices, got {len(kinds)}"
+                f"need {len(spec.edges)} operator choices, got {len(edge_ops)}"
             )
         self.spec = spec
-        self.task_kind = "scene"
-        self.kinds = list(kinds)
+        self.edge_ops = list(edge_ops)
         self.edge_params = [
-            make_op_params(kind, spec.width, rng, f"{name}.edge{e}.{kind.name}")
-            for e, kind in enumerate(kinds)
+            [
+                make_op_params(kind, spec.width, rng, f"{name}.edge{e}.{kind.name}")
+                for kind in ops
+            ]
+            for e, ops in enumerate(self.edge_ops)
         ]
         self.fusion_w, self.fusion_b = init_conv_weights(
             spec.width, 4 * spec.width, 1, rng, f"{name}.fusion"
@@ -277,13 +219,18 @@ class DiscreteCell:
             raise ConfigError(f"unknown fusion_init {fusion_init!r}")
 
     def parameters(self):
-        out = []
-        for params in self.edge_params:
-            out.extend(params.values())
-        out.extend([self.fusion_w, self.fusion_b])
-        return out
+        out = [p for per_op in self.edge_params for ps in per_op for p in ps.values()]
+        return out + [self.fusion_w, self.fusion_b]
 
-    def forward(self, x):
+    def _edge(self, e, x, arch):
+        ops, params = self.edge_ops[e], self.edge_params[e]
+        if arch is not None:
+            return mixed_forward(x, arch.logits[e], params, ops)
+        if len(ops) != 1:
+            raise ConfigError(f"edge {e} mixes {len(ops)} operators and needs logits")
+        return apply_op(ops[0], x, params[0])
+
+    def forward(self, x, arch=None):
         if x.data.shape[1] != self.spec.width:
             raise ShapeError(
                 f"cell expects {self.spec.width} channels, got {x.data.shape[1]}"
@@ -291,13 +238,27 @@ class DiscreteCell:
         nodes = [x]
         n_chain = len(self.spec.chain_edges)
         for e in range(n_chain):
-            nodes.append(apply_op(self.kinds[e], nodes[e], self.edge_params[e]))
-        distill = []
-        for d, (i, _) in enumerate(self.spec.distill_edges):
-            e = n_chain + d
-            distill.append(apply_op(self.kinds[e], nodes[i], self.edge_params[e]))
+            nodes.append(self._edge(e, nodes[e], arch))
+        distill = [
+            self._edge(n_chain + d, nodes[i], arch)
+            for d, (i, _) in enumerate(self.spec.distill_edges)
+        ]
         merged = ad.concat(distill + [nodes[-1]], axis=1)
         return ad.conv2d(merged, self.fusion_w, self.fusion_b)
+
+
+class MixedCell(Cell):
+    """The searchable cell: every edge holds every search candidate."""
+
+    def __init__(self, spec, rng, name="cell", fusion_init="random"):
+        super().__init__(spec, [SEARCH_OPS] * len(spec.edges), rng, name, fusion_init)
+
+
+class DiscreteCell(Cell):
+    """A derived cell with one fixed operator per edge."""
+
+    def __init__(self, spec, kinds, rng, name="cell", fusion_init="random"):
+        super().__init__(spec, [(kind,) for kind in kinds], rng, name, fusion_init)
 
 
 def count_params(parameters):
@@ -310,12 +271,11 @@ def conv_flops(c_out, c_in, k, h, w):
 
 
 def cell_flops(cell, h, w):
-    total = 0
-    for kind in cell.kinds:
-        if kind.skip:
-            continue
-        total += conv_flops(cell.spec.width, cell.spec.width, kind.kernel, h, w)
-    total += conv_flops(cell.spec.width, 4 * cell.spec.width, 1, h, w)
+    """Multiply-adds of one cell forward pass, counting every candidate."""
+    width = cell.spec.width
+    total = conv_flops(width, 4 * width, 1, h, w)
+    for ops in cell.edge_ops:
+        total += sum(conv_flops(width, width, k.kernel, h, w) for k in ops if not k.skip)
     return total
 
 

@@ -19,13 +19,13 @@ from ruas.model import RuasModel
 from ruas.scene import SceneConfig, init_illumination, rtv, scene_forward, warm_start
 from ruas.search import SearchConfig, hypergrad_onestep, run_search
 from ruas.search_space import (
+    SEARCH_OPS,
     CellSpec,
     DiscreteCell,
     OPS_BY_NAME,
     apply_op,
     make_op_params,
     mixed_forward,
-    op_registry,
 )
 from ruas.train import TrainConfig, evaluate, train_hierarchical
 
@@ -59,7 +59,7 @@ def test_acceptance_1_gradient_suite():
 
 
 def _cell_oracle(cell, x):
-    """Scalar-loop replay of a discrete cell forward pass."""
+    """Scalar-loop replay of a discrete cell forward pass (one operator per edge)."""
 
     def op(kind, arr, params):
         if kind.skip:
@@ -69,13 +69,16 @@ def _cell_oracle(cell, x):
         y = np.maximum(conv2d_oracle(arr, w, b, dilation=kind.dilation), 0.0)
         return y + arr if kind.residual else y
 
+    def edge(e, arr):
+        (kind,), (params,) = cell.edge_ops[e], cell.edge_params[e]
+        return op(kind, arr, params)
+
     nodes = [x]
     n_chain = len(cell.spec.chain_edges)
     for e in range(n_chain):
-        nodes.append(op(cell.kinds[e], nodes[e], cell.edge_params[e]))
+        nodes.append(edge(e, nodes[e]))
     distill = [
-        op(cell.kinds[n_chain + d], nodes[i], cell.edge_params[n_chain + d])
-        for d, (i, _) in enumerate(cell.spec.distill_edges)
+        edge(n_chain + d, nodes[i]) for d, (i, _) in enumerate(cell.spec.distill_edges)
     ]
     merged = np.concatenate(distill + [nodes[-1]], axis=1)
     return conv2d_oracle(merged, cell.fusion_w.data, cell.fusion_b.data)
@@ -84,7 +87,7 @@ def _cell_oracle(cell, x):
 def test_acceptance_2_oracle_equivalence():
     start = time.time()
     rng = np.random.default_rng(2024)
-    registry = op_registry("scene")
+    registry = SEARCH_OPS
     ok = True
 
     for trial in range(20):
@@ -143,7 +146,7 @@ def test_acceptance_3_retinex_invariants():
             ok &= bool(np.allclose(u_k.data * t_k.data, y.data, atol=1e-6))
     ok &= float(rtv(Tensor(np.full((1, 3, 6, 6), 0.3))).data) == 0.0
 
-    registry = op_registry("scene")
+    registry = SEARCH_OPS
     weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     for pick in range(len(registry)):

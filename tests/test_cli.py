@@ -58,6 +58,35 @@ def test_missing_config_file_exits_3(tmp_path, tiny_dataset):
     assert code == 3
 
 
+NO_FILE = object()
+
+
+@pytest.mark.parametrize(
+    "config, arch, code, needle",
+    [
+        ({"task": {"scene_ops": ["bogus"] * 7}}, None, 2, "'bogus'"),
+        ({}, json.dumps({"scene": {"ops": ["3-C"] * 7}}), 2, "task"),
+        ({}, "{not json", 2, "JSON"),
+        ({}, NO_FILE, 3, "arch.json"),
+    ],
+    ids=["unknown-op", "arch-without-task", "arch-not-json", "arch-unreadable"],
+)
+def test_bad_operator_names_and_arch_files(
+    tmp_path, tiny_dataset, capsys, config, arch, code, needle
+):
+    root, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
+    if arch is not None:  # text of the --arch file, or NO_FILE to name a missing one
+        arch_path = tmp_path / "arch.json"
+        if arch is not NO_FILE:
+            arch_path.write_text(arch)
+        argv += ["--arch", str(arch_path)]
+    assert main(argv) == code
+    assert needle in capsys.readouterr().err
+
+
 def test_missing_data_dir_exits_2(tmp_path, fast_config):
     assert main(["train", "--config", fast_config, "--out", str(tmp_path)]) == 2
 

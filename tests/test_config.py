@@ -4,12 +4,20 @@ import json
 
 import pytest
 
+from dataclasses import asdict
+
 from ruas.config import DEFAULT_SEED, RunConfig, resolve_seed
 from ruas.errors import ConfigError, DataIOError
+from ruas.scene import SceneConfig
+from ruas.search import SearchConfig
+from ruas.train import TrainConfig
 
 
 def test_defaults_materialize():
     cfg = RunConfig()
+    assert cfg.sections["scene"] == asdict(SceneConfig())
+    assert cfg.sections["search"] == asdict(SearchConfig())
+    assert cfg.sections["train"] == asdict(TrainConfig())
     assert cfg.sections["scene"]["stages"] == 3
     assert cfg.sections["search"]["strategy"] == "cooperative"
     assert cfg.sections["train"]["strategy"] == "end_to_end"

@@ -8,6 +8,7 @@ from ruas.autodiff import Tensor, backward
 from ruas.errors import ConfigError, ShapeError
 from ruas.search_space import (
     ALL_OPS,
+    SEARCH_OPS,
     ArchParams,
     CellSpec,
     DiscreteCell,
@@ -19,18 +20,33 @@ from ruas.search_space import (
     conv_flops,
     count_params,
     discretize,
+    lookup_op,
     make_op_params,
     mixed_forward,
-    op_registry,
 )
 
 
+def _cell(mixed, rng, fusion_init="random"):
+    """A 3-wide 3-C discrete cell, or a mixed cell with its logits."""
+    spec = CellSpec(width=3)
+    if mixed:
+        return MixedCell(spec, rng, fusion_init=fusion_init), ArchParams(spec, rng)
+    return DiscreteCell(spec, [OPS_BY_NAME["3-C"]] * 7, rng, fusion_init=fusion_init), None
+
+
 def test_registry_contents():
-    low = [op.name for op in op_registry("scene")]
+    low = [op.name for op in SEARCH_OPS]
     assert low == ["1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC"]
-    assert [op.name for op in op_registry("low_task")] == low
-    with pytest.raises(ConfigError):
-        op_registry("mid_task")
+
+
+@pytest.mark.parametrize(
+    "name", ["bogus", "", None, ["3-C"]], ids=["bogus", "empty", "none", "list"]
+)
+def test_lookup_op_rejects_unknown_names(name):
+    assert lookup_op("3-2-DC") is OPS_BY_NAME["3-2-DC"]
+    with pytest.raises(ConfigError) as exc:
+        lookup_op(name)
+    assert repr(name) in str(exc.value) and "3-18-DC" in str(exc.value)
 
 
 def test_full_table_size():
@@ -69,7 +85,7 @@ def test_apply_op_kernel_mismatch(rng):
 
 
 def test_mixed_forward_one_hot_equals_selected(rng):
-    registry = op_registry("scene")
+    registry = SEARCH_OPS
     weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     for pick in range(len(registry)):
@@ -81,7 +97,7 @@ def test_mixed_forward_one_hot_equals_selected(rng):
 
 
 def test_mixed_forward_logit_count_checked(rng):
-    registry = op_registry("scene")
+    registry = SEARCH_OPS
     weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     with pytest.raises(ConfigError):
@@ -97,7 +113,7 @@ def test_cell_spec_edges():
 
 def test_discretize_argmax_and_ties(rng):
     spec = CellSpec(width=3)
-    arch = ArchParams(spec, "scene")  # zero logits everywhere
+    arch = ArchParams(spec)  # zero logits everywhere
     kinds = discretize(arch)
     assert all(k.name == "1-C" for k in kinds)  # ties break to lowest index
     arch.logits[2].data[4] = 1.0
@@ -105,23 +121,6 @@ def test_discretize_argmax_and_ties(rng):
     arch.logits[0].data[0] = np.nan
     with pytest.raises(ConfigError):
         discretize(arch)
-
-
-def test_mixed_cell_discretize_copies_weights(rng):
-    spec = CellSpec(width=3)
-    cell = MixedCell(spec, "scene", rng)
-    arch = ArchParams(spec, "scene", rng)
-    discrete = cell.discretize(arch)
-    kinds = discretize(arch)
-    for e, kind in enumerate(kinds):
-        src = cell.edge_weights[e][cell.registry.index(kind)]
-        for key, p in discrete.edge_params[e].items():
-            np.testing.assert_array_equal(p.data, src[key].data)
-            assert p is not src[key]  # independent copies
-    x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    # with matching fusion weights, forward under one-hot-free discretization
-    # equals the discrete cell only when logits are one-hot; check shapes here
-    assert discrete.forward(x).data.shape == x.data.shape
 
 
 def test_all_skip_cell_with_averaging_fusion_is_identity(rng):
@@ -139,20 +138,25 @@ def test_all_skip_cell_with_averaging_fusion_is_identity(rng):
 
 
 def test_zero_fusion_cell_outputs_zero(rng):
-    spec = CellSpec(width=3)
-    kinds = [OPS_BY_NAME[n] for n in ("3-C",) * 7]
-    cell = DiscreteCell(spec, kinds, rng, fusion_init="zeros")
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    np.testing.assert_array_equal(cell.forward(x).data, 0.0)
-    with pytest.raises(ConfigError):
-        DiscreteCell(spec, kinds, rng, fusion_init="ones")
+    for mixed in (False, True):
+        cell, arch = _cell(mixed, rng, fusion_init="zeros")
+        np.testing.assert_array_equal(cell.forward(x, arch).data, 0.0)
+        with pytest.raises(ConfigError):
+            _cell(mixed, rng, fusion_init="ones")
 
 
 def test_cell_channel_check(rng):
-    spec = CellSpec(width=3)
-    cell = DiscreteCell(spec, [OPS_BY_NAME["3-C"]] * 7, rng)
-    with pytest.raises(ShapeError):
-        cell.forward(Tensor(rng.normal(size=(1, 4, 5, 5))))
+    for mixed in (False, True):
+        cell, arch = _cell(mixed, rng)
+        with pytest.raises(ShapeError):
+            cell.forward(Tensor(rng.normal(size=(1, 4, 5, 5))), arch)
+
+
+def test_mixed_cell_needs_logits(rng):
+    cell, _ = _cell(True, rng)
+    with pytest.raises(ConfigError):
+        cell.forward(Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6))))
 
 
 def test_discrete_cell_requires_full_choice_list(rng):
@@ -162,8 +166,8 @@ def test_discrete_cell_requires_full_choice_list(rng):
 
 def test_mixed_logit_gradients_flow(rng):
     spec = CellSpec(width=3)
-    cell = MixedCell(spec, "scene", rng)
-    arch = ArchParams(spec, "scene", rng)
+    cell = MixedCell(spec, rng)
+    arch = ArchParams(spec, rng)
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     backward(ad.reduce_l2sq(cell.forward(x, arch)))
     assert all(l.grad is not None for l in arch.logits)
@@ -182,9 +186,18 @@ def test_count_params_and_flops(rng):
     assert cell_flops(skip_cell, 8, 8) == conv_flops(3, 12, 1, 8, 8)
 
 
+def test_mixed_cell_flops_count_every_candidate(rng):
+    spec = CellSpec(width=6)
+    cell = MixedCell(spec, rng)
+    per_edge = sum(conv_flops(6, 6, k.kernel, 8, 8) for k in SEARCH_OPS if not k.skip)
+    # 1-C, 3-C, 1-RC, 3-RC, 3-2-DC and 3-2-RDC; the skip costs nothing
+    assert per_edge == 8 * 8 * 6 * 6 * (1 + 9 + 1 + 9 + 9 + 9)
+    assert cell_flops(cell, 8, 8) == 7 * per_edge + conv_flops(6, 24, 1, 8, 8)
+
+
 def test_arch_dump_formats(rng):
     spec = CellSpec(width=3)
-    arch = ArchParams(spec, "scene", rng)
+    arch = ArchParams(spec, rng)
     text = arch_dump(spec, arch)
     lines = text.strip().splitlines()
     assert len(lines) == 7
