@@ -1,8 +1,9 @@
 """Image I/O, synthetic low-light data generation, and reference metrics.
 
 PNG support is deliberately small: 8- or 16-bit truecolor, with or without
-alpha (alpha is dropped on load), no interlacing.  That covers every file
-the pipeline reads or writes while keeping the decoder auditable.
+alpha (alpha is dropped on load), no interlacing, all five row filters.
+That covers every file the pipeline reads or writes while keeping the
+decoder auditable.
 """
 
 from __future__ import annotations
@@ -24,18 +25,62 @@ _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 # PNG codec
 
 
-def _paeth(a, b, c):
-    p = a.astype(np.int32) + b - c
-    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return out.astype(np.uint8)
+# Largest width x height the decoder accepts (4096 x 4096).  It is checked
+# before inflating, so a header cannot declare an image too large to hold;
+# inflating then stops one byte past the size the header declares.
+MAX_PIXELS = 1 << 24
+
+
+def _chunks(raw, path):
+    """Yield (type, body) of each chunk after the signature, checking CRCs."""
+    pos = 8
+    while pos + 8 <= len(raw):
+        length, ctype = struct.unpack(">I4s", raw[pos : pos + 8])
+        end = pos + 8 + length
+        if end + 4 > len(raw):
+            raise DataIOError(f"{path}: truncated chunk {ctype!r}")
+        (crc,) = struct.unpack(">I", raw[end : end + 4])
+        if zlib.crc32(raw[pos + 4 : end]) != crc:
+            raise DataIOError(f"{path}: CRC mismatch in chunk {ctype!r}")
+        yield ctype, raw[pos + 8 : end]
+        pos = end + 4
+
+
+# The two loops below take the still-filtered bytes x from a copy
+# (line[bpp:]) and the decoded left neighbour from line itself.
+
+
+def _unfilter_avg(line, prev, bpp):
+    """Undo filter 3 in place: add floor((left + above) / 2), mod 256."""
+    for i in range(bpp):
+        line[i] = (line[i] + (prev[i] >> 1)) & 0xFF
+    for i, x, b in zip(range(bpp, len(line)), line[bpp:], prev[bpp:]):
+        line[i] = (x + ((line[i - bpp] + b) >> 1)) & 0xFF
+
+
+def _unfilter_paeth(line, prev, bpp):
+    """Undo filter 4 in place: add the Paeth predictor of left, above and
+    upper left (PNG spec, section 9.4), mod 256."""
+    for i in range(bpp):
+        line[i] = (line[i] + prev[i]) & 0xFF
+    for i, x, b, c in zip(range(bpp, len(line)), line[bpp:], prev[bpp:], prev):
+        a = line[i - bpp]
+        pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
+        if pa <= pb and pa <= pc:
+            line[i] = (x + a) & 0xFF
+        elif pb <= pc:
+            line[i] = (x + b) & 0xFF
+        else:
+            line[i] = (x + c) & 0xFF
 
 
 def load_png(path):
     """Decode a PNG into a (1, 3, h, w) float array in [0, 1].
 
-    Accepts 8- or 16-bit RGB or RGBA; alpha is dropped.  Anything else is a
-    DataIOError naming the path.
+    Accepts 8- or 16-bit RGB or RGBA, non-interlaced, with any of the five
+    row filters; alpha is dropped.  Chunk CRCs, the IHDR fields and a size
+    limit of MAX_PIXELS are checked.  Anything else is a DataIOError naming
+    the path.
     """
     path = Path(path)
     try:
@@ -45,25 +90,27 @@ def load_png(path):
     if raw[:8] != _PNG_SIG:
         raise DataIOError(f"{path}: not a PNG file")
 
-    pos = 8
     ihdr = None
     idat = []
-    while pos + 8 <= len(raw):
-        length, ctype = struct.unpack(">I4s", raw[pos : pos + 8])
-        body = raw[pos + 8 : pos + 8 + length]
-        if len(body) != length:
-            raise DataIOError(f"{path}: truncated chunk {ctype!r}")
+    for ctype, body in _chunks(raw, path):
         if ctype == b"IHDR":
             ihdr = body
         elif ctype == b"IDAT":
             idat.append(body)
         elif ctype == b"IEND":
             break
-        pos += 12 + length
     if ihdr is None or not idat:
         raise DataIOError(f"{path}: missing IHDR or IDAT")
+    if len(ihdr) != 13:
+        raise DataIOError(f"{path}: IHDR has length {len(ihdr)}, not 13")
 
     w, h, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", ihdr)
+    if w == 0 or h == 0:
+        raise DataIOError(f"{path}: empty image {w}x{h}")
+    if w * h > MAX_PIXELS:
+        raise DataIOError(f"{path}: {w}x{h} exceeds the {MAX_PIXELS}-pixel limit")
+    if comp != 0 or filt != 0:
+        raise DataIOError(f"{path}: unknown compression {comp} or filter method {filt}")
     if depth not in (8, 16):
         raise DataIOError(f"{path}: unsupported bit depth {depth}")
     if color not in (2, 6):
@@ -75,45 +122,35 @@ def load_png(path):
     bpp = channels * bps
     stride = w * bpp
 
+    size = h * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        data = zlib.decompress(b"".join(idat))
+        data = inflater.decompress(b"".join(idat), max_length=size + 1)
     except zlib.error as exc:
         raise DataIOError(f"{path}: corrupt image data: {exc}") from exc
-    if len(data) != h * (stride + 1):
-        raise DataIOError(f"{path}: unexpected decompressed size")
+    if len(data) != size or not inflater.eof:
+        raise DataIOError(f"{path}: image data does not inflate to the declared size")
 
     rows = np.frombuffer(data, dtype=np.uint8).reshape(h, stride + 1)
-    out = np.zeros((h, stride), dtype=np.uint8)
-    zero = np.zeros(stride, dtype=np.uint8)
+    if rows[:, 0].max() > 4:
+        raise DataIOError(f"{path}: unknown filter type {rows[:, 0].max()}")
+    out = np.empty((h, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
     for r in range(h):
         ftype = rows[r, 0]
-        cur = rows[r, 1:].copy()
-        prev = out[r - 1] if r > 0 else zero
+        cur = rows[r, 1:]
         if ftype == 0:
-            line = cur
-        elif ftype == 1:
-            line = cur
-            for i in range(bpp, stride):
-                line[i] = (line[i] + line[i - bpp]) & 0xFF
+            out[r] = cur
+        elif ftype == 1:  # uint8 sums wrap modulo 256, as the filter needs
+            out[r] = np.cumsum(cur.reshape(-1, bpp), axis=0, dtype=np.uint8).ravel()
         elif ftype == 2:
-            line = (cur.astype(np.int32) + prev).astype(np.uint8)
-        elif ftype == 3:
-            line = cur
-            line[:bpp] = (line[:bpp] + prev[:bpp] // 2) & 0xFF
-            for i in range(bpp, stride):
-                line[i] = (line[i] + ((int(line[i - bpp]) + int(prev[i])) >> 1)) & 0xFF
-        elif ftype == 4:
-            line = cur
-            for i in range(bpp):
-                line[i] = (line[i] + prev[i]) & 0xFF
-            for i in range(bpp, stride):
-                pa = _paeth(
-                    np.uint8(line[i - bpp]), np.uint8(prev[i]), np.uint8(prev[i - bpp])
-                )
-                line[i] = (line[i] + int(pa)) & 0xFF
-        else:
-            raise DataIOError(f"{path}: unknown filter type {ftype}")
-        out[r] = line
+            np.add(cur, prev, out=out[r])
+        else:  # Avg and Paeth read the byte just decoded: plain int loop
+            line = bytearray(cur)
+            unfilter = _unfilter_avg if ftype == 3 else _unfilter_paeth
+            unfilter(line, prev.tobytes(), bpp)
+            out[r] = np.frombuffer(line, dtype=np.uint8)
+        prev = out[r]
 
     if depth == 8:
         img = out.reshape(h, w, channels).astype(np.float64) / 255.0

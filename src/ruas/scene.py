@@ -32,6 +32,8 @@ class SceneConfig:
     rtv_eps: float = 1e-3
 
     def __post_init__(self):
+        if isinstance(self.stages, bool) or not isinstance(self.stages, int):
+            raise ConfigError(f"stage count K must be an integer, got {self.stages!r}")
         if self.stages < 1:
             raise ConfigError("stage count K must be >= 1")
         if not (0.0 < self.gamma <= 1.0):

@@ -2,6 +2,7 @@
 defect ends in DataIOError (CLI exit 3), never in a raw traceback or a
 silently half-loaded model."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -91,6 +92,19 @@ def test_unknown_operator_in_header(saved):
     header["config"]["scene_ops"][0] = "bogus"
     _write(path, header, blobs)
     with pytest.raises(DataIOError, match="bogus"):
+        load_checkpoint(path)
+
+
+def test_non_integer_stages_in_header(saved):
+    """A header whose hash was recomputed for "stages": 2.5 still fails at
+    load time, not at the first forward pass."""
+    _, path = saved
+    header, blobs = _split(path)
+    header["config"]["scene_cfg"]["stages"] = 2.5
+    text = json.dumps(header["config"], sort_keys=True).encode()
+    header["config_hash"] = hashlib.sha256(text).hexdigest()[:16]
+    _write(path, header, blobs)
+    with pytest.raises(DataIOError, match="integer"):
         load_checkpoint(path)
 
 

@@ -87,6 +87,15 @@ def test_bad_operator_names_and_arch_files(
     assert needle in capsys.readouterr().err
 
 
+def test_non_integer_stages_exits_2(tmp_path, tiny_dataset, capsys):
+    root, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": {"stages": 2.5}}))
+    argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "integer" in capsys.readouterr().err
+
+
 def test_missing_data_dir_exits_2(tmp_path, fast_config):
     assert main(["train", "--config", fast_config, "--out", str(tmp_path)]) == 2
 

@@ -1,12 +1,15 @@
 """PNG codec, metrics against loop oracles, synthetic data, dataset plumbing."""
 
+import struct
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from ruas.errors import ConfigError, DataIOError, ShapeError
+from ruas.errors import ConfigError, DataIOError, RuasError, ShapeError
 from ruas.io_metrics import (
+    MAX_PIXELS,
     _gaussian_window,
     load_dataset,
     load_png,
@@ -32,15 +35,28 @@ def test_png_round_trip_exact(rng, tmp_path):
     np.testing.assert_allclose(back[0], img, atol=1e-12)
 
 
+def _chunk(ctype, body):
+    crc = zlib.crc32(ctype + body)
+    return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", crc)
+
+
+def _png(ihdr, idat):
+    """PNG bytes from a raw IHDR body and the compressed IDAT body."""
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + _chunk(b"IHDR", ihdr)
+        + _chunk(b"IDAT", idat)
+        + _chunk(b"IEND", b"")
+    )
+
+
+def _ihdr(w, h, depth=8, color=2, comp=0, filt=0, interlace=0):
+    return struct.pack(">IIBBBBB", w, h, depth, color, comp, filt, interlace)
+
+
 def test_png_reads_filtered_and_16bit_files(rng, tmp_path):
     # cross-check against Pillow-independent encodings: write raw scanlines
     # with every filter type and a 16-bit variant by hand
-    import struct
-
-    def chunk(ctype, body):
-        crc = zlib.crc32(ctype + body)
-        return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", crc)
-
     h, w = 6, 5
     pix = rng.integers(0, 256, size=(h, w * 3), dtype=np.uint8)
 
@@ -50,15 +66,8 @@ def test_png_reads_filtered_and_16bit_files(rng, tmp_path):
     for r in range(h):
         lines.append(b"\x02" + ((pix[r] - prev) & 0xFF).astype(np.uint8).tobytes())
         prev = pix[r]
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    payload = (
-        b"\x89PNG\r\n\x1a\n"
-        + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(b"".join(lines)))
-        + chunk(b"IEND", b"")
-    )
     p = tmp_path / "up.png"
-    p.write_bytes(payload)
+    p.write_bytes(_png(_ihdr(w, h), zlib.compress(b"".join(lines))))
     got = load_png(p)
     want = pix.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
     np.testing.assert_allclose(got[0], want, atol=1e-12)
@@ -66,18 +75,74 @@ def test_png_reads_filtered_and_16bit_files(rng, tmp_path):
     # 16-bit RGB, filter 0
     pix16 = rng.integers(0, 65536, size=(h, w, 3), dtype=np.uint16)
     raw = b"".join(b"\x00" + pix16[r].astype(">u2").tobytes() for r in range(h))
-    ihdr16 = struct.pack(">IIBBBBB", w, h, 16, 2, 0, 0, 0)
-    payload16 = (
-        b"\x89PNG\r\n\x1a\n"
-        + chunk(b"IHDR", ihdr16)
-        + chunk(b"IDAT", zlib.compress(raw))
-        + chunk(b"IEND", b"")
-    )
     p16 = tmp_path / "deep.png"
-    p16.write_bytes(payload16)
+    p16.write_bytes(_png(_ihdr(w, h, depth=16), zlib.compress(raw)))
     got16 = load_png(p16)
     want16 = pix16.transpose(2, 0, 1).astype(np.float64) / 65535.0
     np.testing.assert_allclose(got16[0], want16, atol=1e-12)
+
+
+def _unfilter_oracle(scan, h, stride, bpp):
+    """Scalar reconstruction of filtered scanlines (PNG spec, section 9),
+    one byte at a time in plain ints: a = left, b = above, c = upper left."""
+    out = []
+    prev = [0] * stride
+    for r in range(h):
+        ftype = scan[r * (stride + 1)]
+        line = list(scan[r * (stride + 1) + 1 : (r + 1) * (stride + 1)])
+        for i in range(stride):
+            a = line[i - bpp] if i >= bpp else 0
+            b = prev[i]
+            c = prev[i - bpp] if i >= bpp else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            line[i] = (line[i] + pred) % 256
+        out.append(line)
+        prev = line
+    return out
+
+
+PNG_FORMATS = {"rgb8": (8, 2, 3), "rgba8": (8, 6, 4), "rgb16": (16, 2, 3)}
+
+
+@pytest.mark.parametrize("fmt", list(PNG_FORMATS))
+@pytest.mark.parametrize(
+    "ftype", [0, 1, 2, 3, 4, None], ids=["none", "sub", "up", "avg", "paeth", "mixed"]
+)
+def test_png_unfilter_matches_spec_oracle(tmp_path, fmt, ftype):
+    """Random residual bytes make every filter wrap modulo 256; the decode
+    must match the spec loop exactly and raise no warning."""
+    depth, color, channels = PNG_FORMATS[fmt]
+    bps = depth // 8
+    h, w = 7, 9
+    stride = w * channels * bps
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 256, size=(h, stride + 1), dtype=np.uint8)
+    rows[:, 0] = rng.integers(0, 5, size=h) if ftype is None else ftype
+    scan = rows.tobytes()
+    path = tmp_path / f"{fmt}.png"
+    path.write_bytes(_png(_ihdr(w, h, depth, color), zlib.compress(scan)))
+
+    vals = np.array(_unfilter_oracle(scan, h, stride, channels * bps))
+    if depth == 8:
+        want = vals.reshape(h, w, channels) / 255.0
+    else:
+        want = (vals[:, 0::2] * 256 + vals[:, 1::2]).reshape(h, w, channels) / 65535.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_png(path)
+    assert got.shape == (1, 3, h, w)
+    assert np.array_equal(got[0], want[:, :, :3].transpose(2, 0, 1))
 
 
 def test_png_errors_name_the_path(tmp_path):
@@ -97,6 +162,123 @@ def test_png_rejects_truncated_data(rng, tmp_path):
     (tmp_path / "cut.png").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataIOError):
         load_png(tmp_path / "cut.png")
+
+
+BLANK_SCAN = bytes(4 * (3 * 3 + 1))  # a black 3x4 RGB image, filter 0
+
+
+@pytest.mark.parametrize(
+    "ihdr, needle",
+    [
+        (_ihdr(3, 4)[:12], "IHDR"),
+        (_ihdr(3, 4) + b"\x00", "IHDR"),
+        (_ihdr(3, 4, comp=1), "compression"),
+        (_ihdr(3, 4, filt=1), "filter method"),
+        (_ihdr(0, 4), "empty"),
+        (_ihdr(3, 0), "empty"),
+        (_ihdr(MAX_PIXELS // 4 + 1, 4), "limit"),
+        (_ihdr(2**32 - 1, 2**32 - 1), "limit"),
+    ],
+    ids=["ihdr-short", "ihdr-long", "compression", "filter-method",
+         "zero-width", "zero-height", "over-limit", "max-dims"],
+)
+def test_png_rejects_bad_headers(tmp_path, ihdr, needle):
+    path = tmp_path / "bad.png"
+    path.write_bytes(_png(ihdr, zlib.compress(BLANK_SCAN)))
+    with pytest.raises(DataIOError, match=needle):
+        load_png(path)
+
+
+def test_png_rejects_crc_mismatch(tmp_path):
+    good = _png(_ihdr(3, 4), zlib.compress(BLANK_SCAN))
+    idat_crc = len(good) - 12 - 1  # last byte of the IDAT chunk's CRC
+    bad = bytearray(good)
+    bad[idat_crc] ^= 0x01
+    path = tmp_path / "crc.png"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(DataIOError, match="CRC"):
+        load_png(path)
+    path.write_bytes(good)
+    assert load_png(path).shape == (1, 3, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "idat",
+    [
+        zlib.compress(b"\x00" * 10_000_000),  # declares 4x3, inflates to 10 MB
+        zlib.compress(BLANK_SCAN)[:-3],  # stream cut before its checksum
+        zlib.compress(BLANK_SCAN[:-1]),  # one byte short
+    ],
+    ids=["bomb", "truncated-stream", "short"],
+)
+def test_png_rejects_wrong_inflated_size(tmp_path, idat):
+    path = tmp_path / "size.png"
+    path.write_bytes(_png(_ihdr(3, 4), idat))
+    with pytest.raises(DataIOError, match="declared size"):
+        load_png(path)
+
+
+def test_png_rejects_unknown_filter_type(tmp_path):
+    rows = np.zeros((4, 10), dtype=np.uint8)
+    rows[2, 0] = 5
+    path = tmp_path / "filter.png"
+    path.write_bytes(_png(_ihdr(3, 4), zlib.compress(rows.tobytes())))
+    with pytest.raises(DataIOError, match="filter type 5"):
+        load_png(path)
+
+
+def _fuzz_source():
+    """IHDR body and scanlines of a 6x5 RGB image filtered Avg and Paeth."""
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 256, size=(5, 6 * 3 + 1), dtype=np.uint8)
+    rows[:, 0] = [3, 4, 3, 4, 4]
+    return _ihdr(6, 5), rows.tobytes()
+
+
+def _load_outcome(path, data):
+    path.write_bytes(data)
+    try:
+        load_png(path)
+        return "loaded"
+    except RuasError:
+        return "rejected"
+
+
+def test_png_single_byte_mutations_load_or_raise_ruas_error(tmp_path):
+    """Seeded fuzz over every part of the file: signature, IHDR, chunk
+    lengths, types, CRCs and IDAT.  The CRCs catch each one."""
+    ihdr, scan = _fuzz_source()
+    original = _png(ihdr, zlib.compress(scan))
+    path = tmp_path / "fuzz.png"
+    assert _load_outcome(path, original) == "loaded"
+    rng = np.random.default_rng(13)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(300):
+        raw = bytearray(original)
+        pos = int(rng.integers(0, len(raw)))
+        raw[pos] = (raw[pos] + int(rng.integers(1, 256))) % 256
+        outcomes[_load_outcome(path, bytes(raw))] += 1
+    assert outcomes == {"loaded": 0, "rejected": 300}
+
+
+def test_png_mutations_behind_valid_crcs_load_or_raise_ruas_error(tmp_path):
+    """Seeded fuzz past the CRC check: mutate one byte of the IHDR body or of
+    the inflated scanlines, then rebuild the file with correct CRCs, so the
+    header checks, the inflate size check and the unfilter loops see it."""
+    ihdr, scan = _fuzz_source()
+    path = tmp_path / "fuzz.png"
+    rng = np.random.default_rng(17)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(200):
+        body = bytearray(ihdr + scan)
+        pos = int(rng.integers(0, len(body)))
+        body[pos] = (body[pos] + int(rng.integers(1, 256))) % 256
+        data = _png(bytes(body[:13]), zlib.compress(bytes(body[13:])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes[_load_outcome(path, data)] += 1
+    assert outcomes["rejected"] > 0  # IHDR fields and filter types
+    assert outcomes["loaded"] > 100  # residual bytes decode to other pixels
 
 
 def test_save_png_shape_check(tmp_path):

@@ -38,6 +38,9 @@ def test_scene_config_validation():
         SceneConfig(warm_start="warm")
     with pytest.raises(ConfigError):
         SceneConfig(rtv_sigma=0.0)
+    for stages in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ConfigError, match="integer"):
+            SceneConfig(stages=stages)
 
 
 def test_init_illumination_constant_and_impulse():
