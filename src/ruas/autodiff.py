@@ -309,11 +309,16 @@ def conv2d(x, w, b=None, dilation=1):
         )
     if dilation < 1:
         raise ConfigError(f"dilation must be positive, got {dilation}")
+    if b is not None:
+        b = _as_tensor(b)
+        if b.data.shape != (w.data.shape[0],):
+            raise ShapeError(
+                f"bias must have shape ({w.data.shape[0]},), got {b.data.shape}"
+            )
 
     out_data = _raw_conv(x.data, w.data, dilation)
     parents = [x, w]
     if b is not None:
-        b = _as_tensor(b)
         out_data = out_data + b.data[None, :, None, None]
         parents.append(b)
 
@@ -329,21 +334,44 @@ def conv2d(x, w, b=None, dilation=1):
     return _make(out_data, parents, bw)
 
 
-def _windows(xd, k, dilation):
+def _columns(xd, k, dilation):
+    """The (n, c*k*k, h*w) column matrix of ``xd`` for a "same" k x k kernel.
+
+    Row (ci, i, j) holds the input shifted by (i, j) * dilation, so a
+    convolution is one matmul against it (Chellapilla, Puri & Simard 2006).
+    The columns are rebuilt for the weight gradient rather than kept on the
+    tape, where they would hold k*k copies of every conv input until backward.
+    """
+    n, c, h, w = xd.shape
+    if k == 1:
+        return xd.reshape(n, c, h * w)
     r = dilation * (k - 1) // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)))
-    win = sliding_window_view(xp, (dilation * (k - 1) + 1,) * 2, axis=(2, 3))
-    return win[..., ::dilation, ::dilation]
+    xp = np.zeros((n, c, h + 2 * r, w + 2 * r))
+    xp[:, :, r : r + h, r : r + w] = xd
+    cols = np.empty((n, c, k, k, h, w))
+    for i in range(k):
+        for j in range(k):
+            di, dj = i * dilation, j * dilation
+            cols[:, :, i, j] = xp[:, :, di : di + h, dj : dj + w]
+    return cols.reshape(n, c * k * k, h * w)
 
 
 def _raw_conv(xd, wd, dilation):
-    win = _windows(xd, wd.shape[2], dilation)
-    return np.einsum("nchwij,ocij->nohw", win, wd, optimize=True)
+    n, _, h, w = xd.shape
+    o = wd.shape[0]
+    cols = _columns(xd, wd.shape[2], dilation)
+    return np.matmul(wd.reshape(o, -1), cols).reshape(n, o, h, w)
 
 
 def _raw_conv_wgrad(xd, go, k, dilation):
-    win = _windows(xd, k, dilation)
-    return np.einsum("nohw,nchwij->ocij", go, win, optimize=True)
+    n, c, h, w = xd.shape
+    o = go.shape[1]
+    cols = _columns(xd, k, dilation).transpose(1, 0, 2).reshape(c * k * k, n * h * w)
+    # one product over batch and pixels, computed as (c*k*k, o) and returned
+    # transposed so that seeded runs stay byte-identical: NumPy's sums over
+    # a gradient, such as the norm SGD.step takes, follow its memory layout
+    gw = np.matmul(cols, go.transpose(0, 2, 3, 1).reshape(n * h * w, o))
+    return gw.T.reshape(o, c, k, k)
 
 
 # ---------------------------------------------------------------------------

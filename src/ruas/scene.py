@@ -9,6 +9,7 @@ on the final illumination.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 WARM_START_MODES = ("fixed", "no_rectify", "rectify")
+_REAL_FIELDS = ("gamma", "t_floor", "rtv_weight", "rtv_sigma", "rtv_eps")
 
 
 @dataclass
@@ -34,6 +36,12 @@ class SceneConfig:
     def __post_init__(self):
         if isinstance(self.stages, bool) or not isinstance(self.stages, int):
             raise ConfigError(f"stage count K must be an integer, got {self.stages!r}")
+        if isinstance(self.window, bool) or not isinstance(self.window, int):
+            raise ConfigError(f"window must be an integer, got {self.window!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.stages < 1:
             raise ConfigError("stage count K must be >= 1")
         if not (0.0 < self.gamma <= 1.0):

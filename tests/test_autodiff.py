@@ -43,6 +43,28 @@ def conv2d_oracle(x, w, b=None, dilation=1):
     return out
 
 
+def conv2d_grad_oracle(x, w, g, dilation=1):
+    """Scalar-loop gradients of sum(g * conv2d(x, w)) w.r.t. x and w."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    pad = dilation * (k - 1) // 2
+    xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for ni in range(n):
+        for oc in range(cout):
+            for i in range(h):
+                for j in range(wd):
+                    for ic in range(cin):
+                        for ki in range(k):
+                            for kj in range(k):
+                                pi, pj = i + ki * dilation, j + kj * dilation
+                                gxp[ni, ic, pi, pj] += g[ni, oc, i, j] * w[oc, ic, ki, kj]
+                                gw[oc, ic, ki, kj] += g[ni, oc, i, j] * xp[ni, ic, pi, pj]
+    return gxp[:, :, pad : pad + h, pad : pad + wd], gw
+
+
 def sliding_max_oracle(x, window):
     n, c, h, w = x.shape
     r = window // 2
@@ -61,15 +83,49 @@ def sliding_max_oracle(x, window):
 # forward values
 
 
+# (n, c_in, c_out, h, w, k, dilation): batches of two, non-square images,
+# every kernel size in the operator table, and a 3-18-DC whose reach (18
+# pixels each side) exceeds the 8 px image, so every tap but the centre
+# reads padding
+CONV_CASES = [
+    (1, 2, 3, 6, 6, 3, 1),
+    (1, 2, 3, 6, 6, 3, 2),
+    (2, 2, 3, 6, 5, 1, 1),
+    (2, 3, 2, 7, 5, 3, 1),
+    (2, 2, 3, 5, 8, 5, 1),
+    (2, 2, 2, 9, 6, 7, 1),
+    (2, 2, 3, 6, 7, 3, 2),
+    (2, 3, 2, 7, 6, 5, 2),
+    (2, 2, 2, 8, 8, 3, 18),
+]
+
+
+def _conv_case(rng, n, cin, cout, h, w, k):
+    return (
+        rng.normal(size=(n, cin, h, w)),
+        rng.normal(size=(cout, cin, k, k)),
+        rng.normal(size=cout),
+    )
+
+
 def test_conv2d_matches_loop_oracle(rng):
-    for trial in range(20):
-        dil = 1 if trial % 2 == 0 else 2
-        x = rng.normal(size=(1, 2, 6, 6))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), dilation=dil).data
-        want = conv2d_oracle(x, w, b, dilation=dil)
+    for n, cin, cout, h, w, k, dil in CONV_CASES:
+        x, wk, b = _conv_case(rng, n, cin, cout, h, w, k)
+        got = ad.conv2d(Tensor(x), Tensor(wk), Tensor(b), dilation=dil).data
+        want = conv2d_oracle(x, wk, b, dilation=dil)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_conv2d_gradients_match_loop_oracle(rng):
+    for n, cin, cout, h, w, k, dil in CONV_CASES:
+        x, wk, b = _conv_case(rng, n, cin, cout, h, w, k)
+        g = rng.normal(size=(n, cout, h, w))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, wk, b))
+        backward(ad.reduce_sum(ad.mul(ad.conv2d(xt, wt, bt, dilation=dil), Tensor(g))))
+        want_x, want_w = conv2d_grad_oracle(x, wk, g, dilation=dil)
+        np.testing.assert_allclose(xt.grad, want_x, atol=1e-9)
+        np.testing.assert_allclose(wt.grad, want_w, atol=1e-9)
+        np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), atol=1e-9)
 
 
 def test_conv2d_same_padding_preserves_shape(rng):
@@ -87,6 +143,10 @@ def test_conv2d_rejects_bad_inputs(rng):
         ad.conv2d(x, Tensor(rng.normal(size=(2, 4, 3, 3))))  # channel mismatch
     with pytest.raises(ConfigError):
         ad.conv2d(x, Tensor(rng.normal(size=(2, 3, 3, 3))), dilation=0)
+    w = Tensor(rng.normal(size=(2, 3, 3, 3)))
+    for bias_shape in [(1,), (3,), (2, 1), ()]:
+        with pytest.raises(ShapeError, match="bias"):
+            ad.conv2d(x, w, Tensor(rng.normal(size=bias_shape)))
 
 
 def test_sliding_max_matches_loop_oracle(rng):

@@ -96,6 +96,20 @@ def test_non_integer_stages_exits_2(tmp_path, tiny_dataset, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scene",
+    [{"window": 3.0}, {"window": True}, {"gamma": "0.5"}, {"rtv_sigma": "1"}],
+    ids=["float-window", "bool-window", "str-gamma", "str-rtv-sigma"],
+)
+def test_mistyped_scene_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
+    root, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": scene}))
+    argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"{next(iter(scene))} must be" in capsys.readouterr().err
+
+
 def test_missing_data_dir_exits_2(tmp_path, fast_config):
     assert main(["train", "--config", fast_config, "--out", str(tmp_path)]) == 2
 

@@ -41,6 +41,14 @@ def test_scene_config_validation():
     for stages in (2.5, 3.0, True, "3", None):
         with pytest.raises(ConfigError, match="integer"):
             SceneConfig(stages=stages)
+    for window in (3.0, True, "3", None):
+        with pytest.raises(ConfigError, match="window must be an integer"):
+            SceneConfig(window=window)
+    for field in ("gamma", "t_floor", "rtv_weight", "rtv_sigma", "rtv_eps"):
+        for value in ("0.5", True, None, [0.5]):
+            with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+                SceneConfig(**{field: value})
+    SceneConfig(gamma=1, rtv_sigma=2, rtv_weight=0, rtv_eps=np.float64(1e-3))
 
 
 def test_init_illumination_constant_and_impulse():
