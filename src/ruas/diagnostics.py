@@ -107,16 +107,30 @@ def primitive_checks(seed=7):
     return checks
 
 
-def mixed_logits_check(seed=7):
-    """Gradient of the mixed edge w.r.t. its logits."""
+def mixed_edge_checks(seed=7):
+    """Gradient of the fused mixed edge w.r.t. its logits, its input and the
+    weight and bias of every conv candidate."""
     rng = np.random.default_rng(seed)
     weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(SEARCH_OPS)]
-    x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
+    for params in weights:
+        if params:
+            params["bias"].data = rng.uniform(-0.1, 0.1, 3)
+    x = _rand(rng, 1, 3, 6, 6, lo=0.1, hi=1.0)
     logits = _rand(rng, len(SEARCH_OPS))
-    err = grad_check(
-        lambda t: ad.reduce_l2sq(mixed_forward(x, t, weights, SEARCH_OPS)), logits
-    )
-    return [("mixed_forward_logits", err)]
+
+    def loss(_):
+        return ad.reduce_l2sq(mixed_forward(x, logits, weights, SEARCH_OPS))
+
+    # the edge crosses relu kinks; a fine step keeps each central difference
+    # on one side of them, as in the scene composite check
+    checks = [
+        ("mixed_forward_logits", grad_check(loss, logits, h=1e-6)),
+        ("mixed_forward_x", grad_check(loss, x, h=1e-6)),
+    ]
+    for kind, params in zip(SEARCH_OPS, weights):
+        for key, p in params.items():
+            checks.append((f"mixed_forward[{kind.name}.{key}]", grad_check(loss, p, h=1e-6)))
+    return checks
 
 
 def scene_composite_checks(seed=7, per_param_limit=None):
@@ -145,6 +159,6 @@ def scene_composite_checks(seed=7, per_param_limit=None):
 
 def run_all(seed=7):
     checks = primitive_checks(seed)
-    checks += mixed_logits_check(seed)
+    checks += mixed_edge_checks(seed)
     checks += scene_composite_checks(seed)
     return checks

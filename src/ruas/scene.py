@@ -56,6 +56,10 @@ class SceneConfig:
             )
         if self.rtv_sigma <= 0:
             raise ConfigError("rtv_sigma must be positive")
+        if self.rtv_eps <= 0:
+            raise ConfigError("rtv_eps must be positive")
+        if self.rtv_weight < 0:
+            raise ConfigError("rtv_weight must be nonnegative")
 
 
 def init_illumination(y, cfg):

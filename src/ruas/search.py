@@ -56,6 +56,10 @@ class SearchConfig:
             )
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.inner_steps < 1:
+            raise ConfigError("inner_steps must be >= 1")
+        if self.fd_step <= 0:
+            raise ConfigError("fd_step must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigError("grad_clip must be positive (or None)")
         if self.batch != 1:

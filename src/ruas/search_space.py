@@ -90,6 +90,23 @@ def make_op_params(kind, width, rng, name):
     return {"weight": w, "bias": b}
 
 
+def _op_weight(kind, params):
+    """The conv weight of operator ``kind``, checked against its kernel size."""
+    if "weight" not in params:
+        raise ConfigError(f"operator {kind.name} requires conv weights")
+    w = params["weight"]
+    if w.data.ndim != 4 or w.data.shape[2:] != (kind.kernel, kind.kernel):
+        raise ConfigError(
+            f"weights of shape {w.data.shape} do not match operator {kind.name}"
+        )
+    return w
+
+
+def _check_residual(kind, c_in, c_out):
+    if kind.residual and c_in != c_out:
+        raise ShapeError("residual operator requires c_in == c_out")
+
+
 def apply_op(kind, x, params):
     """Run one candidate operator.
 
@@ -98,44 +115,105 @@ def apply_op(kind, x, params):
     """
     if kind.skip:
         return x
-    if "weight" not in params:
-        raise ConfigError(f"operator {kind.name} requires conv weights")
-    w = params["weight"]
-    if w.data.shape[2] != kind.kernel:
-        raise ConfigError(
-            f"weights with kernel {w.data.shape[2]} do not match operator {kind.name}"
-        )
+    w = _op_weight(kind, params)
     y = ad.relu(ad.conv2d(x, w, params.get("bias"), dilation=kind.dilation))
     if kind.residual:
-        if x.data.shape[1] != w.data.shape[0]:
-            raise ShapeError("residual operator requires c_in == c_out")
+        _check_residual(kind, x.data.shape[1], w.data.shape[0])
         y = ad.add(y, x)
     return y
 
 
 def mixed_forward(x, edge_logits, edge_weights, registry):
-    """Softmax-weighted sum of every candidate operator on one edge."""
+    """Softmax-weighted sum of every candidate operator on one edge.
+
+    This is DARTS's continuous relaxation (Liu et al. 2019) as one tape
+    node.  The conv candidates are grouped by (kernel, dilation): a group
+    builds the input columns once and runs one matmul against its
+    candidates' kernels stacked along the output channels, and its backward
+    pass is one weight-gradient product and one input-gradient convolution.
+    Each candidate is ``apply_op``'s operator, summed in registry order.
+    """
     if edge_logits.data.shape != (len(registry),):
         raise ConfigError(
             f"expected {len(registry)} logits, got shape {edge_logits.data.shape}"
         )
+    if x.data.ndim != 4:
+        raise ShapeError(f"input must be 4-d, got shape {x.data.shape}")
     mix = ad.softmax(edge_logits)
-    out = None
+    xd = x.data
+    n, c, h, w = xd.shape
+
+    # (kernel, dilation) -> [(registry index, weight, bias, rows in the group)]
+    groups = {}
+    parents = [x, mix]
     for i, kind in enumerate(registry):
-        wi = ad.mul(apply_op(kind, x, edge_weights[i]), mix_entry(mix, i))
-        out = wi if out is None else ad.add(out, wi)
-    return out
+        if kind.skip:
+            continue
+        wt = _op_weight(kind, edge_weights[i])
+        o = wt.data.shape[0]
+        if wt.data.shape[1] != c:
+            raise ShapeError(
+                f"channel mismatch: input has {c} channels, "
+                f"operator {kind.name} expects {wt.data.shape[1]}"
+            )
+        _check_residual(kind, c, o)
+        b = edge_weights[i].get("bias")
+        if b is not None and b.data.shape != (o,):
+            raise ShapeError(f"bias must have shape ({o},), got {b.data.shape}")
+        members = groups.setdefault((kind.kernel, kind.dilation), [])
+        lo = members[-1][3].stop if members else 0
+        members.append((i, wt, b, slice(lo, lo + o)))
+        parents += [wt] if b is None else [wt, b]
 
+    outs = [xd] * len(registry)  # a skip candidate outputs its input
+    masks = {}
+    for (k, dil), members in groups.items():
+        stacked = np.concatenate([wt.data.reshape(-1, c * k * k) for _, wt, *_ in members])
+        y = np.matmul(stacked, ad._columns(xd, k, dil)).reshape(n, -1, h, w)
+        for i, _, b, rows in members:
+            pre = y[:, rows] if b is None else y[:, rows] + b.data[None, :, None, None]
+            masks[i] = pre > 0
+            outs[i] = pre * masks[i]
+            if registry[i].residual:
+                outs[i] = outs[i] + xd
+    if len({o.shape for o in outs}) > 1:
+        raise ShapeError("mixed edge candidates disagree on output channels")
 
-def mix_entry(mix, i):
-    """Scalar slice of the softmax vector, with gradient routed back."""
+    m = mix.data
+    out = None
+    for i, o in enumerate(outs):
+        term = o * m[i]
+        out = term if out is None else out + term
 
     def bw(g):
-        gv = np.zeros_like(mix.data)
-        gv[i] = float(g)
-        yield mix, gv
+        if mix.requires_grad:
+            yield mix, np.array([np.vdot(g, o) for o in outs])
+        if x.requires_grad:
+            # skip and residual candidates pass g * m_i straight to the input
+            direct = [m[i] for i, kind in enumerate(registry) if kind.skip or kind.residual]
+            gx = g * sum(direct)
+        for (k, dil), members in groups.items():
+            # gradient at the group's pre-activations, stacked like its output
+            gpre = np.empty((n, members[-1][3].stop, h, w))
+            for i, _, b, rows in members:
+                np.multiply(g * m[i], masks[i], out=gpre[:, rows])
+                if b is not None and b.requires_grad:
+                    yield b, gpre[:, rows].sum(axis=(0, 2, 3))
+            if any(wt.requires_grad for _, wt, *_ in members):
+                gw = ad._raw_conv_wgrad(xd, gpre, k, dil)
+                for _, wt, _, rows in members:
+                    if wt.requires_grad:
+                        yield wt, gw[rows]
+            if x.requires_grad:
+                flipped = np.concatenate(
+                    [wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) for _, wt, *_ in members],
+                    axis=1,
+                )
+                gx = gx + ad._raw_conv(gpre, flipped, dil)
+        if x.requires_grad:
+            yield x, gx
 
-    return ad._make(mix.data[i], (mix,), bw)
+    return ad._make(out, parents, bw)
 
 
 @dataclass(frozen=True)

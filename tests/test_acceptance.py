@@ -58,20 +58,32 @@ def test_acceptance_1_gradient_suite():
 # 2. oracle equivalence
 
 
+def _op_oracle(kind, arr, params):
+    """Scalar-loop replay of one candidate operator."""
+    if kind.skip:
+        return arr
+    w = params["weight"].data
+    b = params["bias"].data
+    y = np.maximum(conv2d_oracle(arr, w, b, dilation=kind.dilation), 0.0)
+    return y + arr if kind.residual else y
+
+
+def _mixed_oracle(arr, logits, weights, registry):
+    """Scalar-loop replay of a mixed edge: sum_i softmax(logits)_i * op_i."""
+    e = [np.exp(v - max(logits)) for v in logits]
+    total = sum(e)
+    out = np.zeros_like(arr)
+    for ei, kind, params in zip(e, registry, weights):
+        out = out + (ei / total) * _op_oracle(kind, arr, params)
+    return out
+
+
 def _cell_oracle(cell, x):
     """Scalar-loop replay of a discrete cell forward pass (one operator per edge)."""
 
-    def op(kind, arr, params):
-        if kind.skip:
-            return arr
-        w = params["weight"].data
-        b = params["bias"].data
-        y = np.maximum(conv2d_oracle(arr, w, b, dilation=kind.dilation), 0.0)
-        return y + arr if kind.residual else y
-
     def edge(e, arr):
         (kind,), (params,) = cell.edge_ops[e], cell.edge_params[e]
-        return op(kind, arr, params)
+        return _op_oracle(kind, arr, params)
 
     nodes = [x]
     n_chain = len(cell.spec.chain_edges)
@@ -106,6 +118,20 @@ def test_acceptance_2_oracle_equivalence():
         got = cell.forward(Tensor(xc)).data
         ok &= np.allclose(got, _cell_oracle(cell, xc), atol=1e-9)
 
+        # fused mixed edge, over every search candidate or a reordered subset
+        mixed_ops = (
+            registry
+            if trial % 2 == 0
+            else [registry[j] for j in rng.permutation(len(registry))[:4]]
+        )
+        weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(mixed_ops)]
+        for params in weights:
+            if params:
+                params["bias"].data = rng.normal(0.0, 0.1, 3)
+        logits = rng.normal(size=len(mixed_ops))
+        got = mixed_forward(Tensor(xc), Tensor(logits), weights, mixed_ops).data
+        ok &= np.allclose(got, _mixed_oracle(xc, logits, weights, mixed_ops), atol=1e-9)
+
         # rtv prior
         t = rng.uniform(0.0, 1.0, size=(1, 2, 6, 6))
         got = float(rtv(Tensor(t), sigma=1.5, eps=1e-3).data)
@@ -125,7 +151,7 @@ def test_acceptance_2_oracle_equivalence():
 
     elapsed = time.time() - start
     ok &= elapsed < 120.0
-    print(f"  5 oracles x 20 instances, {elapsed:.1f}s")
+    print(f"  6 oracles x 20 instances, {elapsed:.1f}s")
     _report(2, "oracle equivalence", ok)
 
 

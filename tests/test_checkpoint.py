@@ -108,6 +108,27 @@ def test_non_integer_stages_in_header(saved):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rtv_eps", 0.0), ("rtv_eps", -1e-3), ("rtv_weight", -0.1)],
+    ids=["zero-rtv-eps", "negative-rtv-eps", "negative-rtv-weight"],
+)
+def test_out_of_range_rtv_fields_in_header(saved, tmp_path, tiny_dataset, field, value):
+    """A header with its hash recomputed for an out-of-range RTV setting is
+    rejected at load time (CLI exit 3)."""
+    _, path = saved
+    header, blobs = _split(path)
+    header["config"]["scene_cfg"][field] = value
+    text = json.dumps(header["config"], sort_keys=True).encode()
+    header["config_hash"] = hashlib.sha256(text).hexdigest()[:16]
+    _write(path, header, blobs)
+    with pytest.raises(DataIOError, match=field):
+        load_checkpoint(path)
+    _, records = tiny_dataset
+    argv = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+
+
 def test_unreadable_checkpoint(tmp_path):
     with pytest.raises(DataIOError):
         load_checkpoint(tmp_path / "absent.ckpt")

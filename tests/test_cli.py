@@ -110,6 +110,38 @@ def test_mistyped_scene_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
     assert f"{next(iter(scene))} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scene",
+    [{"rtv_eps": 0}, {"rtv_eps": -1e-3}, {"rtv_weight": -0.1}],
+    ids=["zero-rtv-eps", "negative-rtv-eps", "negative-rtv-weight"],
+)
+def test_out_of_range_rtv_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
+    root, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": scene}))
+    argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"{next(iter(scene))} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "search",
+    [{"inner_steps": 0}, {"inner_steps": -2}, {"fd_step": 0.0}, {"fd_step": -1}],
+    ids=["zero-inner-steps", "negative-inner-steps", "zero-fd-step", "negative-fd-step"],
+)
+def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, search):
+    # inner_steps 0 would take no alpha or omega step and write the random
+    # initial architecture as the search result
+    root, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"search": search}))
+    out = tmp_path / "out"
+    argv = ["search", "--config", str(cfg), "--data", str(root), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{next(iter(search))} must be" in capsys.readouterr().err
+    assert not (out / "alpha_final.json").exists()
+
+
 def test_missing_data_dir_exits_2(tmp_path, fast_config):
     assert main(["train", "--config", fast_config, "--out", str(tmp_path)]) == 2
 

@@ -38,6 +38,11 @@ def test_scene_config_validation():
         SceneConfig(warm_start="warm")
     with pytest.raises(ConfigError):
         SceneConfig(rtv_sigma=0.0)
+    for eps in (0, 0.0, -1e-3):
+        with pytest.raises(ConfigError, match="rtv_eps must be positive"):
+            SceneConfig(rtv_eps=eps)
+    with pytest.raises(ConfigError, match="rtv_weight must be nonnegative"):
+        SceneConfig(rtv_weight=-0.1)
     for stages in (2.5, 3.0, True, "3", None):
         with pytest.raises(ConfigError, match="integer"):
             SceneConfig(stages=stages)

@@ -104,6 +104,12 @@ def test_search_config_validation():
         SearchConfig(epochs=0)
     with pytest.raises(ConfigError):
         SearchConfig(grad_clip=0.0)
+    for steps in (0, -1):
+        with pytest.raises(ConfigError, match="inner_steps"):
+            SearchConfig(inner_steps=steps)
+    for step in (0.0, -1e-2):
+        with pytest.raises(ConfigError, match="fd_step"):
+            SearchConfig(fd_step=step)
 
 
 @pytest.mark.parametrize("batch", [0, 2, 8])

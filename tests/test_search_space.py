@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ruas import autodiff as ad
-from ruas.autodiff import Tensor, backward
+from ruas.autodiff import Parameter, Tensor, backward
 from ruas.errors import ConfigError, ShapeError
 from ruas.search_space import (
     ALL_OPS,
@@ -102,6 +102,117 @@ def test_mixed_forward_logit_count_checked(rng):
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     with pytest.raises(ConfigError):
         mixed_forward(x, Tensor(np.zeros(3)), weights, registry)
+
+
+def composite_mixed_forward(x, edge_logits, edge_weights, registry):
+    """Reference mixed edge built from autodiff primitives: each candidate's
+    ``apply_op`` output times its softmax entry, summed in registry order."""
+    mix = ad.softmax(edge_logits)
+
+    def entry(i):
+        def bw(g):
+            gv = np.zeros_like(mix.data)
+            gv[i] = float(g)
+            yield mix, gv
+
+        return ad._make(mix.data[i], (mix,), bw)
+
+    out = None
+    for i, kind in enumerate(registry):
+        wi = ad.mul(apply_op(kind, x, edge_weights[i]), entry(i))
+        out = wi if out is None else ad.add(out, wi)
+    return out
+
+
+def _ops(*names):
+    return tuple(OPS_BY_NAME[n] for n in names)
+
+
+MIXED_CASES = {
+    "search-ops": (SEARCH_OPS, (1, 3, 6, 6), True),
+    "subset-reordered": (_ops("SC", "3-2-RDC", "3-C", "1-RC", "3-2-DC"), (1, 3, 6, 6), True),
+    "no-skip-no-residual": (_ops("3-2-DC", "1-C", "3-C"), (1, 3, 6, 6), True),
+    "batch-2": (SEARCH_OPS, (2, 3, 6, 6), True),
+    "non-square": (SEARCH_OPS, (1, 3, 5, 9), True),
+    "width-6": (SEARCH_OPS, (1, 6, 8, 8), True),
+    "constant-input": (SEARCH_OPS, (1, 3, 6, 6), False),
+}
+
+
+def _edge_run(forward, registry, shape, x_grad, seed):
+    """Output, leaves (input, logits, conv parameters) and their gradients
+    for sum(probe * edge(x)), every input seeded."""
+    rng = np.random.default_rng(seed)
+    weights = [make_op_params(k, shape[1], rng, f"op{i}") for i, k in enumerate(registry)]
+    for params in weights:
+        if params:
+            params["bias"].data = rng.normal(0.0, 0.1, shape[1])
+    x = Tensor(rng.normal(size=shape), requires_grad=x_grad)
+    logits = Parameter(rng.normal(size=len(registry)), "logits")
+    probe = Tensor(rng.normal(size=shape))
+    out = forward(x, logits, weights, registry)
+    backward(ad.reduce_sum(ad.mul(out, probe)))
+    leaves = [x, logits] + [p for params in weights for p in params.values()]
+    return out, leaves, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("case", list(MIXED_CASES))
+def test_fused_mixed_edge_matches_composite(case):
+    registry, shape, x_grad = MIXED_CASES[case]
+    want, _, want_grads = _edge_run(composite_mixed_forward, registry, shape, x_grad, 11)
+    got, leaves, got_grads = _edge_run(mixed_forward, registry, shape, x_grad, 11)
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9)
+    assert (got_grads[0] is None) == (not x_grad)
+    for g, w in zip(got_grads, want_grads):
+        if w is None:
+            assert g is None
+        else:
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
+    # one tape node per edge: its parents are the input, the softmax of the
+    # logits and the conv parameters, with no node in between
+    x, logits, *params = leaves
+    assert got._parents[0] is x and got._parents[1]._parents == (logits,)
+    assert [id(p) for p in got._parents[2:]] == [id(p) for p in params]
+
+
+def test_mixed_forward_checks_its_candidates(rng):
+    registry = SEARCH_OPS
+    x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
+    logits = Tensor(np.zeros(len(registry)))
+
+    def weights():
+        return [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
+
+    missing = weights()
+    missing[1] = {}
+    with pytest.raises(ConfigError, match="requires conv weights"):
+        mixed_forward(x, logits, missing, registry)
+    wrong_kernel = weights()
+    wrong_kernel[0] = make_op_params(OPS_BY_NAME["3-C"], 3, rng, "op0")
+    with pytest.raises(ConfigError, match="do not match operator 1-C"):
+        mixed_forward(x, logits, wrong_kernel, registry)
+    wide = weights()
+    wide[3]["weight"] = Parameter(rng.normal(size=(4, 3, 3, 3)), "wide")
+    wide[3]["bias"] = Parameter(np.zeros(4), "wide.bias")
+    with pytest.raises(ShapeError, match="c_in == c_out"):
+        mixed_forward(x, logits, wide, registry)
+    narrow_in = weights()
+    narrow_in[1]["weight"] = Parameter(rng.normal(size=(3, 2, 3, 3)), "narrow")
+    with pytest.raises(ShapeError, match="channel mismatch"):
+        mixed_forward(x, logits, narrow_in, registry)
+    bad_bias = weights()
+    bad_bias[4]["bias"] = Parameter(np.zeros(1), "bias")
+    with pytest.raises(ShapeError, match="bias"):
+        mixed_forward(x, logits, bad_bias, registry)
+    plain = _ops("3-C", "1-C")
+    mismatched = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(plain)]
+    mismatched[1]["weight"] = Parameter(rng.normal(size=(4, 3, 1, 1)), "four")
+    mismatched[1]["bias"] = Parameter(np.zeros(4), "four.bias")
+    with pytest.raises(ShapeError, match="output channels"):
+        mixed_forward(x, Tensor(np.zeros(2)), mismatched, plain)
+    with pytest.raises(ShapeError, match="4-d"):
+        mixed_forward(Tensor(np.ones((3, 6, 6))), logits, weights(), registry)
 
 
 def test_cell_spec_edges():
