@@ -4,14 +4,14 @@ Tensors record the primitives applied to them; ``backward`` on a scalar
 loss replays the tape in reverse topological order, accumulating adjoints
 additively at fan-in nodes.  Only the primitives needed by the unrolled
 enhancement models live here: convolution (plain and dilated, stride 1,
-"same" zero padding), elementwise arithmetic, sliding spatial max, softmax,
-reductions, and a momentum-SGD optimizer.
+"same" zero padding), depthwise 1-D correlation with a fixed kernel,
+elementwise arithmetic, sliding spatial max, softmax, reductions, and a
+momentum-SGD optimizer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -265,7 +265,11 @@ def spatial_diff(a, axis):
 
 
 def sliding_max(a, window):
-    """Per-channel sliding spatial max with an odd square window, same size."""
+    """Per-channel sliding spatial max with an odd square window, same size.
+
+    The gradient of each output goes to the first maximum of its window in
+    row-major order.
+    """
     a = _as_tensor(a)
     if window % 2 == 0 or window < 1:
         raise ConfigError(f"window must be odd and positive, got {window}")
@@ -273,20 +277,70 @@ def sliding_max(a, window):
         raise ShapeError(f"expected nonempty 4-d input, got shape {a.data.shape}")
     r = window // 2
     n, c, h, w = a.data.shape
-    xp = np.pad(a.data, ((0, 0), (0, 0), (r, r), (r, r)), constant_values=-np.inf)
-    win = sliding_window_view(xp, (window, window), axis=(2, 3))
-    flat = win.reshape(n, c, h, w, window * window)
-    idx = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xp = np.full((n, c, h + 2 * r, w + 2 * r), -np.inf)
+    xp[:, :, r : r + h, r : r + w] = a.data
+    shifts = [xp[:, :, i : i + h, j : j + w] for i in range(window) for j in range(window)]
+    out_data = shifts[0].copy()
+    for s in shifts[1:]:
+        np.maximum(out_data, s, out=out_data)
 
     def bw(g):
+        backwards = range(len(shifts) - 1, -1, -1)
+        first = np.zeros(out_data.shape, dtype=np.intp)
+        for o in backwards:
+            first[shifts[o] == out_data] = o
+        # in reverse offset order each input pixel takes its outputs'
+        # gradients in their row-major order, as a loop over outputs would
         gp = np.zeros_like(xp)
-        di, dj = np.unravel_index(idx, (window, window))
-        ni, ci, hi, wi = np.indices(idx.shape)
-        np.add.at(gp, (ni, ci, hi + di, wi + dj), g)
+        for o in backwards:
+            i, j = divmod(o, window)
+            dst = gp[:, :, i : i + h, j : j + w]
+            np.add(dst, g, out=dst, where=first == o)
         yield a, gp[:, :, r : r + h, r : r + w]
 
     return _make(out_data, (a,), bw)
+
+
+def correlate1d(a, kernel, axis):
+    """Depthwise "same" correlation of every channel with a fixed 1-D kernel.
+
+    ``out[..., i, ...] = sum_k kernel[k] * a[..., i + k - m // 2, ...]`` along
+    ``axis`` (2 or 3) for an odd kernel length m, with zeros outside the map.
+    The kernel is a constant: only ``a`` receives a gradient.
+    """
+    a = _as_tensor(a)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if axis not in (2, 3):
+        raise ConfigError("correlate1d supports axes 2 and 3 only")
+    if kernel.ndim != 1 or kernel.size % 2 == 0:
+        raise ConfigError(f"kernel must be 1-d of odd length, got shape {kernel.shape}")
+    if a.data.ndim != 4 or a.data.shape[axis] == 0:
+        raise ShapeError(f"expected nonempty 4-d input, got shape {a.data.shape}")
+
+    def bw(g):
+        yield a, _raw_correlate1d(g, kernel[::-1], axis)
+
+    return _make(_raw_correlate1d(a.data, kernel, axis), (a,), bw)
+
+
+def _raw_correlate1d(x, kernel, axis):
+    """Sum of the kernel's shifted slices of one zero-padded copy of ``x``.
+
+    A tap shifted by the whole axis or more reads only padding and is
+    skipped, so work and memory are bounded by the map, not by the kernel.
+    """
+    r = kernel.size // 2
+    extent = x.shape[axis]
+    pad = min(r, extent - 1)
+    xp = np.zeros(x.shape[:axis] + (extent + 2 * pad,) + x.shape[axis + 1 :])
+    lead = (slice(None),) * axis
+    xp[lead + (slice(pad, pad + extent),)] = x
+    out = np.zeros_like(x)
+    tap = np.empty_like(x)
+    for lo in range(2 * pad + 1):
+        np.multiply(xp[lead + (slice(lo, lo + extent),)], kernel[r - pad + lo], out=tap)
+        out += tap
+    return out
 
 
 def conv2d(x, w, b=None, dilation=1):

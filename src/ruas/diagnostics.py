@@ -98,6 +98,9 @@ def primitive_checks(seed=7):
     checks.append(
         ("spatial_diff", grad_check(lambda t: ad.reduce_l2sq(ad.spatial_diff(t, 3)), x))
     )
+    kernel = rng.uniform(-1, 1, size=5)
+    blur = lambda t: ad.correlate1d(ad.correlate1d(t, kernel, 2), kernel, 3)
+    checks.append(("correlate1d", grad_check(lambda t: ad.reduce_l2sq(blur(t)), x)))
     checks.append(
         (
             "concat",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 WARM_START_MODES = ("fixed", "no_rectify", "rectify")
@@ -119,25 +118,9 @@ def gaussian_kernel_1d(sigma):
 
 
 def _gaussian_depthwise(t, sigma):
-    """Separable Gaussian windowing as two fixed depthwise convolutions."""
-    c = t.data.shape[1]
+    """Separable Gaussian windowing: the 1-D kernel down, then across."""
     k1 = gaussian_kernel_1d(sigma)
-    m = k1.size
-    # depthwise realized as a block-diagonal dense kernel; widths here are tiny
-    wv = np.zeros((c, c, m, 1))
-    wh = np.zeros((c, c, 1, m))
-    for i in range(c):
-        wv[i, i, :, 0] = k1
-        wh[i, i, 0, :] = k1
-    # same padding needs odd extents on both axes; (m,1) and (1,m) kernels are
-    # emulated by embedding into (m,m) kernels with a single nonzero column/row
-    wfull_v = np.zeros((c, c, m, m))
-    wfull_h = np.zeros((c, c, m, m))
-    mid = m // 2
-    wfull_v[:, :, :, mid] = wv[:, :, :, 0]
-    wfull_h[:, :, mid, :] = wh[:, :, 0, :]
-    out = ad.conv2d(t, Tensor(wfull_v))
-    return ad.conv2d(out, Tensor(wfull_h))
+    return ad.correlate1d(ad.correlate1d(t, k1, 2), k1, 3)
 
 
 def rtv(t, sigma=1.5, eps=1e-3):

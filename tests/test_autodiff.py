@@ -1,5 +1,7 @@
 """Autodiff engine: primitives against loop oracles, tape mechanics, SGD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,52 @@ def sliding_max_oracle(x, window):
     return out
 
 
+def sliding_max_grad_oracle(x, window, g):
+    """Scalar-loop gradient of sum(g * sliding_max(x)): each output's gradient
+    goes to the first maximum of its window in row-major order."""
+    n, c, h, w = x.shape
+    r = window // 2
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h):
+                for j in range(w):
+                    best = None
+                    for p in range(max(0, i - r), min(h, i + r + 1)):
+                        for q in range(max(0, j - r), min(w, j + r + 1)):
+                            if best is None or x[ni, ci, p, q] > x[ni, ci, best[0], best[1]]:
+                                best = (p, q)
+                    gx[ni, ci, best[0], best[1]] += g[ni, ci, i, j]
+    return gx
+
+
+def correlate1d_oracle(x, kernel, axis):
+    """Scalar-loop depthwise correlation along ``axis``, zero outside the map:
+    out[i] = sum over in-map j of kernel[j - i + m // 2] * x[j]."""
+    xs = np.moveaxis(x, axis, -1)
+    out = np.zeros_like(xs)
+    r, extent = len(kernel) // 2, xs.shape[-1]
+    for idx in np.ndindex(xs.shape[:-1]):
+        for i in range(extent):
+            for j in range(extent):
+                if 0 <= j - i + r < len(kernel):
+                    out[idx + (i,)] += kernel[j - i + r] * xs[idx + (j,)]
+    return np.moveaxis(out, -1, axis)
+
+
+def correlate1d_grad_oracle(kernel, axis, g):
+    """Scalar-loop gradient of sum(g * correlate1d(x)) w.r.t. x."""
+    gs = np.moveaxis(g, axis, -1)
+    gx = np.zeros_like(gs)
+    r, extent = len(kernel) // 2, gs.shape[-1]
+    for idx in np.ndindex(gs.shape[:-1]):
+        for i in range(extent):
+            for j in range(extent):
+                if 0 <= j - i + r < len(kernel):
+                    gx[idx + (j,)] += kernel[j - i + r] * gs[idx + (i,)]
+    return np.moveaxis(gx, -1, axis)
+
+
 # ---------------------------------------------------------------------------
 # forward values
 
@@ -154,6 +202,83 @@ def test_sliding_max_matches_loop_oracle(rng):
         x = rng.normal(size=(1, 2, 7, 5))
         got = ad.sliding_max(Tensor(x), 3).data
         np.testing.assert_array_equal(got, sliding_max_oracle(x, 3))
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_sliding_max_gradient_matches_loop_oracle(rng, window, ties):
+    # inputs quantised to five levels put several maxima in most windows,
+    # which pins the first-maximum rule
+    for shape in [(2, 2, 7, 5), (1, 3, 4, 9), (2, 1, 6, 6)]:
+        x = rng.integers(-2, 3, size=shape) / 2.0 if ties else rng.normal(size=shape)
+        g = rng.normal(size=shape)
+        xt = Tensor(x, requires_grad=True)
+        out = ad.sliding_max(xt, window)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(out.data, sliding_max_oracle(x, window))
+        np.testing.assert_array_equal(xt.grad, sliding_max_grad_oracle(x, window, g))
+
+
+# (shape, kernel length, axis): batches of two, non-square maps, and kernels
+# longer than the axis they run along, whose outer taps read only padding
+CORRELATE_CASES = [
+    ((1, 2, 6, 6), 3, 2),
+    ((2, 3, 7, 5), 5, 2),
+    ((2, 3, 7, 5), 5, 3),
+    ((2, 2, 4, 9), 7, 2),
+    ((2, 2, 9, 4), 11, 3),
+    ((2, 1, 3, 5), 17, 2),
+    ((1, 2, 5, 1), 3, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,m,axis",
+    CORRELATE_CASES,
+    ids=[f"{'x'.join(map(str, s))}-m{m}-axis{ax}" for s, m, ax in CORRELATE_CASES],
+)
+def test_correlate1d_matches_loop_oracle(rng, shape, m, axis):
+    x, kernel, g = rng.normal(size=shape), rng.normal(size=m), rng.normal(size=shape)
+    xt = Tensor(x, requires_grad=True)
+    out = ad.correlate1d(xt, kernel, axis)
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    np.testing.assert_allclose(out.data, correlate1d_oracle(x, kernel, axis), atol=1e-9)
+    np.testing.assert_allclose(xt.grad, correlate1d_grad_oracle(kernel, axis, g), atol=1e-9)
+
+
+def test_correlate1d_long_kernel_is_bounded_by_the_map(rng):
+    # a 200,001-tap kernel on a 16 px map: only the 31 central taps can
+    # reach the map, and the padded buffer would be 25 MB if built whole
+    kernel = rng.uniform(0.0, 1.0, 200_001)
+    x = rng.normal(size=(1, 1, 16, 16))
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        xt = Tensor(x, requires_grad=True)
+        out = ad.correlate1d(ad.correlate1d(xt, kernel, 2), kernel, 3)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    want = correlate1d_oracle(correlate1d_oracle(x, kernel, 2), kernel, 3)
+    np.testing.assert_allclose(out.data, want, atol=1e-9)
+    want_g = correlate1d_grad_oracle(kernel, 2, correlate1d_grad_oracle(kernel, 3, g))
+    np.testing.assert_allclose(xt.grad, want_g, atol=1e-9)
+
+
+def test_correlate1d_rejects_bad_inputs(rng):
+    x = Tensor(rng.normal(size=(1, 2, 5, 5)))
+    with pytest.raises(ConfigError):
+        ad.correlate1d(x, np.ones(3), 1)
+    with pytest.raises(ConfigError):
+        ad.correlate1d(x, np.ones(4), 2)  # even length
+    with pytest.raises(ConfigError):
+        ad.correlate1d(x, np.ones((3, 3)), 3)
+    with pytest.raises(ShapeError):
+        ad.correlate1d(Tensor(rng.normal(size=(2, 5, 5))), np.ones(3), 2)
+    with pytest.raises(ShapeError):
+        ad.correlate1d(Tensor(np.zeros((1, 1, 0, 4))), np.ones(3), 2)
 
 
 def test_sliding_max_constant_and_impulse():

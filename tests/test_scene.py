@@ -1,10 +1,12 @@
 """Unrolled Retinex scene module: warm starts, stages, the RTV prior, loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ruas import autodiff as ad
-from ruas.autodiff import Tensor
+from ruas.autodiff import Tensor, backward
 from ruas.errors import ConfigError, ShapeError
 from ruas.scene import (
     SceneConfig,
@@ -161,11 +163,13 @@ def test_monotone_brightening_and_reconstruction(rng):
 
 
 def rtv_oracle(t, sigma, eps):
-    """Scalar-loop reimplementation of the windowed relative TV measure."""
+    """Scalar-loop reimplementation of the windowed relative TV measure.
+
+    Each Gaussian window is clipped to the map, where zero padding would add
+    nothing, so the oracle stays small however wide the window is.
+    """
     k1 = gaussian_kernel_1d(sigma)
-    G = np.outer(k1, k1)
-    m = len(k1)
-    pad = m // 2
+    r = len(k1) // 2
     n, c, h, w = t.shape
     total = 0.0
     for axis in (3, 2):
@@ -176,13 +180,16 @@ def rtv_oracle(t, sigma, eps):
             d[:, :, :-1, :] = t[:, :, 1:, :] - t[:, :, :-1, :]
         for ni in range(n):
             for ci in range(c):
-                dp = np.zeros((h + 2 * pad, w + 2 * pad))
-                dp[pad : pad + h, pad : pad + w] = d[ni, ci]
-                ap = np.abs(dp)
                 for i in range(h):
+                    lo_i, hi_i = max(0, i - r), min(h, i + r + 1)
                     for j in range(w):
-                        D = (ap[i : i + m, j : j + m] * G).sum()
-                        L = abs((dp[i : i + m, j : j + m] * G).sum())
+                        lo_j, hi_j = max(0, j - r), min(w, j + r + 1)
+                        G = np.outer(
+                            k1[lo_i - i + r : hi_i - i + r], k1[lo_j - j + r : hi_j - j + r]
+                        )
+                        win = d[ni, ci, lo_i:hi_i, lo_j:hi_j]
+                        D = (np.abs(win) * G).sum()
+                        L = abs((win * G).sum())
                         total += D / (L + eps)
     return total
 
@@ -204,11 +211,32 @@ def test_rtv_prefers_structure_over_texture(rng):
 
 
 def test_rtv_matches_scalar_oracle(rng):
-    for _ in range(5):
-        t = rng.uniform(0.0, 1.0, size=(1, 2, 6, 6))
-        got = float(rtv(Tensor(t), sigma=1.5, eps=1e-3).data)
-        want = rtv_oracle(t, 1.5, 1e-3)
-        assert abs(got - want) / max(1.0, abs(want)) < 1e-6
+    # batches of two, a non-square map, and sigma 4, whose 17-tap window is
+    # longer than either side of the map
+    for shape, sigma in [((1, 2, 6, 6), 1.5), ((2, 2, 7, 5), 1.5), ((2, 1, 7, 5), 4.0)]:
+        for _ in range(5):
+            t = rng.uniform(0.0, 1.0, size=shape)
+            got = float(rtv(Tensor(t), sigma=sigma, eps=1e-3).data)
+            want = rtv_oracle(t, sigma, 1e-3)
+            assert abs(got - want) / max(1.0, abs(want)) < 1e-6
+
+
+def test_rtv_wide_sigma_is_bounded_by_the_map(rng):
+    # sigma 1000 is a 4,001-tap window; dense (m, m) kernels over a 16 px
+    # map would ask for gigabytes, the separable taps that reach the map
+    # for a few kilobytes
+    t = rng.uniform(0.0, 1.0, size=(1, 3, 16, 16))
+    tracemalloc.start()
+    try:
+        tt = Tensor(t, requires_grad=True)
+        value = rtv(tt, sigma=1000.0, eps=1e-3)
+        backward(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    want = rtv_oracle(t, 1000.0, 1e-3)
+    assert abs(float(value.data) - want) / max(1.0, abs(want)) < 1e-6
 
 
 def test_rtv_rejects_bad_sigma(rng):
