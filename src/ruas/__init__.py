@@ -2,6 +2,7 @@
 
 from . import autodiff, diagnostics, io_metrics, scene, search, search_space, task, train
 from .autodiff import Parameter, SGD, Tensor, backward, grad_check
+from .config import SceneConfig, SearchConfig, TaskConfig, TrainConfig
 from .errors import (
     ConfigError,
     ContractError,
@@ -12,8 +13,5 @@ from .errors import (
     ShapeError,
 )
 from .model import RuasModel, SearchModel, load_checkpoint, save_checkpoint
-from .scene import SceneConfig
-from .search import SearchConfig
-from .train import TrainConfig
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ error, 3 I/O error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import RunConfig, resolve_seed
+from .config import SEARCH_STRATEGIES, TRAIN_STRATEGIES, VARIANTS, RunConfig, resolve_seed
 from .diagnostics import TOLERANCE, run_all
 from .errors import (
     ConfigError,
@@ -37,8 +38,7 @@ from .model import (
     save_checkpoint,
 )
 from .search import run_search
-from .search_space import SEARCH_OPS, arch_dump, cell_flops, count_params
-from .task import VARIANTS
+from .search_space import SEARCH_OPS, cell_flops, count_params
 from .train import (
     _run_epochs,
     evaluate,
@@ -66,10 +66,20 @@ def _records_from(cfg, data_flag, need_reference=False):
     return records
 
 
+def _start_run(args, need_reference=False):
+    """Config, seed, records and output directory of a run; the effective
+    config is echoed only after all of them were accepted."""
+    cfg = _load_config(args.config)
+    seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
+    records = _records_from(cfg, args.data, need_reference)
+    cfg.echo(args.out, seed)
+    return cfg, seed, records, Path(args.out)
+
+
 def _model_from_config(cfg, rng, arch_path=None):
-    task = cfg.sections["task"]
-    scene_ops = task["scene_ops"] or list(DEFAULT_SCENE_OPS)
-    task_ops = task["task_ops"] or list(DEFAULT_TASK_OPS)
+    task = cfg.task_config()
+    scene_ops = task.scene_ops or list(DEFAULT_SCENE_OPS)
+    task_ops = task.task_ops or list(DEFAULT_TASK_OPS)
     if arch_path:
         try:
             raw = Path(arch_path).read_bytes()
@@ -85,12 +95,12 @@ def _model_from_config(cfg, rng, arch_path=None):
             ) from exc
     return RuasModel(
         rng,
-        variant=task["variant"],
+        variant=task.variant,
         scene_cfg=cfg.scene_config(),
         scene_ops=scene_ops,
         task_ops=task_ops,
-        gate_eps=task["gate_eps"],
-        tv_weight=task["tv_weight"],
+        gate_eps=task.gate_eps,
+        tv_weight=task.tv_weight,
     )
 
 
@@ -99,15 +109,11 @@ def _model_from_config(cfg, rng, arch_path=None):
 
 
 def cmd_search(args):
-    cfg = _load_config(args.config)
-    seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
-    out = Path(args.out)
-    cfg.echo(out, seed)
-    records = _records_from(cfg, args.data)
+    cfg, seed, records, out = _start_run(args)
     rng = np.random.default_rng(seed)
     data = split_records(records, rng=rng)
     scfg = cfg.search_config(strategy=args.strategy)
-    result = run_search(data, scfg, seed, scene_cfg=cfg.scene_config())
+    result = run_search(data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight)
 
     (out / "history.csv").write_text(result.history_csv())
     alpha = {
@@ -124,22 +130,12 @@ def cmd_search(args):
         "strategy": scfg.strategy,
     }
     (out / "alpha_final.json").write_text(json.dumps(alpha, indent=2) + "\n")
-    dump = (
-        "# scene cell\n"
-        + arch_dump(result.model.scene_spec, result.model.alpha_s)
-        + "# task cell\n"
-        + arch_dump(result.model.task_spec, result.model.alpha_t)
-    )
-    (out / "arch.dot").write_text(dump)
+    (out / "arch.dot").write_text(result.arch_dot())
     return 0
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config)
-    seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
-    out = Path(args.out)
-    cfg.echo(out, seed)
-    records = _records_from(cfg, args.data)
+    cfg, seed, records, out = _start_run(args)
     rng = np.random.default_rng(seed)
     model = _model_from_config(cfg, rng, arch_path=args.arch)
     tcfg = cfg.train_config(strategy=args.strategy)
@@ -147,12 +143,10 @@ def cmd_train(args):
         report = train_hierarchical(model, records, tcfg)
     else:
         report = train_end_to_end(model, records, tcfg)
-    if report.aborted:
-        save_checkpoint(model, out / "model.ckpt")
-        _write_curves(report, out / "curve.csv")
-        raise NumericError("training aborted on non-finite loss; last-good checkpoint kept")
     save_checkpoint(model, out / "model.ckpt")
     _write_curves(report, out / "curve.csv")
+    if report.aborted:
+        raise NumericError("training aborted on non-finite loss; last-good checkpoint kept")
     return 0
 
 
@@ -190,16 +184,11 @@ def _switch_variant(model, variant):
 
 
 def cmd_enhance(args):
-    model = load_checkpoint(args.model)
-    model = _switch_variant(model, args.variant)
+    model = _switch_variant(load_checkpoint(args.model), args.variant)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = []
     in_path = Path(args.input)
-    if in_path.is_dir():
-        inputs = sorted(in_path.glob("*.png"))
-    else:
-        inputs = [in_path]
+    inputs = sorted(in_path.glob("*.png")) if in_path.is_dir() else [in_path]
     if not inputs:
         raise ConfigError(f"no PNG inputs under {in_path}")
     single = len(inputs) == 1
@@ -222,8 +211,7 @@ def cmd_enhance(args):
 
 def cmd_eval(args):
     cfg = _load_config(args.config)
-    model = load_checkpoint(args.model)
-    model = _switch_variant(model, args.variant)
+    model = _switch_variant(load_checkpoint(args.model), args.variant)
     records = _records_from(cfg, args.data)
     rows, means = evaluate(model, records)
     out = Path(args.out)
@@ -249,22 +237,18 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate_k(args):
-    cfg = _load_config(args.config)
-    seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
-    out = Path(args.out)
-    cfg.echo(out, seed)
-    records = _records_from(cfg, args.data, need_reference=True)
-    k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
+    try:
+        k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
+    except ValueError:
+        k_list = []
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError(f"invalid k-list {args.k_list!r}")
+    cfg, seed, records, out = _start_run(args, need_reference=True)
     tcfg = cfg.train_config()
     lines = ["k,psnr_db,ssim"]
     for k in k_list:
-        rng = np.random.default_rng(seed)
-        scene_cfg = cfg.scene_config()
-        scene_cfg.stages = k
-        model = _model_from_config(cfg, rng)
-        model.scene_cfg = scene_cfg
+        model = _model_from_config(cfg, np.random.default_rng(seed))
+        model.scene_cfg = dataclasses.replace(cfg.scene_config(), stages=k)
         if tcfg.strategy == "hierarchical":
             train_hierarchical(model, records, tcfg)
         else:
@@ -276,18 +260,16 @@ def cmd_ablate_k(args):
 
 
 def cmd_compare_strategies(args):
-    cfg = _load_config(args.config)
-    seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
-    out = Path(args.out)
-    cfg.echo(out, seed)
-    records = _records_from(cfg, args.data)
+    cfg, seed, records, out = _start_run(args)
     lines = ["strategy,scene_val,task_val,combined,scene_params,task_params"]
     results = {}
     for strategy in ("global", "independent", "cooperative"):
         rng = np.random.default_rng(seed)
         data = split_records(records, rng=rng)
         scfg = cfg.search_config(strategy=strategy)
-        result = run_search(data, scfg, seed, scene_cfg=cfg.scene_config())
+        result = run_search(
+            data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight
+        )
         results[strategy] = result
         final = result.history[-1]
         rng2 = np.random.default_rng(seed)
@@ -297,31 +279,23 @@ def cmd_compare_strategies(args):
             scene_cfg=cfg.scene_config(),
             scene_ops=[k.name for k in result.scene_ops],
             task_ops=[k.name for k in result.task_ops],
+            tv_weight=cfg.task_config().tv_weight,
         )
         lines.append(
             f"{strategy},{final['scene_val']:.6f},{final['task_val']:.6f},"
             f"{final['combined']:.6f},{derived.scene_param_count()},"
             f"{count_params(derived.omega_t())}"
         )
-        dump = (
-            "# scene cell\n"
-            + arch_dump(result.model.scene_spec, result.model.alpha_s)
-            + "# task cell\n"
-            + arch_dump(result.model.task_spec, result.model.alpha_t)
-        )
-        (out / f"{strategy}_arch.dot").write_text(dump)
+        (out / f"{strategy}_arch.dot").write_text(result.arch_dot())
         (out / f"{strategy}_history.csv").write_text(result.history_csv())
     (out / "strategies.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_fixed_op(args):
-    cfg = _load_config(args.config)
-    seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
-    out = Path(args.out)
-    cfg.echo(out, seed)
-    records = _records_from(cfg, args.data, need_reference=True)
+    cfg, seed, records, out = _start_run(args, need_reference=True)
     tcfg = cfg.train_config()
+    tv_weight = cfg.task_config().tv_weight
     h, w = records[0].input().shape[2:]
     lines = ["model,psnr_db,ssim,params,mult_adds"]
     for kind in SEARCH_OPS:
@@ -331,6 +305,7 @@ def cmd_fixed_op(args):
             variant="ruas_s",
             scene_cfg=cfg.scene_config(),
             scene_ops=[kind.name] * 7,
+            tv_weight=tv_weight,
         )
         train_hierarchical(model, records, tcfg)
         _, means = evaluate(model, records)
@@ -340,7 +315,7 @@ def cmd_fixed_op(args):
         )
     # supernet row: the mixed scene cell at its current (uniform-ish) logits
     rng = np.random.default_rng(seed)
-    supernet = SearchModel(rng, scene_cfg=cfg.scene_config())
+    supernet = SearchModel(rng, scene_cfg=cfg.scene_config(), tv_weight=tv_weight)
     epochs = max(tcfg.pretrain_epochs, 1)
     _run_epochs(
         supernet, supernet.omega_s(), records, SearchModel.scene_loss, tcfg, epochs, []
@@ -387,12 +362,12 @@ def build_parser():
 
     p = sub.add_parser("search", help="run architecture search")
     common(p)
-    p.add_argument("--strategy", choices=("cooperative", "independent", "global"))
+    p.add_argument("--strategy", choices=SEARCH_STRATEGIES)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("train", help="train a discrete model")
     common(p)
-    p.add_argument("--strategy", choices=("end_to_end", "hierarchical"))
+    p.add_argument("--strategy", choices=TRAIN_STRATEGIES)
     p.add_argument("--arch", help="alpha_final.json from a search run")
     p.set_defaults(func=cmd_train)
 

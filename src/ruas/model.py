@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -10,8 +11,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import VARIANTS, SceneConfig, TaskConfig
 from .errors import ConfigError, DataIOError
-from .scene import SceneConfig, scene_forward, scene_loss
+from .scene import scene_forward, scene_loss
 from .search_space import (
     ArchParams,
     CellSpec,
@@ -22,7 +24,7 @@ from .search_space import (
     count_params,
     lookup_op,
 )
-from .task import NoiseEstimator, NoiseRemover, VARIANTS, noise_gate, task_loss
+from .task import ESTIMATOR_WIDTHS, NoiseEstimator, NoiseRemover, noise_gate, task_loss
 
 SCENE_WIDTH = 3
 TASK_WIDTH = 6
@@ -186,30 +188,19 @@ class RuasModel:
             total += conv_flops(TASK_WIDTH, 6, 1, h, w)  # proj in
             total += conv_flops(3, TASK_WIDTH, 1, h, w)  # proj out
         if self.estimator is not None:
-            widths = (3, 6, 6, 6, 6, 3)
-            for i in range(len(widths) - 1):
-                total += conv_flops(widths[i + 1], widths[i], 3, h, w)
+            for c_in, c_out in zip(ESTIMATOR_WIDTHS, ESTIMATOR_WIDTHS[1:]):
+                total += conv_flops(c_out, c_in, 3, h, w)
         return total
 
     # ------------------------------------------------------------------
     def config_dict(self):
-        c = self.scene_cfg
         return {
             "variant": self.variant,
             "scene_ops": list(self.scene_ops),
             "task_ops": list(self.task_ops),
             "gate_eps": self.gate_eps,
             "tv_weight": self.tv_weight,
-            "scene_cfg": {
-                "stages": c.stages,
-                "window": c.window,
-                "gamma": c.gamma,
-                "warm_start": c.warm_start,
-                "t_floor": c.t_floor,
-                "rtv_weight": c.rtv_weight,
-                "rtv_sigma": c.rtv_sigma,
-                "rtv_eps": c.rtv_eps,
-            },
+            "scene_cfg": dataclasses.asdict(self.scene_cfg),
         }
 
     def config_hash(self):
@@ -261,14 +252,15 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob[start:end].decode())
         cfg = header["config"]
+        task = TaskConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TaskConfig)})
         model = RuasModel(
             np.random.default_rng(0),
-            variant=cfg["variant"],
+            variant=task.variant,
             scene_cfg=SceneConfig(**cfg["scene_cfg"]),
-            scene_ops=cfg["scene_ops"],
-            task_ops=cfg["task_ops"],
-            gate_eps=cfg["gate_eps"],
-            tv_weight=cfg["tv_weight"],
+            scene_ops=task.scene_ops,
+            task_ops=task.task_ops,
+            gate_eps=task.gate_eps,
+            tv_weight=task.tv_weight,
         )
         if model.config_hash() != header["config_hash"]:
             raise DataIOError(f"checkpoint config hash mismatch in {path}")

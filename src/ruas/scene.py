@@ -9,56 +9,11 @@ on the final illumination.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
+from .config import SceneConfig  # noqa: F401  (ruas.scene.SceneConfig)
 from .errors import ConfigError, ShapeError
-
-WARM_START_MODES = ("fixed", "no_rectify", "rectify")
-_REAL_FIELDS = ("gamma", "t_floor", "rtv_weight", "rtv_sigma", "rtv_eps")
-
-
-@dataclass
-class SceneConfig:
-    stages: int = 3  # K
-    window: int = 3  # spatial extent of the local-max region
-    gamma: float = 0.5  # residual rectification strength, in (0, 1]
-    warm_start: str = "no_rectify"
-    t_floor: float = 1e-3
-    rtv_weight: float = 0.1  # eta
-    rtv_sigma: float = 1.5
-    rtv_eps: float = 1e-3
-
-    def __post_init__(self):
-        if isinstance(self.stages, bool) or not isinstance(self.stages, int):
-            raise ConfigError(f"stage count K must be an integer, got {self.stages!r}")
-        if isinstance(self.window, bool) or not isinstance(self.window, int):
-            raise ConfigError(f"window must be an integer, got {self.window!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if self.stages < 1:
-            raise ConfigError("stage count K must be >= 1")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ConfigError("gamma must lie in (0, 1]")
-        if not (0.0 < self.t_floor < 1.0):
-            raise ConfigError("t_floor must lie in (0, 1)")
-        if self.window % 2 == 0 or self.window < 1:
-            raise ConfigError("window must be odd and positive")
-        if self.warm_start not in WARM_START_MODES:
-            raise ConfigError(
-                f"warm_start must be one of {WARM_START_MODES}, got {self.warm_start!r}"
-            )
-        if self.rtv_sigma <= 0:
-            raise ConfigError("rtv_sigma must be positive")
-        if self.rtv_eps <= 0:
-            raise ConfigError("rtv_eps must be positive")
-        if self.rtv_weight < 0:
-            raise ConfigError("rtv_weight must be nonnegative")
 
 
 def init_illumination(y, cfg):

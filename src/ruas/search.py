@@ -22,51 +22,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tensor, backward
-from .errors import ConfigError, NumericError
+from .config import SearchConfig  # noqa: F401  (ruas.search.SearchConfig)
+from .errors import NumericError
 from .model import SearchModel
 from .scene import scene_loss
-from .search_space import discretize
-
-STRATEGIES = ("cooperative", "independent", "global")
-
-
-@dataclass
-class SearchConfig:
-    beta: float = 1.0
-    lr_omega: float = 3e-4
-    lr_alpha: float = 3e-4
-    fd_step: float = 1e-2
-    epochs: int = 20
-    batch: int = 1
-    strategy: str = "cooperative"
-    inner_steps: int = 1
-    warmup_epochs: int = 3
-    weight_decay: float = 1e-3
-    momentum: float | None = None  # sampled from (0.5, 0.999) when None
-    grad_clip: float = 1.0
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError("beta must be nonnegative")
-        if self.lr_omega < 0 or self.lr_alpha < 0:
-            raise ConfigError("learning rates must be nonnegative")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.inner_steps < 1:
-            raise ConfigError("inner_steps must be >= 1")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive (or None)")
-        if self.batch != 1:
-            raise ConfigError(
-                f"search.batch must be 1, got {self.batch}: search feeds one image"
-                " per step until minibatches land (ROADMAP item 3)"
-            )
+from .search_space import arch_dump, discretize
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +152,12 @@ class SearchResult:
             )
         return "\n".join(lines) + "\n"
 
+    def arch_dot(self):
+        """Both searched cells in Graphviz dot, scene first."""
+        m = self.model
+        scene, task = arch_dump(m.scene_spec, m.alpha_s), arch_dump(m.task_spec, m.alpha_t)
+        return f"# scene cell\n{scene}# task cell\n{task}"
+
 
 @dataclass
 class Phase:
@@ -256,16 +222,10 @@ def _stages(model, cfg, momentum):
 
 def _batches(data, epoch):
     """Pair train and validation records, cycling the shorter list."""
-    n = len(data.train)
-    out = []
-    for i in range(n):
-        tr = data.train[i]
-        va = data.val[(i + epoch) % len(data.val)]
-        out.append((tr, va))
-    return out
+    return [(tr, data.val[(i + epoch) % len(data.val)]) for i, tr in enumerate(data.train)]
 
 
-def run_search(data, cfg, seed, scene_cfg=None):
+def run_search(data, cfg, seed, scene_cfg=None, tv_weight=0.05):
     """Build a fresh supernet and run the configured strategy.
 
     Every phase takes ``cfg.inner_steps`` (alpha, omega) updates per
@@ -274,7 +234,7 @@ def run_search(data, cfg, seed, scene_cfg=None):
     restart at 0 in each stage.
     """
     rng = np.random.default_rng(seed)
-    model = SearchModel(rng, scene_cfg=scene_cfg)
+    model = SearchModel(rng, scene_cfg=scene_cfg, tv_weight=tv_weight)
     momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
     history = []
     for stage_index, stage in enumerate(_stages(model, cfg, momentum)):

@@ -14,8 +14,6 @@ from .autodiff import Parameter, Tensor
 from .errors import ConfigError, ShapeError
 from .search_space import init_conv_weights
 
-VARIANTS = ("ruas_s", "ruas", "ruas_a")
-
 ESTIMATOR_WIDTHS = (3, 6, 6, 6, 6, 3)
 
 

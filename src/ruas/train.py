@@ -13,35 +13,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tensor
-from .errors import ConfigError
-from .scene import scene_loss
+from .config import TrainConfig  # noqa: F401  (ruas.train.TrainConfig)
+from .scene import scene_forward, scene_loss
 from .task import task_loss
-
-STRATEGIES = ("end_to_end", "hierarchical")
-
-
-@dataclass
-class TrainConfig:
-    lambda_weight: float = 1.0
-    strategy: str = "end_to_end"
-    epochs: int = 100
-    lr: float = 3e-4
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
-    pretrain_epochs: int = 30
-    grad_clip: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_weight < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.epochs < 0 or self.pretrain_epochs < 0:
-            raise ConfigError("epoch counts must be nonnegative")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive (or None)")
 
 
 @dataclass
@@ -110,7 +84,7 @@ def train_hierarchical(model, records, cfg):
     scene_curve = []
 
     def scene_only(m, y):
-        _, t, _ = _scene_pass(m, y)
+        _, t, _ = scene_forward(y, m.scene_cfg, m.scene_cell.forward)
         return scene_loss(t, y, m.scene_cfg)
 
     ok = _run_epochs(
@@ -128,12 +102,6 @@ def train_hierarchical(model, records, cfg):
             fine_curve,
         )
     return TrainReport(curves={"scene": scene_curve, "fine": fine_curve}, aborted=not ok)
-
-
-def _scene_pass(model, y):
-    from .scene import scene_forward
-
-    return scene_forward(y, model.scene_cfg, model.scene_cell.forward)
 
 
 def train_noise_estimator(estimator, pairs, epochs=20, lr=3e-3, momentum=0.9):

@@ -4,6 +4,7 @@ silently half-loaded model."""
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,30 @@ def test_out_of_range_rtv_fields_in_header(saved, tmp_path, tiny_dataset, field,
     _, records = tiny_dataset
     argv = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gate_eps", "a"), ("gate_eps", math.nan), ("tv_weight", "x")],
+    ids=["str-gate-eps", "nan-gate-eps", "str-tv-weight"],
+)
+def test_mistyped_task_fields_in_header(tmp_path, tiny_dataset, field, value):
+    """The task fields of a header go through TaskConfig: a mistyped or
+    non-finite value under a recomputed hash fails at load time (exit 3)."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(3), variant="ruas_a"), path)
+    header, blobs = _split(path)
+    header["config"][field] = value
+    text = json.dumps(header["config"], sort_keys=True).encode()
+    header["config_hash"] = hashlib.sha256(text).hexdigest()[:16]
+    _write(path, header, blobs)
+    with pytest.raises(DataIOError, match=f"{field} must be"):
+        load_checkpoint(path)
+    root, records = tiny_dataset
+    enhance = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
+    assert main(enhance + ["--out", str(tmp_path / "enhanced")]) == 3
+    evaluate = ["eval", "--model", str(path), "--data", str(root)]
+    assert main(evaluate + ["--out", str(tmp_path / "eval")]) == 3
 
 
 def test_unreadable_checkpoint(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: pipelines, outputs, and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,7 @@ def test_non_integer_stages_exits_2(tmp_path, tiny_dataset, capsys):
     argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "integer" in capsys.readouterr().err
+    assert not (tmp_path / "run_config.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -108,6 +110,7 @@ def test_mistyped_scene_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
     argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
     assert main(argv) == 2
     assert f"{next(iter(scene))} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run_config.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -122,6 +125,7 @@ def test_out_of_range_rtv_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
     argv = ["train", "--config", str(cfg), "--data", str(root), "--out", str(tmp_path)]
     assert main(argv) == 2
     assert f"{next(iter(scene))} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run_config.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -140,6 +144,51 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
     assert main(argv) == 2
     assert f"{next(iter(search))} must be" in capsys.readouterr().err
     assert not (out / "alpha_final.json").exists()
+    assert not (out / "run_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, doc, needle",
+    [
+        ("train", {"task": {"tv_weight": "x"}}, "tv_weight must be"),
+        ("train", {"train": {"lr": "1e-3"}}, "lr must be"),
+        ("search", {"search": {"beta": "1"}}, "beta must be"),
+        ("search", {"search": {"momentum": "0.9"}}, "momentum must be"),
+        ("train", {"train": {"grad_clip": "1"}}, "grad_clip must be"),
+        ("search", {"search": {"lr_alpha": None}}, "lr_alpha must be"),
+        ("search", {"search": {"epochs": 1.5}}, "epochs must be"),
+        ("train", {"scene": {"rtv_sigma": math.inf}}, "rtv_sigma must be"),
+        ("search", {"search": {"warmup_epochs": 0.5}}, "warmup_epochs must be"),
+        ("train", {"train": {"epochs": True}}, "epochs must be"),
+        ("train", {"train": {"lambda_weight": math.nan}}, "lambda_weight must be"),
+        ("search", {"search": {"batch": 1}}, "'batch'"),
+    ],
+    ids=[
+        "str-tv-weight",
+        "str-lr",
+        "str-beta",
+        "str-momentum",
+        "str-grad-clip",
+        "null-lr-alpha",
+        "float-epochs",
+        "infinite-rtv-sigma",
+        "float-warmup-epochs",
+        "bool-epochs",
+        "nan-lambda",
+        "search-batch",
+    ],
+)
+def test_mistyped_config_values_exit_2_and_write_nothing(
+    tmp_path, tiny_dataset, capsys, command, doc, needle
+):
+    root, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--data", str(root), "--out", str(out)]
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_data_dir_exits_2(tmp_path, fast_config):
@@ -162,6 +211,9 @@ def test_bad_k_list_exits_2(tmp_path, fast_config, tiny_dataset):
         ]
     )
     assert code == 2
+    argv = ["ablate-k", "--config", fast_config, "--data", str(root), "--k-list", "1,a"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    assert not (tmp_path / "a").exists()
 
 
 def test_search_outputs_and_determinism(tmp_path, fast_config, tiny_dataset):
@@ -418,3 +470,28 @@ def test_domain_and_contract_errors_exit_4(tmp_path, monkeypatch, capsys, error)
     monkeypatch.setattr(cli_mod, "cmd_gradcheck", raising)
     assert main(["gradcheck", "--out", str(tmp_path)]) == 4
     assert "boom" in capsys.readouterr().err
+
+
+# at SMOKE's learning rate the TV term moves no PSNR digit that fixed_op.csv keeps
+TV_FIXED_OP = SMOKE | {"train": {"epochs": 1, "pretrain_epochs": 1, "lr": 3e-3}}
+
+
+@pytest.mark.parametrize(
+    "command, config, artifact",
+    [
+        ("search", FAST, "alpha_final.json"),
+        ("fixed-op", TV_FIXED_OP, "fixed_op.csv"),
+    ],
+    ids=["search", "fixed-op"],
+)
+def test_tv_weight_reaches_the_command(tmp_path, tiny_dataset, command, config, artifact):
+    root, _ = tiny_dataset
+    outputs = []
+    for tv_weight in (0.05, 5.0):
+        cfg = tmp_path / f"tv{tv_weight}.json"
+        cfg.write_text(json.dumps(config | {"task": {"tv_weight": tv_weight}}))
+        out = tmp_path / f"out{tv_weight}"
+        argv = [command, "--config", str(cfg), "--data", str(root), "--out", str(out)]
+        assert main(argv + ["--seed", "1"]) == 0
+        outputs.append((out / artifact).read_text())
+    assert outputs[0] != outputs[1]

@@ -112,14 +112,6 @@ def test_search_config_validation():
             SearchConfig(fd_step=step)
 
 
-@pytest.mark.parametrize("batch", [0, 2, 8])
-def test_search_batch_other_than_one_is_rejected(batch):
-    # minibatches are not wired through search yet; a silent no-op would lie
-    with pytest.raises(ConfigError, match="ROADMAP item 3"):
-        SearchConfig(batch=batch)
-    assert SearchConfig(batch=1).batch == 1
-
-
 def small_split(records):
     return split_records(records[:4], val_fraction=0.25)
 
