@@ -2,11 +2,15 @@
 
 Tensors record the primitives applied to them; ``backward`` on a scalar
 loss replays the tape in reverse topological order, accumulating adjoints
-additively at fan-in nodes.  Only the primitives needed by the unrolled
-enhancement models live here: convolution (plain and dilated, stride 1,
-"same" zero padding), depthwise 1-D correlation with a fixed kernel,
-elementwise arithmetic, sliding spatial max, softmax, reductions, and a
-momentum-SGD optimizer.
+additively at fan-in nodes.  ``backward(loss, wrt=params)`` differentiates
+only into ``params``: every tape node that no requested tensor reaches reads
+as a constant for that pass, so the gradients nothing requested depends on
+(a conv weight gradient, say) are never computed.
+
+Only the primitives needed by the unrolled enhancement models live here:
+convolution (plain and dilated, stride 1, "same" zero padding), depthwise
+1-D correlation with a fixed kernel, elementwise arithmetic, sliding spatial
+max, softmax, reductions, and a momentum-SGD optimizer.
 """
 
 from __future__ import annotations
@@ -402,12 +406,16 @@ def _columns(xd, k, dilation):
     r = dilation * (k - 1) // 2
     xp = np.zeros((n, c, h + 2 * r, w + 2 * r))
     xp[:, :, r : r + h, r : r + w] = xd
-    cols = np.empty((n, c, k, k, h, w))
-    for i in range(k):
-        for j in range(k):
-            di, dj = i * dilation, j * dilation
-            cols[:, :, i, j] = xp[:, :, di : di + h, dj : dj + w]
-    return cols.reshape(n, c * k * k, h * w)
+    # a read-only view whose (i, j) slab is the padded input shifted by
+    # (i, j) * dilation; the reshape is the one copy
+    sn, sc, sh, sw = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c, k, k, h, w),
+        strides=(sn, sc, sh * dilation, sw * dilation, sh, sw),
+        writeable=False,
+    )
+    return view.reshape(n, c * k * k, h * w)
 
 
 def _raw_conv(xd, wd, dilation):
@@ -504,10 +512,16 @@ def reduce(op, a):
 # backward pass
 
 
-def backward(loss):
+def backward(loss, wrt=None):
     """Populate adjoints of every requires_grad ancestor of a scalar loss.
 
-    Repeated calls without clearing gradients accumulate additively.
+    With ``wrt`` (an iterable of tensors), only those leaves receive a
+    ``.grad``: a node on no path from a ``wrt`` tensor to the loss reads as a
+    constant for this pass, so the primitives skip the gradients no requested
+    leaf depends on, such as the weight gradient of a convolution whose
+    weight is not requested.  The values that are computed are the ones a
+    full pass computes.  Repeated calls without clearing gradients
+    accumulate additively.
     """
     if loss.data.ndim != 0:
         raise ContractError(
@@ -531,29 +545,47 @@ def backward(loss):
         for p in node._parents:
             stack.append((p, False))
 
-    # adjoints of interior nodes live in a per-pass map; only leaves
-    # (tensors created by the user) accumulate into .grad
-    adjoint = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(topo):
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = np.array(g, copy=True) if node.grad is None else node.grad + g
-            continue
-        for parent, contrib in node._backward(g):
-            if not parent.requires_grad:
-                continue
-            if parent._backward is None:
-                parent.grad = (
-                    np.array(contrib, copy=True)
-                    if parent.grad is None
-                    else parent.grad + contrib
-                )
-            elif id(parent) in adjoint:
-                adjoint[id(parent)] = adjoint[id(parent)] + contrib
+    # parents come before their children in topo, so one forward walk marks
+    # every node that a requested tensor reaches; the rest are constants
+    constants = []
+    if wrt is not None:
+        marked = {id(t) for t in wrt}
+        for node in topo:
+            if id(node) in marked or any(id(p) in marked for p in node._parents):
+                marked.add(id(node))
             else:
-                adjoint[id(parent)] = np.asarray(contrib, dtype=np.float64)
+                constants.append(node)
+        if id(loss) not in marked:
+            return
+    for node in constants:
+        node.requires_grad = False
+    try:
+        # adjoints of interior nodes live in a per-pass map; only leaves
+        # (tensors created by the user) accumulate into .grad
+        adjoint = {id(loss): np.ones((), dtype=np.float64)}
+        for node in reversed(topo):
+            g = adjoint.pop(id(node), None)
+            if g is None:
+                continue
+            if node._backward is None:
+                node.grad = np.array(g, copy=True) if node.grad is None else node.grad + g
+                continue
+            for parent, contrib in node._backward(g):
+                if not parent.requires_grad:
+                    continue
+                if parent._backward is None:
+                    parent.grad = (
+                        np.array(contrib, copy=True)
+                        if parent.grad is None
+                        else parent.grad + contrib
+                    )
+                elif id(parent) in adjoint:
+                    adjoint[id(parent)] = adjoint[id(parent)] + contrib
+                else:
+                    adjoint[id(parent)] = np.asarray(contrib, dtype=np.float64)
+    finally:
+        for node in constants:
+            node.requires_grad = True
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +650,7 @@ class SGD:
         only.
         """
         self.zero_grad()
-        backward(loss)
+        backward(loss, wrt=self.params)
         for p in self.params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)

@@ -57,7 +57,7 @@ def _load_config(path):
 
 
 def _records_from(cfg, data_flag, need_reference=False):
-    data_dir = data_flag or cfg.sections["paths"]["data_dir"]
+    data_dir = data_flag or cfg.paths_config().data_dir
     if not data_dir:
         raise ConfigError("no data directory given (--data or paths.data_dir)")
     records = load_dataset(data_dir)
@@ -66,10 +66,13 @@ def _records_from(cfg, data_flag, need_reference=False):
     return records
 
 
-def _start_run(args, need_reference=False):
+def _start_run(args, need_reference=False, strategy_section=None):
     """Config, seed, records and output directory of a run; the effective
-    config is echoed only after all of them were accepted."""
+    config, with ``--strategy`` applied to ``strategy_section``, is echoed
+    only after all of them were accepted."""
     cfg = _load_config(args.config)
+    if strategy_section is not None:
+        cfg.set_strategy(strategy_section, args.strategy)
     seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
     records = _records_from(cfg, args.data, need_reference)
     cfg.echo(args.out, seed)
@@ -109,10 +112,10 @@ def _model_from_config(cfg, rng, arch_path=None):
 
 
 def cmd_search(args):
-    cfg, seed, records, out = _start_run(args)
+    cfg, seed, records, out = _start_run(args, strategy_section="search")
     rng = np.random.default_rng(seed)
     data = split_records(records, rng=rng)
-    scfg = cfg.search_config(strategy=args.strategy)
+    scfg = cfg.search_config()
     result = run_search(data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight)
 
     (out / "history.csv").write_text(result.history_csv())
@@ -135,10 +138,10 @@ def cmd_search(args):
 
 
 def cmd_train(args):
-    cfg, seed, records, out = _start_run(args)
+    cfg, seed, records, out = _start_run(args, strategy_section="train")
     rng = np.random.default_rng(seed)
     model = _model_from_config(cfg, rng, arch_path=args.arch)
-    tcfg = cfg.train_config(strategy=args.strategy)
+    tcfg = cfg.train_config()
     if tcfg.strategy == "hierarchical":
         report = train_hierarchical(model, records, tcfg)
     else:

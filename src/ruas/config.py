@@ -2,9 +2,9 @@
 and task options plus paths and seed.  Unknown keys are rejected; the
 effective (post-default) config is echoed into every output directory.
 
-Every section but ``paths`` is a dataclass below.  ``check_fields`` checks
-each field against its annotation and against the class's ``_LIMITS``
-table: an interval in ``(lo, hi]`` notation or a tuple of choices.
+Every section is a dataclass below.  ``check_fields`` checks each field
+against its annotation and against the class's ``_LIMITS`` table: an
+interval in ``(lo, hi]`` notation or a tuple of choices.
 """
 
 from __future__ import annotations
@@ -179,16 +179,26 @@ class TaskConfig:
         check_fields(self)
 
 
-SECTIONS = dict(scene=SceneConfig, search=SearchConfig, train=TrainConfig, task=TaskConfig)
+@dataclass(frozen=True)
+class PathsConfig:
+    data_dir: str | None = None  # the --data flag takes precedence
+    out_dir: str = "out"
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+SECTIONS = dict(
+    scene=SceneConfig, search=SearchConfig, train=TrainConfig, task=TaskConfig,
+    paths=PathsConfig,
+)
 _SECTION_DEFAULTS = {name: asdict(cls()) for name, cls in SECTIONS.items()}
-_SECTION_DEFAULTS["paths"] = {"data_dir": None, "out_dir": "out"}
 
 DEFAULT_SEED = 42
 
 
 class RunConfig:
-    """The parsed document; every dataclass section is built, and so
-    checked, here."""
+    """The parsed document; every section is built, and so checked, here."""
 
     def __init__(self, doc=None):
         doc = dict(doc or {})
@@ -206,8 +216,7 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
             self.sections[name] = defaults | given
-            if name in SECTIONS:
-                self.configs[name] = SECTIONS[name](**self.sections[name])
+            self.configs[name] = SECTIONS[name](**self.sections[name])
 
     @classmethod
     def load(cls, path):
@@ -225,6 +234,9 @@ class RunConfig:
     def task_config(self):
         return self.configs["task"]
 
+    def paths_config(self):
+        return self.configs["paths"]
+
     def search_config(self, strategy=None):
         return self._with_strategy(self.configs["search"], strategy)
 
@@ -235,6 +247,13 @@ class RunConfig:
     def _with_strategy(cfg, strategy):
         return cfg if strategy is None else dataclasses.replace(cfg, strategy=strategy)
 
+    def set_strategy(self, section, strategy):
+        """Make a command-line strategy (None: keep the config's) the
+        ``section``'s own, so that the echoed config describes the run."""
+        if strategy is not None:
+            self.sections[section] = self.sections[section] | {"strategy": strategy}
+            self.configs[section] = SECTIONS[section](**self.sections[section])
+
     def echo(self, out_dir, seed):
         """Write the effective (post-default) config as run_config.json."""
         out_dir = Path(out_dir)
@@ -244,11 +263,20 @@ class RunConfig:
 
 
 def resolve_seed(flag_seed, env_seed, config_seed):
-    """Precedence: --seed flag, then RUAS_SEED, then config, then 42."""
+    """Precedence: --seed flag, then RUAS_SEED, then config, then 42.
+
+    A seed is a nonnegative integer or, as RUAS_SEED gives it, the decimal
+    string of one; a bool or a float (``true``, ``1.5``) is rejected rather
+    than truncated.
+    """
     for value in (flag_seed, env_seed, config_seed):
-        if value is not None:
-            try:
-                return int(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"seed must be an integer, got {value!r}") from exc
+        if value is None:
+            continue
+        try:
+            seed = int(value) if isinstance(value, str) else value
+        except ValueError:
+            seed = None
+        if not _is(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {value!r}")
+        return int(seed)
     return DEFAULT_SEED

@@ -33,12 +33,12 @@ from .search_space import arch_dump, discretize
 # one-step finite-difference hypergradient
 
 
-def _zero(params):
+def _grads(loss, params):
+    """Gradient of ``loss`` w.r.t. ``params`` alone, one array per parameter
+    (zeros off the gradient path); no other leaf is differentiated."""
     for p in params:
         p.grad = None
-
-
-def _grads_of(params):
+    backward(loss, wrt=params)
     return [
         np.zeros_like(p.data) if p.grad is None else np.array(p.grad, copy=True)
         for p in params
@@ -57,20 +57,22 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
     The second-order term is approximated by central finite differences of
     grad_alpha L_tr at omega +/- eps * grad_omega' L_val, with eps set to
     fd_step / ||grad_omega' L_val||.  Returns one array per alpha parameter.
+
+    Each backward pass differentiates only what it reads: the inner training
+    gradient only omega, the validation pass at the virtual step alpha and
+    omega, and the two probes (and the direct gradient when lr_omega is 0)
+    only alpha.  Any other parameter the losses reach, such as the task
+    cell behind the scene phase's coupling term, is a constant to them.
     """
-    everything = list(alphas) + list(omegas)
+    alphas, omegas = list(alphas), list(omegas)
 
     if lr_omega == 0.0:
-        _zero(everything)
-        backward(loss_val_fn())
-        g = _grads_of(alphas)
+        g = _grads(loss_val_fn(), alphas)
         _check_finite(g, "direct validation gradient")
         return g
 
     # gradient of the training loss at the current weights
-    _zero(everything)
-    backward(loss_tr_fn())
-    g_tr = _grads_of(omegas)
+    g_tr = _grads(loss_tr_fn(), omegas)
     _check_finite(g_tr, "inner training gradient")
 
     saved = [w.data.copy() for w in omegas]
@@ -78,11 +80,9 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
         # virtual inner step, then validation gradients at the stepped weights
         for w, g in zip(omegas, g_tr):
             w.data = w.data - lr_omega * g
-        _zero(everything)
-        backward(loss_val_fn())
-        g_val_alpha = _grads_of(alphas)
-        g_val_omega = _grads_of(omegas)
-        _check_finite(g_val_alpha + g_val_omega, "validation gradient at virtual step")
+        g_val = _grads(loss_val_fn(), alphas + omegas)
+        g_val_alpha, g_val_omega = g_val[: len(alphas)], g_val[len(alphas) :]
+        _check_finite(g_val, "validation gradient at virtual step")
 
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in g_val_omega))
         if norm < 1e-12:
@@ -91,15 +91,11 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
 
         for w, s, g in zip(omegas, saved, g_val_omega):
             w.data = s + eps * g
-        _zero(everything)
-        backward(loss_tr_fn())
-        ga_plus = _grads_of(alphas)
+        ga_plus = _grads(loss_tr_fn(), alphas)
 
         for w, s, g in zip(omegas, saved, g_val_omega):
             w.data = s - eps * g
-        _zero(everything)
-        backward(loss_tr_fn())
-        ga_minus = _grads_of(alphas)
+        ga_minus = _grads(loss_tr_fn(), alphas)
         _check_finite(ga_plus + ga_minus, "finite-difference probe")
     finally:
         for w, s in zip(omegas, saved):

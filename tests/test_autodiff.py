@@ -386,6 +386,62 @@ def test_no_grad_skips_tape(rng):
     assert y.requires_grad  # tape resumes outside the block
 
 
+def test_backward_wrt_differentiates_only_the_requested_leaves(rng, monkeypatch):
+    x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+    w = Parameter(rng.normal(size=(3, 2, 3, 3)), "w")
+    b = Parameter(rng.normal(size=(1, 3, 1, 1)), "b")
+
+    def loss():
+        return ad.reduce_sum(ad.mul(ad.relu(ad.conv2d(x, w)), ad.mul(b, b)))
+
+    backward(loss())
+    want = x.grad
+    x.grad = w.grad = b.grad = None
+
+    wgrads = []
+    raw = ad._raw_conv_wgrad
+    monkeypatch.setattr(ad, "_raw_conv_wgrad", lambda *a: wgrads.append(1) or raw(*a))
+    backward(loss(), wrt=[x])
+    assert np.array_equal(x.grad, want)
+    assert w.grad is None and b.grad is None
+    assert wgrads == []
+
+    backward(loss(), wrt=[w])
+    assert w.grad is not None and len(wgrads) == 1
+
+
+def test_backward_wrt_unreached_leaf_is_a_no_op(rng):
+    x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    other = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    backward(ad.reduce_l2sq(x), wrt=[other])
+    assert x.grad is None and other.grad is None
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_backward_wrt_restores_requires_grad(rng, fails):
+    a = Parameter(rng.normal(size=(3,)), "a")
+    b = Parameter(rng.normal(size=(3,)), "b")
+    const_side = ad.relu(b)  # reached by b alone: a constant when only a is requested
+    prod = ad.mul(a, const_side)
+
+    def bw(g):
+        if fails:
+            raise NumericError("backward failed")
+        yield prod, np.full(prod.data.shape, float(g))
+
+    loss = ad._make(prod.data.sum(), (prod,), bw)
+    nodes = [a, b, const_side, prod, loss]
+    assert all(t.requires_grad for t in nodes)
+    if fails:
+        with pytest.raises(NumericError):
+            backward(loss, wrt=[a])
+    else:
+        backward(loss, wrt=[a])
+        np.testing.assert_array_equal(a.grad, const_side.data)
+        assert b.grad is None
+    assert all(t.requires_grad for t in nodes)
+
+
 def test_clamp_gradient_dead_outside_interval():
     x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
     backward(ad.reduce_sum(ad.clamp(x, 0.0, 1.0)))

@@ -162,6 +162,9 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         ("train", {"train": {"epochs": True}}, "epochs must be"),
         ("train", {"train": {"lambda_weight": math.nan}}, "lambda_weight must be"),
         ("search", {"search": {"batch": 1}}, "'batch'"),
+        ("train", {"paths": {"data_dir": 5}}, "data_dir must be"),
+        ("search", {"seed": 1.5}, "seed must be"),
+        ("train", {"seed": True}, "seed must be"),
     ],
     ids=[
         "str-tv-weight",
@@ -176,6 +179,9 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         "bool-epochs",
         "nan-lambda",
         "search-batch",
+        "int-data-dir",
+        "float-seed",
+        "bool-seed",
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(
@@ -242,6 +248,17 @@ def test_search_outputs_and_determinism(tmp_path, fast_config, tiny_dataset):
     alpha = json.loads(outs[0])
     assert len(alpha["scene"]["ops"]) == 7
     assert alpha["strategy"] == "cooperative"
+
+
+@pytest.mark.parametrize(
+    "command, strategy", [("search", "global"), ("train", "hierarchical")]
+)
+def test_strategy_flag_is_echoed(tmp_path, fast_config, tiny_dataset, command, strategy):
+    root, _ = tiny_dataset
+    argv = [command, "--config", fast_config, "--data", str(root), "--out", str(tmp_path)]
+    assert main(argv + ["--strategy", strategy]) == 0
+    echoed = json.loads((tmp_path / "run_config.json").read_text())
+    assert echoed[command]["strategy"] == strategy
 
 
 def test_train_enhance_eval_pipeline(tmp_path, fast_config, tiny_dataset):

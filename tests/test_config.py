@@ -12,6 +12,7 @@ from dataclasses import asdict
 from ruas.config import (
     DEFAULT_SEED,
     SECTIONS,
+    PathsConfig,
     RunConfig,
     TaskConfig,
     resolve_seed,
@@ -88,6 +89,10 @@ def test_seed_precedence():
     assert resolve_seed(None, "2", 3) == 2
     assert resolve_seed(None, None, 3) == 3
     assert resolve_seed(None, None, None) == DEFAULT_SEED
+    assert resolve_seed(None, None, 0) == 0
+    for bad in ("twelve", "1.5", 1.5, 2.0, True, False, -1, "-1", [3]):
+        with pytest.raises(ConfigError, match="seed must be"):
+            resolve_seed(None, None, bad)
     with pytest.raises(ConfigError):
         resolve_seed(None, "twelve", None)
 
@@ -100,6 +105,7 @@ def test_section_classes_resolve_from_their_modules():
         "search": SearchConfig,
         "train": TrainConfig,
         "task": TaskConfig,
+        "paths": PathsConfig,
     }
 
 
@@ -111,6 +117,7 @@ WRONG = {
     float: ["1", "0.5", True, None, [1.0]] + NON_FINITE,
     float | None: ["1", False, [1.0]] + NON_FINITE,
     str: [1, True, None, ["ruas"]],
+    str | None: [5, False, 1.5, ["data"]],
     list[str] | None: ["3-C", [1], ["3-C", None], {"3-C": 1}],
 }
 FIELDS = [

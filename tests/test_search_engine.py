@@ -215,6 +215,33 @@ def test_frozen_scene_task_grads_equal_full_tape(tiny_dataset):
     assert all(p.grad is None for p in scene_params)
 
 
+def test_alpha_only_pass_matches_full_pass_and_skips_weight_gradients(
+    tiny_dataset, monkeypatch
+):
+    _, records = tiny_dataset
+    model = SearchModel(np.random.default_rng(11))
+    y = Tensor(records[0].input())
+    alphas = model.alpha_s.parameters() + model.alpha_t.parameters()
+    omegas = model.omega_s() + model.omega_t()
+
+    def loss():
+        return ad.add(model.scene_loss(y), model.task_loss(y))
+
+    ad.backward(loss())
+    want = [np.array(a.grad, copy=True) for a in alphas]
+    for p in alphas + omegas:
+        p.grad = None
+
+    wgrads = []
+    raw = ad._raw_conv_wgrad
+    monkeypatch.setattr(ad, "_raw_conv_wgrad", lambda *a: wgrads.append(1) or raw(*a))
+    ad.backward(loss(), wrt=alphas)
+    for a, g in zip(alphas, want):
+        assert np.array_equal(a.grad, g), a.name
+    assert [w.name for w in omegas if w.grad is not None] == []
+    assert wgrads == []
+
+
 def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatch):
     """In a cooperative run the task phase calls ``scene_out`` once for each
     image of a (train, val) pair, never inside its losses, and none of its
@@ -261,12 +288,12 @@ def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatc
 
     backward = ad.backward
 
-    def checking_backward(loss):
+    def checking_backward(loss, wrt=None):
         if loss is not last_task_loss[0]:
-            return backward(loss)
+            return backward(loss, wrt)
         for p in scene_params:
             p.grad = None
-        backward(loss)
+        backward(loss, wrt)
         seen["task_backward"] += 1
         seen["leaked"] += [p.name for p in scene_params if p.grad is not None]
 
