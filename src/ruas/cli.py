@@ -29,23 +29,10 @@ from .errors import (
     RuasError,
 )
 from .io_metrics import load_dataset, load_png, save_png, split_records
-from .model import (
-    DEFAULT_SCENE_OPS,
-    DEFAULT_TASK_OPS,
-    RuasModel,
-    SearchModel,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import RuasModel, SearchModel, load_checkpoint, save_checkpoint
 from .search import run_search
 from .search_space import SEARCH_OPS, cell_flops, count_params
-from .train import (
-    _run_epochs,
-    evaluate,
-    metrics_csv,
-    train_end_to_end,
-    train_hierarchical,
-)
+from .train import evaluate, metrics_csv, pretrain_scene, train_hierarchical, train_model
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -54,6 +41,11 @@ EXIT_NUMERIC = 4
 
 def _load_config(path):
     return RunConfig.load(path) if path else RunConfig()
+
+
+def _out_dir(args, cfg):
+    """``--out`` if given, else the config's ``paths.out_dir``."""
+    return Path(args.out if args.out is not None else cfg.paths_config().out_dir)
 
 
 def _records_from(cfg, data_flag, need_reference=False):
@@ -75,14 +67,13 @@ def _start_run(args, need_reference=False, strategy_section=None):
         cfg.set_strategy(strategy_section, args.strategy)
     seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
     records = _records_from(cfg, args.data, need_reference)
-    cfg.echo(args.out, seed)
-    return cfg, seed, records, Path(args.out)
+    out = _out_dir(args, cfg)
+    cfg.echo(out, seed)
+    return cfg, seed, records, out
 
 
-def _model_from_config(cfg, rng, arch_path=None):
+def _model_from_config(cfg, rng, arch_path=None, stages=None):
     task = cfg.task_config()
-    scene_ops = task.scene_ops or list(DEFAULT_SCENE_OPS)
-    task_ops = task.task_ops or list(DEFAULT_TASK_OPS)
     if arch_path:
         try:
             raw = Path(arch_path).read_bytes()
@@ -96,15 +87,18 @@ def _model_from_config(cfg, rng, arch_path=None):
                 f"architecture file {arch_path} must be JSON with scene.ops and"
                 f" task.ops lists: {exc!r}"
             ) from exc
-    return RuasModel(
-        rng,
-        variant=task.variant,
-        scene_cfg=cfg.scene_config(),
-        scene_ops=scene_ops,
-        task_ops=task_ops,
-        gate_eps=task.gate_eps,
-        tv_weight=task.tv_weight,
-    )
+        task = dataclasses.replace(task, scene_ops=scene_ops, task_ops=task_ops)
+    scene_cfg = cfg.scene_config()
+    if stages is not None:
+        scene_cfg = dataclasses.replace(scene_cfg, stages=stages)
+    return RuasModel.from_config(rng, task, scene_cfg)
+
+
+def _search(cfg, records, seed, strategy=None):
+    """A search with the config's (or ``strategy``'s) settings on a seeded split."""
+    data = split_records(records, rng=np.random.default_rng(seed))
+    scfg = cfg.search_config(strategy=strategy)
+    return run_search(data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +107,7 @@ def _model_from_config(cfg, rng, arch_path=None):
 
 def cmd_search(args):
     cfg, seed, records, out = _start_run(args, strategy_section="search")
-    rng = np.random.default_rng(seed)
-    data = split_records(records, rng=rng)
-    scfg = cfg.search_config()
-    result = run_search(data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight)
+    result = _search(cfg, records, seed)
 
     (out / "history.csv").write_text(result.history_csv())
     alpha = {
@@ -130,7 +121,7 @@ def cmd_search(args):
         },
         "momentum": result.momentum,
         "seed": seed,
-        "strategy": scfg.strategy,
+        "strategy": cfg.search_config().strategy,
     }
     (out / "alpha_final.json").write_text(json.dumps(alpha, indent=2) + "\n")
     (out / "arch.dot").write_text(result.arch_dot())
@@ -141,11 +132,7 @@ def cmd_train(args):
     cfg, seed, records, out = _start_run(args, strategy_section="train")
     rng = np.random.default_rng(seed)
     model = _model_from_config(cfg, rng, arch_path=args.arch)
-    tcfg = cfg.train_config()
-    if tcfg.strategy == "hierarchical":
-        report = train_hierarchical(model, records, tcfg)
-    else:
-        report = train_end_to_end(model, records, tcfg)
+    report = train_model(model, records, cfg.train_config())
     save_checkpoint(model, out / "model.ckpt")
     _write_curves(report, out / "curve.csv")
     if report.aborted:
@@ -161,33 +148,16 @@ def _write_curves(report, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _switch_variant(model, variant):
-    if variant is None or variant == model.variant:
-        return model
-    needs_removal = variant in ("ruas", "ruas_a")
-    needs_estimator = variant == "ruas_a"
-    if (needs_removal and model.task_cell is None) or (
-        needs_estimator and model.estimator is None
-    ):
-        want = RuasModel(
-            np.random.default_rng(0),
-            variant=variant,
-            scene_cfg=model.scene_cfg,
-            scene_ops=model.scene_ops,
-            task_ops=model.task_ops,
-            gate_eps=model.gate_eps,
-            tv_weight=model.tv_weight,
+def _raise_if_aborted(rows):
+    if rows:
+        raise NumericError(
+            f"training aborted on non-finite loss for {', '.join(rows)}; their rows"
+            " score the last-good weights"
         )
-        raise ConfigError(
-            f"checkpoint (hash {model.config_hash()}) lacks modules for variant "
-            f"{variant!r} (requested hash {want.config_hash()})"
-        )
-    model.variant = variant
-    return model
 
 
 def cmd_enhance(args):
-    model = _switch_variant(load_checkpoint(args.model), args.variant)
+    model = load_checkpoint(args.model).set_variant(args.variant)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     in_path = Path(args.input)
@@ -214,17 +184,17 @@ def cmd_enhance(args):
 
 def cmd_eval(args):
     cfg = _load_config(args.config)
-    model = _switch_variant(load_checkpoint(args.model), args.variant)
+    model = load_checkpoint(args.model).set_variant(args.variant)
     records = _records_from(cfg, args.data)
     rows, means = evaluate(model, records)
-    out = Path(args.out)
+    out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(metrics_csv(rows, means))
     return 0
 
 
 def cmd_gradcheck(args):
-    checks = run_all(seed=args.seed if args.seed is not None else 7)
+    checks = run_all(seed=resolve_seed(args.seed, None, 7))
     worst = max(err for _, err in checks)
     if args.out:
         out = Path(args.out)
@@ -247,37 +217,26 @@ def cmd_ablate_k(args):
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError(f"invalid k-list {args.k_list!r}")
     cfg, seed, records, out = _start_run(args, need_reference=True)
-    tcfg = cfg.train_config()
-    lines = ["k,psnr_db,ssim"]
+    lines, aborted = ["k,psnr_db,ssim"], []
     for k in k_list:
-        model = _model_from_config(cfg, np.random.default_rng(seed))
-        model.scene_cfg = dataclasses.replace(cfg.scene_config(), stages=k)
-        if tcfg.strategy == "hierarchical":
-            train_hierarchical(model, records, tcfg)
-        else:
-            train_end_to_end(model, records, tcfg)
+        model = _model_from_config(cfg, np.random.default_rng(seed), stages=k)
+        if train_model(model, records, cfg.train_config()).aborted:
+            aborted.append(f"k={k}")
         _, means = evaluate(model, records)
         lines.append(f"{k},{means['psnr']:.4f},{means['ssim']:.6f}")
     (out / "ablation.csv").write_text("\n".join(lines) + "\n")
+    _raise_if_aborted(aborted)
     return 0
 
 
 def cmd_compare_strategies(args):
     cfg, seed, records, out = _start_run(args)
     lines = ["strategy,scene_val,task_val,combined,scene_params,task_params"]
-    results = {}
     for strategy in ("global", "independent", "cooperative"):
-        rng = np.random.default_rng(seed)
-        data = split_records(records, rng=rng)
-        scfg = cfg.search_config(strategy=strategy)
-        result = run_search(
-            data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight
-        )
-        results[strategy] = result
+        result = _search(cfg, records, seed, strategy)
         final = result.history[-1]
-        rng2 = np.random.default_rng(seed)
         derived = RuasModel(
-            rng2,
+            np.random.default_rng(seed),
             variant="ruas",
             scene_cfg=cfg.scene_config(),
             scene_ops=[k.name for k in result.scene_ops],
@@ -300,7 +259,7 @@ def cmd_fixed_op(args):
     tcfg = cfg.train_config()
     tv_weight = cfg.task_config().tv_weight
     h, w = records[0].input().shape[2:]
-    lines = ["model,psnr_db,ssim,params,mult_adds"]
+    lines, aborted = ["model,psnr_db,ssim,params,mult_adds"], []
     for kind in SEARCH_OPS:
         rng = np.random.default_rng(seed)
         model = RuasModel(
@@ -310,7 +269,8 @@ def cmd_fixed_op(args):
             scene_ops=[kind.name] * 7,
             tv_weight=tv_weight,
         )
-        train_hierarchical(model, records, tcfg)
+        if train_hierarchical(model, records, tcfg).aborted:
+            aborted.append(kind.name)
         _, means = evaluate(model, records)
         lines.append(
             f"{kind.name},{means['psnr']:.4f},{means['ssim']:.6f},"
@@ -319,33 +279,18 @@ def cmd_fixed_op(args):
     # supernet row: the mixed scene cell at its current (uniform-ish) logits
     rng = np.random.default_rng(seed)
     supernet = SearchModel(rng, scene_cfg=cfg.scene_config(), tv_weight=tv_weight)
-    epochs = max(tcfg.pretrain_epochs, 1)
-    _run_epochs(
-        supernet, supernet.omega_s(), records, SearchModel.scene_loss, tcfg, epochs, []
-    )
-    rows = _evaluate_supernet_scene(supernet, records)
+    scene_cfg = dataclasses.replace(tcfg, pretrain_epochs=max(tcfg.pretrain_epochs, 1))
+    if pretrain_scene(supernet, records, scene_cfg).aborted:
+        aborted.append("supernet")
+    _, means = evaluate(supernet, records)
     sup_params = count_params(supernet.omega_s())
     sup_flops = supernet.scene_cfg.stages * cell_flops(supernet.scene_cell, h, w)
     lines.append(
-        f"supernet,{rows['psnr']:.4f},{rows['ssim']:.6f},{sup_params},{sup_flops}"
+        f"supernet,{means['psnr']:.4f},{means['ssim']:.6f},{sup_params},{sup_flops}"
     )
     (out / "fixed_op.csv").write_text("\n".join(lines) + "\n")
+    _raise_if_aborted(aborted)
     return 0
-
-
-def _evaluate_supernet_scene(supernet, records):
-    from .io_metrics import psnr, ssim
-
-    ps, ss = [], []
-    for rec in records:
-        y = Tensor(rec.input())
-        with ad.no_grad():
-            u, _, _ = supernet.scene_out(y)
-        x = np.clip(u.data, 0, 1)
-        ref = rec.reference()
-        ps.append(psnr(x, ref))
-        ss.append(ssim(x, ref))
-    return {"psnr": float(np.mean(ps)), "ssim": float(np.mean(ss))}
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +305,7 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", help="output directory (default: paths.out_dir)")
         p.add_argument("--data", help="dataset directory (input/ + reference/)")
 
     p = sub.add_parser("search", help="run architecture search")

@@ -63,6 +63,10 @@ class SearchModel:
         cell_fn = lambda t: self.scene_cell.forward(t, self.alpha_s)
         return scene_forward(y, self.scene_cfg, cell_fn)
 
+    def enhance(self, y):
+        """The scene output clamped to [0, 1]: the supernet counterpart of ruas_s."""
+        return ad.clamp(self.scene_out(y)[0], 0.0, 1.0)
+
     def task_out(self, u):
         theta = Tensor(np.zeros_like(u.data))
         cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
@@ -127,6 +131,20 @@ class RuasModel:
         if variant == "ruas_a":
             self.estimator = NoiseEstimator(rng, name="tm.psi_e")
 
+    @classmethod
+    def from_config(cls, rng, task, scene_cfg):
+        """The model a TaskConfig describes; null or empty op lists take the
+        default cells."""
+        return cls(
+            rng,
+            variant=task.variant,
+            scene_cfg=scene_cfg,
+            scene_ops=task.scene_ops or DEFAULT_SCENE_OPS,
+            task_ops=task.task_ops or DEFAULT_TASK_OPS,
+            gate_eps=task.gate_eps,
+            tv_weight=task.tv_weight,
+        )
+
     # ------------------------------------------------------------------
     def omega_s(self):
         return self.scene_cell.parameters()
@@ -142,9 +160,27 @@ class RuasModel:
     def parameters(self):
         return self.omega_s() + self.omega_t()
 
+    def set_variant(self, variant):
+        """Run as ``variant`` (None: keep the current one) from now on; a
+        variant can drop the modules this model has but not add any."""
+        if variant is None or variant == self.variant:
+            return self
+        if (variant != "ruas_s" and self.task_cell is None) or (
+            variant == "ruas_a" and self.estimator is None
+        ):
+            raise ConfigError(
+                f"model (hash {self.config_hash()}, variant {self.variant!r}) "
+                f"lacks modules for variant {variant!r}"
+            )
+        self.variant = variant
+        return self
+
+    def scene_out(self, y):
+        return scene_forward(y, self.scene_cfg, self.scene_cell.forward)
+
     def forward(self, y):
         """Full pipeline; returns a dict with every intermediate of interest."""
-        u, t, trajectory = scene_forward(y, self.scene_cfg, self.scene_cell.forward)
+        u, t, trajectory = self.scene_out(y)
         out = {
             "u": u,
             "t": t,
@@ -253,14 +289,8 @@ def load_checkpoint(path):
         header = json.loads(blob[start:end].decode())
         cfg = header["config"]
         task = TaskConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TaskConfig)})
-        model = RuasModel(
-            np.random.default_rng(0),
-            variant=task.variant,
-            scene_cfg=SceneConfig(**cfg["scene_cfg"]),
-            scene_ops=task.scene_ops,
-            task_ops=task.task_ops,
-            gate_eps=task.gate_eps,
-            tv_weight=task.tv_weight,
+        model = RuasModel.from_config(
+            np.random.default_rng(0), task, SceneConfig(**cfg["scene_cfg"])
         )
         if model.config_hash() != header["config_hash"]:
             raise DataIOError(f"checkpoint config hash mismatch in {path}")

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SGD, Tensor
 from .config import TrainConfig  # noqa: F401  (ruas.train.TrainConfig)
-from .scene import scene_forward, scene_loss
+from .scene import scene_loss
 from .task import task_loss
 
 
@@ -79,20 +79,28 @@ def train_end_to_end(model, records, cfg):
     return TrainReport(curves={"joint": curve}, aborted=not ok)
 
 
+def _scene_only(model, y):
+    _, t, _ = model.scene_out(y)
+    return scene_loss(t, y, model.scene_cfg)
+
+
+def pretrain_scene(model, records, cfg):
+    """Unsupervised scene pre-training: ``cfg.pretrain_epochs`` sweeps over
+    the scene cell's weights alone, on the scene loss of ``model.scene_out``
+    (a RuasModel or the SearchModel supernet)."""
+    curve = []
+    ok = _run_epochs(
+        model, model.omega_s(), records, _scene_only, cfg, cfg.pretrain_epochs, curve
+    )
+    return TrainReport(curves={"scene": curve}, aborted=not ok)
+
+
 def train_hierarchical(model, records, cfg):
     """Scene pre-training on the unsupervised loss, then task fine-tuning."""
-    scene_curve = []
-
-    def scene_only(m, y):
-        _, t, _ = scene_forward(y, m.scene_cfg, m.scene_cell.forward)
-        return scene_loss(t, y, m.scene_cfg)
-
-    ok = _run_epochs(
-        model, model.omega_s(), records, scene_only, cfg, cfg.pretrain_epochs, scene_curve
-    )
+    report = pretrain_scene(model, records, cfg)
     fine_curve = []
-    if ok:
-        ok = _run_epochs(
+    if not report.aborted:
+        report.aborted = not _run_epochs(
             model,
             model.parameters(),
             records,
@@ -101,7 +109,14 @@ def train_hierarchical(model, records, cfg):
             cfg.epochs,
             fine_curve,
         )
-    return TrainReport(curves={"scene": scene_curve, "fine": fine_curve}, aborted=not ok)
+    report.curves["fine"] = fine_curve
+    return report
+
+
+def train_model(model, records, cfg):
+    """Train ``model`` with the strategy that ``cfg.strategy`` names."""
+    trainer = train_hierarchical if cfg.strategy == "hierarchical" else train_end_to_end
+    return trainer(model, records, cfg)
 
 
 def train_noise_estimator(estimator, pairs, epochs=20, lr=3e-3, momentum=0.9):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ruas.cli import main
-from ruas.errors import DataIOError, RuasError
+from ruas.errors import ConfigError, DataIOError, RuasError
 from ruas.model import RuasModel, load_checkpoint, save_checkpoint
 
 MAGIC = b"RUASCKPT"
@@ -44,6 +44,19 @@ def test_round_trip(saved):
     for want, got in zip(model.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(got.data, want.data)
         assert got.data.flags.writeable
+
+
+def test_loaded_variant_can_drop_modules_but_not_add_them(saved, tmp_path):
+    _, path = saved  # a ruas_s model: no task cell, no estimator
+    model = load_checkpoint(path)
+    assert model.set_variant(None) is model and model.variant == "ruas_s"
+    with pytest.raises(ConfigError) as err:
+        model.set_variant("ruas")
+    assert f"hash {model.config_hash()}, variant 'ruas_s'" in str(err.value)
+    assert "variant 'ruas'" in str(err.value)
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(3), variant="ruas_a"), full)
+    assert load_checkpoint(full).set_variant("ruas_s").variant == "ruas_s"
 
 
 @pytest.mark.parametrize(

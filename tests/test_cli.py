@@ -380,7 +380,7 @@ def test_training_abort_exits_4(tmp_path, fast_config, tiny_dataset, monkeypatch
 
     monkeypatch.setattr(
         cli_mod,
-        "train_end_to_end",
+        "train_model",
         lambda model, records, cfg: TrainReport(curves={"joint": []}, aborted=True),
     )
     code = main(
@@ -397,6 +397,72 @@ def test_training_abort_exits_4(tmp_path, fast_config, tiny_dataset, monkeypatch
     assert code == 4
     # the last-good checkpoint is still written for inspection
     assert (tmp_path / "model.ckpt").exists()
+
+
+def test_ablate_k_abort_writes_csv_and_exits_4(
+    tmp_path, fast_config, tiny_dataset, monkeypatch, capsys
+):
+    import ruas.cli as cli_mod
+
+    def trainer(model, records, cfg):
+        return TrainReport(curves={}, aborted=model.scene_cfg.stages == 2)
+
+    monkeypatch.setattr(cli_mod, "train_model", trainer)
+    root, _ = tiny_dataset
+    argv = ["ablate-k", "--config", fast_config, "--data", str(root), "--out", str(tmp_path)]
+    assert main(argv + ["--k-list", "1,2,3"]) == 4
+    assert "for k=2;" in capsys.readouterr().err
+    _, rows = _csv_rows(tmp_path / "ablation.csv")
+    assert [r[0] for r in rows] == ["1", "2", "3"]
+
+
+def test_fixed_op_abort_writes_csv_and_exits_4(
+    tmp_path, fast_config, tiny_dataset, monkeypatch, capsys
+):
+    import ruas.cli as cli_mod
+
+    def trainer(model, records, cfg):
+        return TrainReport(curves={}, aborted=model.scene_ops[0] == "3-C")
+
+    def supernet_trainer(model, records, cfg):
+        return TrainReport(curves={}, aborted=True)
+
+    monkeypatch.setattr(cli_mod, "train_hierarchical", trainer)
+    monkeypatch.setattr(cli_mod, "pretrain_scene", supernet_trainer)
+    root, _ = tiny_dataset
+    argv = ["fixed-op", "--config", fast_config, "--data", str(root), "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert "for 3-C, supernet;" in capsys.readouterr().err
+    _, rows = _csv_rows(tmp_path / "fixed_op.csv")
+    assert [r[0] for r in rows][-2:] == ["SC", "supernet"]
+
+
+def test_out_dir_comes_from_paths_unless_out_is_given(
+    tmp_path, tiny_dataset, monkeypatch
+):
+    root, _ = tiny_dataset
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FAST | {"paths": {"out_dir": "od", "data_dir": str(root)}}))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (tmp_path / "od" / "model.ckpt").exists()
+    assert json.loads((tmp_path / "od" / "run_config.json").read_text())["paths"] == {
+        "out_dir": "od",
+        "data_dir": str(root),
+    }
+    assert main(["eval", "--config", str(cfg), "--model", "od/model.ckpt"]) == 0
+    assert (tmp_path / "od" / "metrics.csv").exists()
+    (tmp_path / "od" / "model.ckpt").unlink()
+    assert main(["train", "--config", str(cfg), "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "model.ckpt").exists()
+    assert not (tmp_path / "od" / "model.ckpt").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_gradcheck_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["gradcheck", "--seed", "-1", "--out", str(tmp_path / "g")]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_enhance_corrupt_png_exits_3(tmp_path, fast_config, tiny_dataset):

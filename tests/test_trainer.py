@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from ruas import autodiff as ad
 from ruas.errors import ConfigError
-from ruas.model import RuasModel
+from ruas.model import RuasModel, SearchModel
 from ruas.train import (
     TrainConfig,
     evaluate,
     metrics_csv,
+    pretrain_scene,
     train_end_to_end,
     train_hierarchical,
+    train_model,
     train_noise_estimator,
 )
 
@@ -60,6 +63,43 @@ def test_hierarchical_phase_keys(tiny_dataset):
     assert set(report.curves) == {"scene", "fine"}
     assert len(report.curves["scene"]) == 2
     assert len(report.curves["fine"]) == 1
+
+
+def test_pretrain_scene_is_the_hierarchical_scene_phase(tiny_dataset):
+    _, records = tiny_dataset
+    cfg = TrainConfig(strategy="hierarchical", epochs=0, pretrain_epochs=2, lr=3e-5)
+    full, alone = make_model(variant="ruas"), make_model(variant="ruas")
+    task_before = [p.data.copy() for p in alone.omega_t()]
+    curve = train_hierarchical(full, records[:2], cfg).curves["scene"]
+    report = pretrain_scene(alone, records[:2], cfg)
+    assert report.curves == {"scene": curve} and not report.aborted
+    for p, q in zip(full.parameters(), alone.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+    for p, b in zip(alone.omega_t(), task_before):
+        np.testing.assert_array_equal(p.data, b)
+    # the supernet's mixed scene cell pre-trains through the same function
+    supernet = SearchModel(np.random.default_rng(0))
+    report = pretrain_scene(supernet, records[:2], cfg)
+    assert len(report.curves["scene"]) == 2 and not report.aborted
+
+
+@pytest.mark.parametrize(
+    "strategy, phases", [("end_to_end", {"joint"}), ("hierarchical", {"scene", "fine"})]
+)
+def test_train_model_dispatches_on_strategy(tiny_dataset, strategy, phases):
+    _, records = tiny_dataset
+    cfg = TrainConfig(strategy=strategy, epochs=1, pretrain_epochs=1, lr=3e-5)
+    assert set(train_model(make_model(), records[:1], cfg).curves) == phases
+
+
+def test_supernet_enhance_is_the_clamped_scene_output(tiny_dataset):
+    _, records = tiny_dataset
+    supernet = SearchModel(np.random.default_rng(0))
+    y = ad.Tensor(records[0].input())
+    with ad.no_grad():
+        x = supernet.enhance(y)
+        u, _, _ = supernet.scene_out(y)
+    np.testing.assert_array_equal(x.data, np.clip(u.data, 0, 1))
 
 
 def test_scene_pretraining_loss_decreases(tiny_dataset):
