@@ -15,6 +15,8 @@ max, softmax, reductions, and a momentum-SGD optimizer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -374,11 +376,8 @@ def conv2d(x, w, b=None, dilation=1):
                 f"bias must have shape ({w.data.shape[0]},), got {b.data.shape}"
             )
 
-    out_data = _raw_conv(x.data, w.data, dilation)
-    parents = [x, w]
-    if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
-        parents.append(b)
+    out_data = _raw_conv(x.data, w.data, dilation, None if b is None else b.data)
+    parents = [x, w] if b is None else [x, w, b]
 
     def bw(g):
         if x.requires_grad:
@@ -392,37 +391,102 @@ def conv2d(x, w, b=None, dilation=1):
     return _make(out_data, parents, bw)
 
 
-def _columns(xd, k, dilation):
-    """The (n, c*k*k, h*w) column matrix of ``xd`` for a "same" k x k kernel.
+# A k x k conv (k > 1) whose column matrix is over BAND_MIN_BYTES builds and
+# multiplies it one band of output rows at a time, each band's columns about
+# BAND_BYTES, so that they stay in a core's L2 cache (Goto & van de Geijn
+# 2008).  Smaller matrices, and 1x1 convs, whose columns are their input, take
+# one matmul, where per-band calls would cost more than they save.  A band
+# must not change a bit of the output, and a BLAS matmul gives each output
+# entry the arithmetic of the whole-image product only when
+#   - every band is a whole number of BAND_ALIGN-pixel blocks: GEMM kernels
+#     compute output pixels in register blocks of up to 16, and the partial
+#     block at the end of a product is summed by other code;
+#   - the dot products are at most BAND_MAX_DEPTH long: a large product
+#     splits them into blocks (384 long in OpenBLAS's AVX-512 kernels) that
+#     the small-matrix kernel a band takes does not split.
+# A conv that misses either condition takes one matmul.
+BAND_MIN_BYTES = 1 << 20
+BAND_BYTES = 256 << 10
+BAND_ALIGN = 16
+BAND_MAX_DEPTH = 384
 
-    Row (ci, i, j) holds the input shifted by (i, j) * dilation, so a
-    convolution is one matmul against it (Chellapilla, Puri & Simard 2006).
+
+def _band_rows(n, c, k, h, w):
+    """Output rows per column band of a conv; ``h`` means one band."""
+    depth = c * k * k
+    row_bytes = n * depth * w * 8
+    if (
+        k == 1
+        or row_bytes * h <= BAND_MIN_BYTES
+        or depth > BAND_MAX_DEPTH
+        or h * w % BAND_ALIGN
+    ):
+        return h
+    unit = BAND_ALIGN // math.gcd(w, BAND_ALIGN)  # rows of whole pixel blocks
+    return max(unit, BAND_BYTES // row_bytes // unit * unit)
+
+
+def _padded(xd, r):
+    """``xd`` with ``r`` zeros around each map; ``xd`` itself when r is 0."""
+    if r == 0:
+        return xd
+    n, c, h, w = xd.shape
+    xp = np.zeros((n, c, h + 2 * r, w + 2 * r))
+    xp[:, :, r : r + h, r : r + w] = xd
+    return xp
+
+
+def _band_columns(xp, k, dilation, lo, rows, w):
+    """The (n, c*k*k, rows*w) columns of output rows lo..lo+rows.
+
+    ``xp`` is the input padded for a "same" k x k kernel, a fresh C-ordered
+    array when k > 1.  Row (ci, i, j) holds the input shifted by
+    (i, j) * dilation, so a convolution is one matmul against it
+    (Chellapilla, Puri & Simard 2006).
+    """
+    n, c = xp.shape[:2]
+    if k == 1:
+        return xp[:, :, lo : lo + rows].reshape(n, c, rows * w)
+    # a view of ``xp``'s buffer whose (i, j) slab is the padded input shifted
+    # by (i, j) * dilation (NumPy checks it stays inside the buffer); the
+    # reshape is the one copy
+    sn, sc, sh, sw = xp.strides
+    view = np.ndarray(
+        (n, c, k, k, rows, w),
+        xp.dtype,
+        xp,
+        lo * sh,
+        (sn, sc, sh * dilation, sw * dilation, sh, sw),
+    )
+    return view.reshape(n, c * k * k, rows * w)
+
+
+def _columns(xd, k, dilation):
+    """The (n, c*k*k, h*w) column matrix of the whole of ``xd``.
+
     The columns are rebuilt for the weight gradient rather than kept on the
     tape, where they would hold k*k copies of every conv input until backward.
     """
+    h, w = xd.shape[2:]
+    return _band_columns(_padded(xd, dilation * (k - 1) // 2), k, dilation, 0, h, w)
+
+
+def _raw_conv(xd, wd, dilation, bias=None):
+    """Convolution of ``xd`` with ``wd`` plus ``bias``, one column band at a
+    time; the bias is added to each band while it is still in cache."""
     n, c, h, w = xd.shape
-    if k == 1:
-        return xd.reshape(n, c, h * w)
-    r = dilation * (k - 1) // 2
-    xp = np.zeros((n, c, h + 2 * r, w + 2 * r))
-    xp[:, :, r : r + h, r : r + w] = xd
-    # a read-only view whose (i, j) slab is the padded input shifted by
-    # (i, j) * dilation; the reshape is the one copy
-    sn, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, k, k, h, w),
-        strides=(sn, sc, sh * dilation, sw * dilation, sh, sw),
-        writeable=False,
-    )
-    return view.reshape(n, c * k * k, h * w)
-
-
-def _raw_conv(xd, wd, dilation):
-    n, _, h, w = xd.shape
-    o = wd.shape[0]
-    cols = _columns(xd, wd.shape[2], dilation)
-    return np.matmul(wd.reshape(o, -1), cols).reshape(n, o, h, w)
+    o, _, k, _ = wd.shape
+    wm = wd.reshape(o, -1)
+    xp = _padded(xd, dilation * (k - 1) // 2)
+    out = np.empty((n, o, h, w))
+    step = _band_rows(n, c, k, h, w)
+    for lo in range(0, h, step):
+        rows = min(step, h - lo)
+        band = out[:, :, lo : lo + rows].reshape(n, o, rows * w)
+        np.matmul(wm, _band_columns(xp, k, dilation, lo, rows, w), out=band)
+        if bias is not None:
+            band += bias[:, None]
+    return out
 
 
 def _raw_conv_wgrad(xd, go, k, dilation):

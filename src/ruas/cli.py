@@ -31,7 +31,7 @@ from .errors import (
 from .io_metrics import load_dataset, load_png, save_png, split_records
 from .model import RuasModel, SearchModel, load_checkpoint, save_checkpoint
 from .search import run_search
-from .search_space import SEARCH_OPS, cell_flops, count_params
+from .search_space import SEARCH_OPS, cell_flops, cell_param_count, count_params
 from .train import evaluate, metrics_csv, pretrain_scene, train_hierarchical, train_model
 
 EXIT_CONFIG = 2
@@ -234,19 +234,14 @@ def cmd_compare_strategies(args):
     lines = ["strategy,scene_val,task_val,combined,scene_params,task_params"]
     for strategy in ("global", "independent", "cooperative"):
         result = _search(cfg, records, seed, strategy)
-        final = result.history[-1]
-        derived = RuasModel(
-            np.random.default_rng(seed),
-            variant="ruas",
-            scene_cfg=cfg.scene_config(),
-            scene_ops=[k.name for k in result.scene_ops],
-            task_ops=[k.name for k in result.task_ops],
-            tv_weight=cfg.task_config().tv_weight,
-        )
+        final, m = result.history[-1], result.model
+        # the derived ruas model's counts; its remover is the supernet's
+        scene_params = cell_param_count(m.scene_spec, result.scene_ops)
+        task_params = cell_param_count(m.task_spec, result.task_ops)
+        task_params += count_params(m.remover.parameters())
         lines.append(
             f"{strategy},{final['scene_val']:.6f},{final['task_val']:.6f},"
-            f"{final['combined']:.6f},{derived.scene_param_count()},"
-            f"{count_params(derived.omega_t())}"
+            f"{final['combined']:.6f},{scene_params},{task_params}"
         )
         (out / f"{strategy}_arch.dot").write_text(result.arch_dot())
         (out / f"{strategy}_history.csv").write_text(result.history_csv())

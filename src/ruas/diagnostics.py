@@ -107,6 +107,13 @@ def primitive_checks(seed=7):
             grad_check(lambda t: ad.reduce_l2sq(ad.concat([t, other], axis=1)), x),
         )
     )
+    # a 72 px input puts the conv's column matrix over the band gate, so the
+    # forward values the central differences read are computed band by band
+    xb = Tensor(rng.uniform(-1, 1, size=(1, 3, 72, 72)))
+    wb, bb = _rand(rng, 3, 3, 3, 3), Tensor(rng.uniform(-1, 1, size=3))
+    checks.append(
+        ("conv2d_w_banded", grad_check(lambda t: ad.reduce_l2sq(ad.conv2d(xb, t, bb)), wb))
+    )
     return checks
 
 

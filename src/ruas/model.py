@@ -133,14 +133,14 @@ class RuasModel:
 
     @classmethod
     def from_config(cls, rng, task, scene_cfg):
-        """The model a TaskConfig describes; null or empty op lists take the
-        default cells."""
+        """The model a TaskConfig describes; a null op list takes the default
+        cell."""
         return cls(
             rng,
             variant=task.variant,
             scene_cfg=scene_cfg,
-            scene_ops=task.scene_ops or DEFAULT_SCENE_OPS,
-            task_ops=task.task_ops or DEFAULT_TASK_OPS,
+            scene_ops=DEFAULT_SCENE_OPS if task.scene_ops is None else task.scene_ops,
+            task_ops=DEFAULT_TASK_OPS if task.task_ops is None else task.task_ops,
             gate_eps=task.gate_eps,
             tv_weight=task.tv_weight,
         )

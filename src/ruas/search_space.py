@@ -128,8 +128,8 @@ def mixed_forward(x, edge_logits, edge_weights, registry):
 
     This is DARTS's continuous relaxation (Liu et al. 2019) as one tape
     node.  The conv candidates are grouped by (kernel, dilation): a group
-    builds the input columns once and runs one matmul against its
-    candidates' kernels stacked along the output channels, and its backward
+    runs one convolution of its candidates' kernels stacked along the output
+    channels, which builds the input columns once per band, and its backward
     pass is one weight-gradient product and one input-gradient convolution.
     Each candidate is ``apply_op``'s operator, summed in registry order.
     """
@@ -168,8 +168,8 @@ def mixed_forward(x, edge_logits, edge_weights, registry):
     outs = [xd] * len(registry)  # a skip candidate outputs its input
     masks = {}
     for (k, dil), members in groups.items():
-        stacked = np.concatenate([wt.data.reshape(-1, c * k * k) for _, wt, *_ in members])
-        y = np.matmul(stacked, ad._columns(xd, k, dil)).reshape(n, -1, h, w)
+        stacked = np.concatenate([wt.data for _, wt, *_ in members])
+        y = ad._raw_conv(xd, stacked, dil)
         for i, _, b, rows in members:
             pre = y[:, rows] if b is None else y[:, rows] + b.data[None, :, None, None]
             masks[i] = pre > 0
@@ -341,6 +341,14 @@ class DiscreteCell(Cell):
 
 def count_params(parameters):
     return int(sum(p.data.size for p in parameters))
+
+
+def cell_param_count(spec, kinds):
+    """Parameters of a derived cell with operators ``kinds``, from the
+    operators alone: no cell is built."""
+    width = spec.width
+    convs = sum(width * width * k.kernel**2 + width for k in kinds if not k.skip)
+    return convs + width * 4 * width + width  # the 1x1 fusion
 
 
 def conv_flops(c_out, c_in, k, h, w):

@@ -7,6 +7,7 @@ import pytest
 
 from ruas import autodiff as ad
 from ruas.autodiff import SGD, Parameter, Tensor, backward, grad_check
+from ruas.diagnostics import TOLERANCE, primitive_checks
 from ruas.errors import (
     ConfigError,
     ContractError,
@@ -14,6 +15,7 @@ from ruas.errors import (
     NumericError,
     ShapeError,
 )
+from ruas.model import SearchModel
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,94 @@ def test_conv2d_gradients_match_loop_oracle(rng):
         np.testing.assert_allclose(xt.grad, want_x, atol=1e-9)
         np.testing.assert_allclose(wt.grad, want_w, atol=1e-9)
         np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), atol=1e-9)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_conv2d_bands_match_loop_oracle(rng, monkeypatch, rows):
+    """Every conv banded: ``rows`` output rows per forward band, which does
+    not divide most heights and is shorter than the 3-18-DC reach."""
+    monkeypatch.setattr(ad, "BAND_MIN_BYTES", 0)
+    monkeypatch.setattr(ad, "BAND_ALIGN", 1)
+    for n, cin, cout, h, w, k, dil in CONV_CASES:
+        monkeypatch.setattr(ad, "BAND_BYTES", rows * n * cin * k * k * w * 8)
+        assert ad._band_rows(n, cin, k, h, w) == (h if k == 1 else rows)
+        x, wk, b = _conv_case(rng, n, cin, cout, h, w, k)
+        g = rng.normal(size=(n, cout, h, w))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, wk, b))
+        out = ad.conv2d(xt, wt, bt, dilation=dil)
+        np.testing.assert_allclose(out.data, conv2d_oracle(x, wk, b, dilation=dil), atol=1e-9)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        want_x, want_w = conv2d_grad_oracle(x, wk, g, dilation=dil)
+        np.testing.assert_allclose(xt.grad, want_x, atol=1e-9)
+        np.testing.assert_allclose(wt.grad, want_w, atol=1e-9)
+        np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), atol=1e-9)
+
+
+def _one_matmul_conv(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(ad, "BAND_MIN_BYTES", np.inf)
+        return ad._raw_conv(*args)
+
+
+# (n, c_in, c_out, k, dilation, h, w) at photo sizes: c_out 12 is a stacked
+# mixed-edge forward, c_in 12 its input gradient; 97 rows is a height no
+# band size divides, and widths 98 and 255 need bands of 8 and 16 rows to
+# hold whole 16-pixel blocks
+REAL_BAND_CASES = [
+    (1, 3, 3, 3, 1, 64, 64),
+    (1, 3, 3, 5, 2, 256, 256),
+    (1, 6, 6, 3, 2, 256, 256),
+    (1, 6, 6, 3, 1, 96, 98),
+    (1, 6, 6, 3, 1, 256, 255),
+    (1, 6, 12, 3, 1, 97, 64),
+    (1, 12, 6, 3, 2, 97, 96),
+    (2, 6, 6, 5, 1, 64, 64),
+    (1, 3, 3, 3, 18, 97, 112),
+    (1, 12, 6, 5, 18, 64, 80),
+]
+
+
+@pytest.mark.parametrize("case", REAL_BAND_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_banded_conv_is_byte_identical_to_one_matmul(rng, monkeypatch, case):
+    n, c, o, k, dil, h, w = case
+    monkeypatch.setattr(ad, "BAND_MIN_BYTES", 0)
+    assert ad._band_rows(n, c, k, h, w) < h
+    x, wk, b = rng.normal(size=(n, c, h, w)), rng.normal(size=(o, c, k, k)), rng.normal(size=o)
+    banded = ad._raw_conv(x, wk, dil, b)
+    np.testing.assert_array_equal(banded, _one_matmul_conv(monkeypatch, x, wk, dil, b))
+
+
+@pytest.mark.parametrize(
+    "n, c, k, h, w",
+    [(1, 6, 3, 97, 97), (1, 12, 7, 64, 64), (1, 24, 1, 256, 256)],
+    ids=["pixels-not-whole-blocks", "deep-products", "1x1"],
+)
+def test_conv_that_bands_would_change_takes_one_matmul(rng, monkeypatch, n, c, k, h, w):
+    """Bands that end inside a BLAS register block, products deeper than its
+    K block and 1x1 convs run as one matmul."""
+    assert n * c * k * k * h * w * 8 > ad.BAND_MIN_BYTES
+    assert ad._band_rows(n, c, k, h, w) == h
+    x, wk = rng.normal(size=(n, c, h, w)), rng.normal(size=(6, c, k, k))
+    np.testing.assert_array_equal(ad._raw_conv(x, wk, 1), _one_matmul_conv(monkeypatch, x, wk, 1))
+
+
+def test_search_convs_at_32px_take_one_matmul(rng, monkeypatch):
+    """The search workload's convs stay below the band gate: the largest is
+    the input gradient of the task cell's stacked width-12 3x3 group."""
+    seen = []
+    band_rows = ad._band_rows
+
+    def spy(n, c, k, h, w):
+        rows = band_rows(n, c, k, h, w)
+        seen.append((n * c * k * k * h * w * 8, (c, k), rows == h))
+        return rows
+
+    monkeypatch.setattr(ad, "_band_rows", spy)
+    model = SearchModel(rng)
+    y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 32, 32)))
+    backward(ad.add(model.scene_loss(y), model.task_loss(y)))
+    assert all(one for _, _, one in seen)
+    assert max(seen) == (884_736, (12, 3), True)
 
 
 def test_conv2d_same_padding_preserves_shape(rng):
@@ -467,6 +557,11 @@ def test_grad_check_conv(rng):
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+
+def test_gradcheck_covers_a_banded_conv():
+    assert dict(primitive_checks())["conv2d_w_banded"] < TOLERANCE
+    assert ad._band_rows(1, 3, 3, 72, 72) < 72  # the row's input is banded
 
 
 def test_sgd_momentum_update_math():

@@ -69,8 +69,18 @@ NO_FILE = object()
         ({}, json.dumps({"scene": {"ops": ["3-C"] * 7}}), 2, "task"),
         ({}, "{not json", 2, "JSON"),
         ({}, NO_FILE, 3, "arch.json"),
+        # an empty op list is a cell of the wrong length, not the default cell
+        ({**FAST, "task": {"variant": "ruas_s", "scene_ops": []}}, None, 2, "got 0"),
+        ({**FAST, "task": {"task_ops": []}}, None, 2, "got 0"),
     ],
-    ids=["unknown-op", "arch-without-task", "arch-not-json", "arch-unreadable"],
+    ids=[
+        "unknown-op",
+        "arch-without-task",
+        "arch-not-json",
+        "arch-unreadable",
+        "empty-scene-ops",
+        "empty-task-ops",
+    ],
 )
 def test_bad_operator_names_and_arch_files(
     tmp_path, tiny_dataset, capsys, config, arch, code, needle

@@ -6,6 +6,7 @@ import pytest
 from ruas import autodiff as ad
 from ruas.autodiff import Parameter, Tensor, backward
 from ruas.errors import ConfigError, ShapeError
+from ruas.model import DEFAULT_SCENE_OPS, DEFAULT_TASK_OPS, RuasModel
 from ruas.search_space import (
     ALL_OPS,
     SEARCH_OPS,
@@ -17,6 +18,7 @@ from ruas.search_space import (
     apply_op,
     arch_dump,
     cell_flops,
+    cell_param_count,
     conv_flops,
     count_params,
     discretize,
@@ -295,6 +297,25 @@ def test_count_params_and_flops(rng):
     # skip edges contribute nothing
     skip_cell = DiscreteCell(spec, [OPS_BY_NAME["SC"]] * 7, rng)
     assert cell_flops(skip_cell, 8, 8) == conv_flops(3, 12, 1, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "scene_ops, task_ops",
+    [
+        (DEFAULT_SCENE_OPS, DEFAULT_TASK_OPS),
+        (
+            ("SC", "3-RC", "SC", "7-C", "1-C", "3-18-DC", "SC"),
+            ("5-2-DC", "SC", "SC", "1-RC", "7-2-DC", "SC", "3-C"),
+        ),
+    ],
+    ids=["default", "with-skips"],
+)
+def test_cell_param_count_matches_the_built_model(rng, scene_ops, task_ops):
+    model = RuasModel(rng, variant="ruas", scene_ops=scene_ops, task_ops=task_ops)
+    scene = cell_param_count(model.scene_spec, [lookup_op(n) for n in scene_ops])
+    task = cell_param_count(model.task_spec, [lookup_op(n) for n in task_ops])
+    assert scene == model.scene_param_count()
+    assert task + count_params(model.remover.parameters()) == count_params(model.omega_t())
 
 
 def test_mixed_cell_flops_count_every_candidate(rng):
