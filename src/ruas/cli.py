@@ -175,10 +175,6 @@ def cmd_enhance(args):
             for k, (t, u) in enumerate(result["trajectory"], start=1):
                 save_png(np.clip(t.data, 0, 1), out / f"{prefix}stage{k}_t.png")
                 save_png(np.clip(u.data, 0, 1), out / f"{prefix}stage{k}_u.png")
-            if result["theta"] is not None:
-                theta = result["theta"].data
-                peak = max(float(theta.max()), 1e-8)
-                save_png(theta / peak, out / f"{prefix}noise_map.png")
     return 0
 
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataIOError
+from .search_space import CellSpec, lookup_op
 
 WARM_START_MODES = ("fixed", "no_rectify", "rectify")
 SEARCH_STRATEGIES = ("cooperative", "independent", "global")
@@ -167,7 +168,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TaskConfig:
-    gate_eps: float = 0.01  # ruas_a skips removal below this noise level
+    gate_eps: float = 0.01  # ruas_a skips removal up to this input noise sigma
     tv_weight: float = 0.05
     variant: str = "ruas"
     scene_ops: list[str] | None = None  # None: the model's default cell
@@ -177,6 +178,15 @@ class TaskConfig:
 
     def __post_init__(self):
         check_fields(self)
+        # both lists, whatever the variant: a checkpoint or run_config.json
+        # echoes a list that the variant's model does not build
+        edges = len(CellSpec(width=1).edges)
+        for name in ("scene_ops", "task_ops"):
+            ops = getattr(self, name)
+            if ops is not None and len(ops) != edges:
+                raise ConfigError(f"{name} needs {edges} operator names, got {len(ops)}")
+            for op in ops or ():
+                lookup_op(op)
 
 
 @dataclass(frozen=True)

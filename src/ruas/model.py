@@ -10,7 +10,6 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .config import VARIANTS, SceneConfig, TaskConfig
 from .errors import ConfigError, DataIOError
 from .scene import scene_forward, scene_loss
@@ -24,7 +23,7 @@ from .search_space import (
     count_params,
     lookup_op,
 )
-from .task import ESTIMATOR_WIDTHS, NoiseEstimator, NoiseRemover, noise_gate, task_loss
+from .task import NoiseRemover, estimate_noise_sigma, noise_gate, task_loss
 
 SCENE_WIDTH = 3
 TASK_WIDTH = 6
@@ -68,9 +67,8 @@ class SearchModel:
         return ad.clamp(self.scene_out(y)[0], 0.0, 1.0)
 
     def task_out(self, u):
-        theta = Tensor(np.zeros_like(u.data))
         cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
-        return self.remover.forward(u, theta, cell_fn)
+        return self.remover.forward(u, cell_fn)
 
     # the same losses serve as training and validation objectives in search
     def scene_loss(self, y):
@@ -118,7 +116,6 @@ class RuasModel:
         )
         self.task_cell = None
         self.remover = None
-        self.estimator = None
         if variant in ("ruas", "ruas_a"):
             self.task_cell = DiscreteCell(
                 self.task_spec,
@@ -128,8 +125,6 @@ class RuasModel:
                 fusion_init="zeros",
             )
             self.remover = NoiseRemover(rng, width=TASK_WIDTH, name="tm.psi_r")
-        if variant == "ruas_a":
-            self.estimator = NoiseEstimator(rng, name="tm.psi_e")
 
     @classmethod
     def from_config(cls, rng, task, scene_cfg):
@@ -150,12 +145,9 @@ class RuasModel:
         return self.scene_cell.parameters()
 
     def omega_t(self):
-        params = []
-        if self.task_cell is not None:
-            params += self.task_cell.parameters() + self.remover.parameters()
-        if self.estimator is not None:
-            params += self.estimator.parameters()
-        return params
+        if self.task_cell is None:
+            return []
+        return self.task_cell.parameters() + self.remover.parameters()
 
     def parameters(self):
         return self.omega_s() + self.omega_t()
@@ -165,9 +157,7 @@ class RuasModel:
         variant can drop the modules this model has but not add any."""
         if variant is None or variant == self.variant:
             return self
-        if (variant != "ruas_s" and self.task_cell is None) or (
-            variant == "ruas_a" and self.estimator is None
-        ):
+        if variant != "ruas_s" and self.task_cell is None:
             raise ConfigError(
                 f"model (hash {self.config_hash()}, variant {self.variant!r}) "
                 f"lacks modules for variant {variant!r}"
@@ -185,25 +175,16 @@ class RuasModel:
             "u": u,
             "t": t,
             "trajectory": trajectory,
-            "theta": None,
+            "noise_sigma": None,
             "gate_skip": None,
         }
-        if self.variant == "ruas_s":
-            out["x"] = ad.clamp(u, 0.0, 1.0)
-            return out
-        if self.variant == "ruas":
-            theta = Tensor(np.zeros_like(u.data))
-            out["x"] = self.remover.forward(u, theta, self.task_cell.forward)
-            return out
-        # ruas_a: estimate, gate, maybe remove
-        theta = self.estimator.forward(u)
-        out["theta"] = theta
-        skip = noise_gate(theta, self.gate_eps)
-        out["gate_skip"] = skip
-        if skip:
+        if self.variant == "ruas_a":
+            out["noise_sigma"] = estimate_noise_sigma(y.data)
+            out["gate_skip"] = noise_gate(out["noise_sigma"], self.gate_eps)
+        if self.variant == "ruas_s" or out["gate_skip"]:
             out["x"] = ad.clamp(u, 0.0, 1.0)
         else:
-            out["x"] = self.remover.forward(u, theta, self.task_cell.forward)
+            out["x"] = self.remover.forward(u, self.task_cell.forward)
         return out
 
     def enhance(self, y):
@@ -223,9 +204,6 @@ class RuasModel:
             total += cell_flops(self.task_cell, h, w)
             total += conv_flops(TASK_WIDTH, 6, 1, h, w)  # proj in
             total += conv_flops(3, TASK_WIDTH, 1, h, w)  # proj out
-        if self.estimator is not None:
-            for c_in, c_out in zip(ESTIMATOR_WIDTHS, ESTIMATOR_WIDTHS[1:]):
-                total += conv_flops(c_out, c_in, 3, h, w)
         return total
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ def _restore(params, snap):
 
 def _full_loss(model, y, lam):
     out = model.forward(y)
-    lt = task_loss(out["x"], out["u"], out["theta"], tv_weight=model.tv_weight)
+    lt = task_loss(out["x"], out["u"], tv_weight=model.tv_weight)
     if lam == 0:
         return lt
     ls = scene_loss(out["t"], y, model.scene_cfg)
@@ -117,26 +117,6 @@ def train_model(model, records, cfg):
     """Train ``model`` with the strategy that ``cfg.strategy`` names."""
     trainer = train_hierarchical if cfg.strategy == "hierarchical" else train_end_to_end
     return trainer(model, records, cfg)
-
-
-def train_noise_estimator(estimator, pairs, epochs=20, lr=3e-3, momentum=0.9):
-    """Desk-scale supervised pre-training of the noise estimator.
-
-    ``pairs`` holds (noisy, clean) image arrays; the regression target is the
-    absolute residual between them.
-    """
-    opt = SGD(estimator.parameters(), lr, momentum)
-    curve = []
-    for _ in range(epochs):
-        total = 0.0
-        for noisy, clean in pairs:
-            target = np.abs(np.asarray(noisy) - np.asarray(clean))
-            pred = estimator.forward(Tensor(noisy))
-            loss = ad.reduce_l2sq(ad.sub(pred, Tensor(target)))
-            opt.backward_step(loss)
-            total += float(loss.data)
-        curve.append(total / len(pairs))
-    return curve
 
 
 # ---------------------------------------------------------------------------

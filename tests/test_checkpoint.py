@@ -47,16 +47,34 @@ def test_round_trip(saved):
 
 
 def test_loaded_variant_can_drop_modules_but_not_add_them(saved, tmp_path):
-    _, path = saved  # a ruas_s model: no task cell, no estimator
+    _, path = saved  # a ruas_s model: no task cell
     model = load_checkpoint(path)
     assert model.set_variant(None) is model and model.variant == "ruas_s"
-    with pytest.raises(ConfigError) as err:
-        model.set_variant("ruas")
-    assert f"hash {model.config_hash()}, variant 'ruas_s'" in str(err.value)
-    assert "variant 'ruas'" in str(err.value)
+    for variant in ("ruas", "ruas_a"):
+        with pytest.raises(ConfigError) as err:
+            model.set_variant(variant)
+        assert f"hash {model.config_hash()}, variant 'ruas_s'" in str(err.value)
+        assert f"variant {variant!r}" in str(err.value)
+    # ruas and ruas_a hold the same modules, so each runs as the other
     full = tmp_path / "full.ckpt"
-    save_checkpoint(RuasModel(np.random.default_rng(3), variant="ruas_a"), full)
-    assert load_checkpoint(full).set_variant("ruas_s").variant == "ruas_s"
+    for saved_as, runs_as in (("ruas_a", "ruas_s"), ("ruas_a", "ruas"), ("ruas", "ruas_a")):
+        save_checkpoint(RuasModel(np.random.default_rng(3), variant=saved_as), full)
+        assert load_checkpoint(full).set_variant(runs_as).variant == runs_as
+
+
+def test_checkpoint_with_a_noise_estimator_is_refused(tmp_path, tiny_dataset):
+    """A ruas_a checkpoint that holds the learned estimator's tm.psi_e.*
+    parameters, which ruas_a no longer has, fails to load (exit 3)."""
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(3), variant="ruas_a"), path)
+    header, blobs = _split(path)
+    header["params"].append({"name": "tm.psi_e.layer0.weight", "shape": [6, 3, 3, 3]})
+    _write(path, header, blobs + np.zeros(6 * 3 * 3 * 3).tobytes())
+    with pytest.raises(DataIOError, match="do not match"):
+        load_checkpoint(path)
+    _, records = tiny_dataset
+    argv = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,7 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         ("train", {"paths": {"data_dir": 5}}, "data_dir must be"),
         ("search", {"seed": 1.5}, "seed must be"),
         ("train", {"seed": True}, "seed must be"),
+        ("train", {"task": {"variant": "ruas_s", "task_ops": ["bogus"]}}, "task_ops"),
     ],
     ids=[
         "str-tv-weight",
@@ -192,6 +193,7 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         "int-data-dir",
         "float-seed",
         "bool-seed",
+        "ruas-s-bogus-task-ops",
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(
@@ -382,6 +384,10 @@ def test_variant_downgrade_allowed(tmp_path, tiny_dataset):
     )
     assert code == 0
     assert (tmp_path / "down" / f"{records[0].input_path.stem}.png").exists()
+    # ruas and ruas_a hold the same modules: a ruas checkpoint runs gated
+    argv = ["enhance", "--model", str(run / "model.ckpt"), "--variant", "ruas_a"]
+    argv += ["--input", str(records[0].input_path), "--out", str(tmp_path / "gated")]
+    assert main(argv) == 0
 
 
 def test_training_abort_exits_4(tmp_path, fast_config, tiny_dataset, monkeypatch):

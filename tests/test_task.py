@@ -1,46 +1,84 @@
-"""Noise estimation, the removal gate, the remover, and variant dispatch."""
+"""The noise estimate, the removal gate, the remover, and variant dispatch."""
+
+import math
 
 import numpy as np
 import pytest
 
 from ruas import autodiff as ad
 from ruas.autodiff import Tensor
+from ruas.config import TaskConfig
 from ruas.errors import ConfigError, ShapeError
+from ruas.io_metrics import random_clean_image, synth_lowlight
 from ruas.model import RuasModel
 from ruas.search_space import CellSpec, DiscreteCell, OPS_BY_NAME
-from ruas.task import (
-    ESTIMATOR_WIDTHS,
-    NoiseEstimator,
-    NoiseRemover,
-    noise_gate,
-    task_loss,
-)
+from ruas.task import NoiseRemover, estimate_noise_sigma, noise_gate, task_loss
+
+MASK = ((1, -2, 1), (-2, 4, -2), (1, -2, 1))
 
 
-def test_estimator_architecture(rng):
-    est = NoiseEstimator(rng)
-    assert len(est.layers) == 5
-    assert ESTIMATOR_WIDTHS == (3, 6, 6, 6, 6, 3)
-    out = est.forward(Tensor(rng.uniform(0, 1, size=(1, 3, 8, 8))))
-    assert out.data.shape == (1, 3, 8, 8)
-    assert out.data.min() >= 0.0  # trailing relu keeps the map nonnegative
+def noise_sigma_oracle(y):
+    n, c, h, w = y.shape
+    total = 0.0
+    for b in range(n):
+        for ch in range(c):
+            for r in range(1, h - 1):
+                for q in range(1, w - 1):
+                    acc = 0.0
+                    for i in range(3):
+                        for j in range(3):
+                            acc += MASK[i][j] * y[b, ch, r - 1 + i, q - 1 + j]
+                    total += abs(acc)
+    return math.sqrt(math.pi / 2) * total / (6 * n * c * (h - 2) * (w - 2))
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 3, 3), (2, 3, 7, 9), (1, 1, 12, 5)])
+def test_noise_sigma_matches_loop_oracle(rng, shape):
+    y = rng.uniform(0, 1, size=shape)
+    assert abs(estimate_noise_sigma(y) - noise_sigma_oracle(y)) < 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.03, 0.1])
+def test_noise_sigma_of_gaussian_noise_on_a_flat_map(rng, sigma):
+    y = 0.5 + rng.normal(0.0, sigma, size=(1, 3, 256, 256))
+    assert abs(estimate_noise_sigma(y) - sigma) < 0.05 * sigma
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 1, 1), (1, 3, 2, 2), (1, 3, 1, 64), (2, 3, 64, 2)])
+def test_noise_sigma_without_interior_is_zero(rng, shape):
+    assert estimate_noise_sigma(rng.uniform(0, 1, size=shape)) == 0.0
 
 
 def test_noise_gate_thresholding():
-    small = Tensor(np.full((1, 3, 4, 4), 0.005))
-    large = Tensor(np.full((1, 3, 4, 4), 0.05))
-    assert noise_gate(small, 0.01)
-    assert not noise_gate(large, 0.01)
+    assert noise_gate(0.005, 0.01)
+    assert noise_gate(0.01, 0.01)
+    assert not noise_gate(0.05, 0.01)
     with pytest.raises(ConfigError):
-        noise_gate(small, -0.1)
+        noise_gate(0.005, -0.1)
 
 
-def test_noise_gate_resolution_independent():
-    # same per-pixel level at two resolutions gives the same decision
-    for size in (4, 16):
-        theta = Tensor(np.full((1, 3, size, size), 0.02))
-        assert not noise_gate(theta, 0.01)
-        assert noise_gate(theta, 0.02)
+def test_noise_gate_resolution_independent(rng):
+    # the same noise sigma at two resolutions gives the same decision
+    for size in (16, 128):
+        sigma = estimate_noise_sigma(0.5 + rng.normal(0.0, 0.02, size=(1, 3, size, size)))
+        assert not noise_gate(sigma, 0.01)
+        assert noise_gate(sigma, 0.04)
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_default_gate_separates_clean_from_noisy_inputs(size):
+    """ruas_a at the default gate_eps skips every noise-free 8-bit input and
+    no input with sigma 0.03 noise (the synthetic datasets' level)."""
+    rng = np.random.default_rng(size)
+    model = RuasModel(np.random.default_rng(0), variant="ruas_a")
+    assert model.gate_eps == TaskConfig().gate_eps
+    for _ in range(6):
+        clean = random_clean_image(rng, size=size)
+        for sigma in (0.0, 0.03):
+            dark, _ = synth_lowlight(clean, rng, noise_sigma=sigma)
+            y = Tensor(np.round(dark * 255.0) / 255.0)
+            with ad.no_grad():
+                assert model.forward(y)["gate_skip"] is (sigma == 0.0)
 
 
 def make_remover_parts(rng, zero_fusion=False):
@@ -57,25 +95,23 @@ def make_remover_parts(rng, zero_fusion=False):
 def test_remover_identity_under_zero_cell(rng):
     remover, cell = make_remover_parts(rng, zero_fusion=True)
     u = Tensor(rng.uniform(-0.2, 1.4, size=(1, 3, 6, 6)))
-    theta = Tensor(np.zeros_like(u.data))
-    out = remover.forward(u, theta, cell.forward)
+    out = remover.forward(u, cell.forward)
     np.testing.assert_allclose(out.data, np.clip(u.data, 0, 1))
 
 
 def test_remover_output_in_unit_range(rng):
     remover, cell = make_remover_parts(rng)
     u = Tensor(rng.uniform(0, 2.0, size=(1, 3, 6, 6)))
-    theta = Tensor(rng.uniform(0, 0.1, size=(1, 3, 6, 6)))
-    out = remover.forward(u, theta, cell.forward).data
+    out = remover.forward(u, cell.forward).data
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_remover_matches_straight_line_oracle(rng):
     remover, cell = make_remover_parts(rng)
     u = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    theta = Tensor(rng.uniform(0, 0.1, size=(1, 3, 6, 6)))
-    got = remover.forward(u, theta, cell.forward).data
-    z = ad.conv2d(ad.concat([u, theta], axis=1), remover.proj_in_w, remover.proj_in_b)
+    got = remover.forward(u, cell.forward).data
+    zeros = Tensor(np.zeros_like(u.data))
+    z = ad.conv2d(ad.concat([u, zeros], axis=1), remover.proj_in_w, remover.proj_in_b)
     corr = ad.conv2d(cell.forward(z), remover.proj_out_w, remover.proj_out_b)
     want = np.clip(u.data + corr.data, 0, 1)
     np.testing.assert_allclose(got, want, atol=1e-9)
@@ -83,10 +119,9 @@ def test_remover_matches_straight_line_oracle(rng):
 
 def test_remover_shape_check(rng):
     remover, cell = make_remover_parts(rng)
-    with pytest.raises(ShapeError):
-        remover.forward(
-            Tensor(np.ones((1, 3, 6, 6))), Tensor(np.ones((1, 3, 5, 5))), cell.forward
-        )
+    for shape in ((1, 4, 6, 6), (3, 6, 6)):
+        with pytest.raises(ShapeError):
+            remover.forward(Tensor(np.ones(shape)), cell.forward)
 
 
 def test_task_loss_trivials(rng):
@@ -97,24 +132,12 @@ def test_task_loss_trivials(rng):
 def test_task_loss_termwise_oracle(rng):
     x = Tensor(rng.uniform(0, 1, size=(1, 3, 6, 6)))
     u = Tensor(rng.uniform(0, 1, size=(1, 3, 6, 6)))
-    theta = Tensor(rng.uniform(0, 0.2, size=(1, 3, 6, 6)))
     mu = 0.05
-    got = float(task_loss(x, u, theta, tv_weight=mu).data)
-    weight = 1.0 / (1.0 + theta.data)
-    fid = float(np.sum(weight * (x.data - u.data) ** 2))
+    got = float(task_loss(x, u, tv_weight=mu).data)
+    fid = float(np.sum((x.data - u.data) ** 2))
     dx = np.abs(np.diff(x.data, axis=3)).sum()
     dy = np.abs(np.diff(x.data, axis=2)).sum()
     assert abs(got - (fid + mu * (dx + dy))) < 1e-9
-
-
-def test_task_loss_theta_is_a_fixed_weight(rng):
-    # theta must not receive gradient through the loss
-    x = Tensor(rng.uniform(0, 1, size=(1, 3, 4, 4)), requires_grad=True)
-    u = Tensor(rng.uniform(0, 1, size=(1, 3, 4, 4)))
-    theta = Tensor(rng.uniform(0, 0.2, size=(1, 3, 4, 4)), requires_grad=True)
-    ad.backward(task_loss(x, u, theta))
-    assert x.grad is not None
-    assert theta.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +151,38 @@ def test_variant_validation(rng):
 
 def test_ruas_s_path(rng):
     model = RuasModel(rng, variant="ruas_s")
-    assert model.task_cell is None and model.estimator is None
+    assert model.task_cell is None
     y = Tensor(rng.uniform(0, 0.5, size=(1, 3, 8, 8)))
     out = model.forward(y)
     np.testing.assert_allclose(out["x"].data, np.clip(out["u"].data, 0, 1))
-    assert out["theta"] is None and out["gate_skip"] is None
+    assert out["noise_sigma"] is None and out["gate_skip"] is None
 
 
 def test_ruas_path_always_removes(rng):
     model = RuasModel(rng, variant="ruas")
-    assert model.task_cell is not None and model.estimator is None
+    assert model.task_cell is not None
     out = model.forward(Tensor(rng.uniform(0, 0.5, size=(1, 3, 8, 8))))
     assert out["x"].data.shape == (1, 3, 8, 8)
-    assert out["theta"] is None
+    assert out["noise_sigma"] is None and out["gate_skip"] is None
 
 
 def test_ruas_a_gate_both_ways(rng):
-    model = RuasModel(rng, variant="ruas_a")
+    """ruas_a is ruas, skipped when the input's noise sigma is at most gate_eps."""
+    model = RuasModel(np.random.default_rng(0), variant="ruas_a")
     y = Tensor(rng.uniform(0, 0.5, size=(1, 3, 8, 8)))
+    sigma = estimate_noise_sigma(y.data)
+    assert sigma > 0
 
-    # force the gate open and closed through the threshold
-    model.gate_eps = 1e9
+    model.gate_eps = sigma
     out = model.forward(y)
-    assert out["gate_skip"] is True
-    np.testing.assert_allclose(out["x"].data, np.clip(out["u"].data, 0, 1))
+    assert out["noise_sigma"] == sigma and out["gate_skip"] is True
+    np.testing.assert_array_equal(out["x"].data, np.clip(out["u"].data, 0, 1))
 
     model.gate_eps = 0.0
     out = model.forward(y)
-    if float(np.abs(out["theta"].data).mean()) > 0:
-        assert out["gate_skip"] is False
+    assert out["gate_skip"] is False
+    always = RuasModel(np.random.default_rng(0), variant="ruas").forward(y)["x"]
+    np.testing.assert_array_equal(out["x"].data, always.data)
 
 
 def test_enhance_output_unit_range(rng, tiny_dataset):

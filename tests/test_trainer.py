@@ -14,7 +14,6 @@ from ruas.train import (
     train_end_to_end,
     train_hierarchical,
     train_model,
-    train_noise_estimator,
 )
 
 
@@ -138,19 +137,6 @@ def test_nonfinite_abort_restores_last_good(tiny_dataset):
     assert report.curves["joint"] == []
     # the restored snapshot is the pre-epoch state, still NaN-free elsewhere
     np.testing.assert_array_equal(bad.data, np.full_like(good, np.nan))
-
-
-def test_noise_estimator_pretraining_decreases_loss(rng):
-    from ruas.task import NoiseEstimator
-
-    est = NoiseEstimator(np.random.default_rng(0))
-    pairs = []
-    for _ in range(3):
-        clean = rng.uniform(0.2, 0.8, size=(1, 3, 8, 8))
-        noisy = np.clip(clean + rng.normal(0, 0.05, clean.shape), 0, 1)
-        pairs.append((noisy, clean))
-    curve = train_noise_estimator(est, pairs, epochs=5, lr=1e-3)
-    assert curve[-1] < curve[0]
 
 
 def test_evaluate_and_csv(tiny_dataset):
