@@ -291,18 +291,18 @@ def sliding_max(a, window):
         np.maximum(out_data, s, out=out_data)
 
     def bw(g):
-        backwards = range(len(shifts) - 1, -1, -1)
         first = np.zeros(out_data.shape, dtype=np.intp)
-        for o in backwards:
+        for o in range(len(shifts) - 1, -1, -1):
             first[shifts[o] == out_data] = o
-        # in reverse offset order each input pixel takes its outputs'
-        # gradients in their row-major order, as a loop over outputs would
-        gp = np.zeros_like(xp)
-        for o in backwards:
-            i, j = divmod(o, window)
-            dst = gp[:, :, i : i + h, j : j + w]
-            np.add(dst, g, out=dst, where=first == o)
-        yield a, gp[:, :, r : r + h, r : r + w]
+        # flat index into ``xp`` of each output's first maximum; bincount
+        # adds the outputs' gradients in their row-major order, as a loop
+        # over outputs would
+        hp, wp = xp.shape[2:]
+        corner = (np.arange(n * c).reshape(n, c, 1, 1) * hp + np.arange(h)[:, None]) * wp
+        offsets = (np.arange(window)[:, None] * wp + np.arange(window)).ravel()
+        src = corner + np.arange(w) + offsets[first]
+        gp = np.bincount(src.ravel(), weights=g.ravel(), minlength=xp.size)
+        yield a, gp.reshape(xp.shape)[:, :, r : r + h, r : r + w]
 
     return _make(out_data, (a,), bw)
 

@@ -75,10 +75,6 @@ class SearchModel:
         _, t, _ = self.scene_out(y)
         return scene_loss(t, y, self.scene_cfg)
 
-    def task_loss(self, y):
-        u, _, _ = self.scene_out(y)
-        return self.task_loss_on(u)
-
     def task_loss_on(self, u):
         """Task loss on a given scene output ``u``."""
         return task_loss(self.task_out(u), u, tv_weight=self.tv_weight)

@@ -112,10 +112,13 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
 
 
 def _combined_loss(model, y, beta):
-    s = model.scene_loss(y)
+    """Scene loss plus ``beta`` times the task loss on the scene output; one
+    taped scene pass feeds both terms."""
+    u, t, _ = model.scene_out(y)
+    s = scene_loss(t, y, model.scene_cfg)
     if beta == 0:
         return s
-    return ad.add(s, ad.mul(model.task_loss(y), beta))
+    return ad.add(s, ad.mul(model.task_loss_on(u), beta))
 
 
 def _eval_val_losses(model, val_records, beta):
@@ -196,7 +199,7 @@ def _stages(model, cfg, momentum):
     omega_s, omega_t = model.omega_s(), model.omega_t()
     combined = lambda y: _combined_loss(model, y, cfg.beta)
     if cfg.strategy == "global":
-        joint = lambda y: ad.add(model.scene_loss(y), model.task_loss(y))
+        joint = lambda y: _combined_loss(model, y, 1.0)
         return [[phase(alpha_s + alpha_t, omega_s + omega_t, combined, joint)]]
 
     # the task side steps no scene weight, so it sees the scene output as a

@@ -261,7 +261,8 @@ def test_search_convs_at_32px_take_one_matmul(rng, monkeypatch):
     monkeypatch.setattr(ad, "_band_rows", spy)
     model = SearchModel(rng)
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 32, 32)))
-    backward(ad.add(model.scene_loss(y), model.task_loss(y)))
+    task = model.task_loss_on(model.scene_out(y)[0])
+    backward(ad.add(model.scene_loss(y), task))
     assert all(one for _, _, one in seen)
     assert max(seen) == (884_736, (12, 3), True)
 

@@ -198,7 +198,7 @@ def test_frozen_scene_task_grads_equal_full_tape(tiny_dataset):
     task_params = model.alpha_t.parameters() + model.omega_t()
     scene_params = model.alpha_s.parameters() + model.omega_s()
 
-    full = model.task_loss(y)
+    full = model.task_loss_on(model.scene_out(y)[0])
     ad.backward(full)
     want = [np.array(p.grad, copy=True) for p in task_params]
     assert all(p.grad is not None for p in scene_params)
@@ -225,7 +225,8 @@ def test_alpha_only_pass_matches_full_pass_and_skips_weight_gradients(
     omegas = model.omega_s() + model.omega_t()
 
     def loss():
-        return ad.add(model.scene_loss(y), model.task_loss(y))
+        task = model.task_loss_on(model.scene_out(y)[0])
+        return ad.add(model.scene_loss(y), task)
 
     ad.backward(loss())
     want = [np.array(a.grad, copy=True) for a in alphas]
@@ -309,3 +310,57 @@ def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatc
     # every task step back-propagates at least its omega update
     assert seen["task_backward"] >= cfg.epochs * pairs
     assert seen["leaked"] == []
+
+
+def _scene_passes_per_loss(data, cfg, monkeypatch):
+    """``scene_out`` calls inside each loss evaluation of the first phase, in
+    call order, over one seeded run."""
+    counts = []
+    inside = [False]
+    scene_out = SearchModel.scene_out
+
+    def counting_scene_out(self, y):
+        if inside[0]:
+            counts[-1] += 1
+        return scene_out(self, y)
+
+    def counted(fn):
+        def wrapped(x):
+            counts.append(0)
+            inside[0] = True
+            try:
+                return fn(x)
+            finally:
+                inside[0] = False
+
+        return wrapped
+
+    stages = search._stages
+
+    def counting_stages(model, cfg, momentum):
+        out = stages(model, cfg, momentum)
+        phase = out[0][0]
+        phase.val_loss, phase.tr_loss = counted(phase.val_loss), counted(phase.tr_loss)
+        return out
+
+    monkeypatch.setattr(SearchModel, "scene_out", counting_scene_out)
+    monkeypatch.setattr(search, "_stages", counting_stages)
+    run_search(data, cfg, seed=5)
+    return counts
+
+
+@pytest.mark.parametrize("strategy", ["cooperative", "global"])
+def test_scene_phase_losses_take_one_scene_pass_each(tiny_dataset, monkeypatch, strategy):
+    """The coupling term of the cooperative scene phase, and the joint losses
+    of global, reuse their loss's taped scene output: one unrolling per loss
+    evaluation, so five per pair outside warm-up."""
+    _, records = tiny_dataset
+    data = small_split(records)
+    cfg = SearchConfig(strategy=strategy, epochs=2, warmup_epochs=1, lr_omega=3e-5)
+    counts = _scene_passes_per_loss(data, cfg, monkeypatch)
+
+    pairs = len(data.train)
+    # warm-up epoch: the weight step alone; then the inner training gradient,
+    # the validation loss at the virtual step, two probes and the weight step
+    assert len(counts) == pairs + 5 * pairs
+    assert counts == [1] * len(counts)
