@@ -12,6 +12,6 @@ from .errors import (
     RuasError,
     ShapeError,
 )
-from .model import RuasModel, SearchModel, load_checkpoint, save_checkpoint
+from .model import RuasModel, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

@@ -29,9 +29,9 @@ from .errors import (
     RuasError,
 )
 from .io_metrics import load_dataset, load_png, save_png, split_records
-from .model import RuasModel, SearchModel, load_checkpoint, save_checkpoint
+from .model import RuasModel, load_checkpoint, save_checkpoint
 from .search import run_search
-from .search_space import SEARCH_OPS, cell_flops, cell_param_count, count_params
+from .search_space import SEARCH_OPS, cell_param_count, count_params
 from .train import evaluate, metrics_csv, pretrain_scene, train_hierarchical, train_model
 
 EXIT_CONFIG = 2
@@ -94,11 +94,11 @@ def _model_from_config(cfg, rng, arch_path=None, stages=None):
     return RuasModel.from_config(rng, task, scene_cfg)
 
 
-def _search(cfg, records, seed, strategy=None):
-    """A search with the config's (or ``strategy``'s) settings on a seeded split."""
+def _search(cfg, records, seed):
+    """A search with the config's settings on a seeded split."""
     data = split_records(records, rng=np.random.default_rng(seed))
-    scfg = cfg.search_config(strategy=strategy)
-    return run_search(data, scfg, seed, cfg.scene_config(), cfg.task_config().tv_weight)
+    tv_weight = cfg.task_config().tv_weight
+    return run_search(data, cfg.search_config(), seed, cfg.scene_config(), tv_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,8 @@ def cmd_compare_strategies(args):
     cfg, seed, records, out = _start_run(args)
     lines = ["strategy,scene_val,task_val,combined,scene_params,task_params"]
     for strategy in ("global", "independent", "cooperative"):
-        result = _search(cfg, records, seed, strategy)
+        cfg.set_strategy("search", strategy)
+        result = _search(cfg, records, seed)
         final, m = result.history[-1], result.model
         # the derived ruas model's counts; its remover is the supernet's
         scene_params = cell_param_count(m.scene_spec, result.scene_ops)
@@ -249,12 +250,10 @@ def cmd_fixed_op(args):
     cfg, seed, records, out = _start_run(args, need_reference=True)
     tcfg = cfg.train_config()
     tv_weight = cfg.task_config().tv_weight
-    h, w = records[0].input().shape[2:]
-    lines, aborted = ["model,psnr_db,ssim,params,mult_adds"], []
+    models, aborted = {}, []
     for kind in SEARCH_OPS:
-        rng = np.random.default_rng(seed)
         model = RuasModel(
-            rng,
+            np.random.default_rng(seed),
             variant="ruas_s",
             scene_cfg=cfg.scene_config(),
             scene_ops=[kind.name] * 7,
@@ -262,23 +261,21 @@ def cmd_fixed_op(args):
         )
         if train_hierarchical(model, records, tcfg).aborted:
             aborted.append(kind.name)
-        _, means = evaluate(model, records)
-        lines.append(
-            f"{kind.name},{means['psnr']:.4f},{means['ssim']:.6f},"
-            f"{model.scene_param_count()},{model.flops(h, w)}"
-        )
-    # supernet row: the mixed scene cell at its current (uniform-ish) logits
-    rng = np.random.default_rng(seed)
-    supernet = SearchModel(rng, scene_cfg=cfg.scene_config(), tv_weight=tv_weight)
+        models[kind.name] = model
+    # the supernet's mixed scene cell at its initial (uniform-ish) logits
+    supernet = RuasModel.supernet(np.random.default_rng(seed), cfg.scene_config(), tv_weight)
     scene_cfg = dataclasses.replace(tcfg, pretrain_epochs=max(tcfg.pretrain_epochs, 1))
     if pretrain_scene(supernet, records, scene_cfg).aborted:
         aborted.append("supernet")
-    _, means = evaluate(supernet, records)
-    sup_params = count_params(supernet.omega_s())
-    sup_flops = supernet.scene_cfg.stages * cell_flops(supernet.scene_cell, h, w)
-    lines.append(
-        f"supernet,{means['psnr']:.4f},{means['ssim']:.6f},{sup_params},{sup_flops}"
-    )
+    models["supernet"] = supernet.set_variant("ruas_s")
+    h, w = records[0].input().shape[2:]
+    lines = ["model,psnr_db,ssim,params,mult_adds"]
+    for name, model in models.items():
+        _, means = evaluate(model, records)
+        lines.append(
+            f"{name},{means['psnr']:.4f},{means['ssim']:.6f},"
+            f"{model.scene_param_count()},{model.flops(h, w)}"
+        )
     (out / "fixed_op.csv").write_text("\n".join(lines) + "\n")
     _raise_if_aborted(aborted)
     return 0

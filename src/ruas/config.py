@@ -236,6 +236,9 @@ class RunConfig:
             raise DataIOError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            kind = type(doc).__name__
+            raise ConfigError(f"config {path} must hold a JSON object, not {kind}")
         return cls(doc)
 
     def scene_config(self):
@@ -247,15 +250,11 @@ class RunConfig:
     def paths_config(self):
         return self.configs["paths"]
 
-    def search_config(self, strategy=None):
-        return self._with_strategy(self.configs["search"], strategy)
+    def search_config(self):
+        return self.configs["search"]
 
-    def train_config(self, strategy=None):
-        return self._with_strategy(self.configs["train"], strategy)
-
-    @staticmethod
-    def _with_strategy(cfg, strategy):
-        return cfg if strategy is None else dataclasses.replace(cfg, strategy=strategy)
+    def train_config(self):
+        return self.configs["train"]
 
     def set_strategy(self, section, strategy):
         """Make a command-line strategy (None: keep the config's) the

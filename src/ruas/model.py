@@ -1,5 +1,6 @@
-"""Model composition: the full enhancement pipeline in its continuous
-(search-time) and discrete (train/deploy-time) forms."""
+"""Model composition: the full enhancement pipeline, as the search supernet
+(mixed cells) or as a derived model (one operator per edge), plus its
+checkpoint format."""
 
 from __future__ import annotations
 
@@ -34,54 +35,14 @@ DEFAULT_SCENE_OPS = ("3-RC", "3-2-RDC", "3-RC", "3-C", "3-C", "3-2-DC", "3-C")
 DEFAULT_TASK_OPS = ("3-RC", "3-2-RDC", "3-RC", "3-C", "3-C", "3-2-DC", "3-C")
 
 
-class SearchModel:
-    """Supernet: mixed cells for scene and task plus their logits."""
-
-    def __init__(self, rng, scene_cfg=None, tv_weight=0.05):
-        self.scene_cfg = scene_cfg or SceneConfig()
-        self.tv_weight = tv_weight
-        self.scene_spec = CellSpec(width=SCENE_WIDTH)
-        self.task_spec = CellSpec(width=TASK_WIDTH)
-        self.scene_cell = MixedCell(
-            self.scene_spec, rng, name="sm.cell", fusion_init="zeros"
-        )
-        self.task_cell = MixedCell(
-            self.task_spec, rng, name="tm.cell", fusion_init="zeros"
-        )
-        self.alpha_s = ArchParams(self.scene_spec, rng, name="alpha_s")
-        self.alpha_t = ArchParams(self.task_spec, rng, name="alpha_t")
-        self.remover = NoiseRemover(rng, width=TASK_WIDTH, name="tm.psi_r")
-
-    def omega_s(self):
-        return self.scene_cell.parameters()
-
-    def omega_t(self):
-        return self.task_cell.parameters() + self.remover.parameters()
-
-    def scene_out(self, y):
-        cell_fn = lambda t: self.scene_cell.forward(t, self.alpha_s)
-        return scene_forward(y, self.scene_cfg, cell_fn)
-
-    def enhance(self, y):
-        """The scene output clamped to [0, 1]: the supernet counterpart of ruas_s."""
-        return ad.clamp(self.scene_out(y)[0], 0.0, 1.0)
-
-    def task_out(self, u):
-        cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
-        return self.remover.forward(u, cell_fn)
-
-    # the same losses serve as training and validation objectives in search
-    def scene_loss(self, y):
-        _, t, _ = self.scene_out(y)
-        return scene_loss(t, y, self.scene_cfg)
-
-    def task_loss_on(self, u):
-        """Task loss on a given scene output ``u``."""
-        return task_loss(self.task_out(u), u, tv_weight=self.tv_weight)
-
-
 class RuasModel:
-    """Discrete enhancement model for one of the three variants."""
+    """The nested scene-plus-task unrolling, run as one of the three variants.
+
+    A derived model holds one operator per cell edge.  The search supernet,
+    built by ``supernet``, holds a MixedCell on both sides: every edge mixes
+    every search candidate under the logits ``alpha_s`` (scene) and
+    ``alpha_t`` (task), which are None on a derived model.
+    """
 
     def __init__(
         self,
@@ -99,28 +60,27 @@ class RuasModel:
         self.scene_cfg = scene_cfg or SceneConfig()
         self.gate_eps = gate_eps
         self.tv_weight = tv_weight
-        self.scene_ops = tuple(str(o) for o in scene_ops)
-        self.task_ops = tuple(str(o) for o in task_ops)
+        self.scene_ops = _op_names(scene_ops)
+        self.task_ops = _op_names(task_ops)
         self.scene_spec = CellSpec(width=SCENE_WIDTH)
         self.task_spec = CellSpec(width=TASK_WIDTH)
-        self.scene_cell = DiscreteCell(
-            self.scene_spec,
-            [lookup_op(n) for n in self.scene_ops],
-            rng,
-            name="sm.cell",
-            fusion_init="zeros",
-        )
+        self.scene_cell = _cell(self.scene_spec, self.scene_ops, rng, "sm.cell")
         self.task_cell = None
         self.remover = None
         if variant in ("ruas", "ruas_a"):
-            self.task_cell = DiscreteCell(
-                self.task_spec,
-                [lookup_op(n) for n in self.task_ops],
-                rng,
-                name="tm.cell",
-                fusion_init="zeros",
-            )
+            self.task_cell = _cell(self.task_spec, self.task_ops, rng, "tm.cell")
+        # a mixed cell's logits are drawn after both cells, before the remover
+        self.alpha_s = _logits(self.scene_cell, rng, "alpha_s")
+        self.alpha_t = _logits(self.task_cell, rng, "alpha_t")
+        if self.task_cell is not None:
             self.remover = NoiseRemover(rng, width=TASK_WIDTH, name="tm.psi_r")
+
+    @classmethod
+    def supernet(cls, rng, scene_cfg=None, tv_weight=0.05):
+        """The search supernet: a ``ruas`` model whose op lists are None, so
+        that both cells mix every candidate.  It draws from ``rng`` in the
+        order scene cell, task cell, alpha_s, alpha_t, remover."""
+        return cls(rng, scene_cfg=scene_cfg, scene_ops=None, task_ops=None, tv_weight=tv_weight)
 
     @classmethod
     def from_config(cls, rng, task, scene_cfg):
@@ -162,7 +122,13 @@ class RuasModel:
         return self
 
     def scene_out(self, y):
-        return scene_forward(y, self.scene_cfg, self.scene_cell.forward)
+        cell_fn = lambda t: self.scene_cell.forward(t, self.alpha_s)
+        return scene_forward(y, self.scene_cfg, cell_fn)
+
+    def task_out(self, u):
+        """Noise removal of the scene output ``u``."""
+        cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
+        return self.remover.forward(u, cell_fn)
 
     def forward(self, y):
         """Full pipeline; returns a dict with every intermediate of interest."""
@@ -180,11 +146,20 @@ class RuasModel:
         if self.variant == "ruas_s" or out["gate_skip"]:
             out["x"] = ad.clamp(u, 0.0, 1.0)
         else:
-            out["x"] = self.remover.forward(u, self.task_cell.forward)
+            out["x"] = self.task_out(u)
         return out
 
     def enhance(self, y):
         return self.forward(y)["x"]
+
+    # the unsupervised objectives; in search, training and validation alike
+    def scene_loss(self, y):
+        _, t, _ = self.scene_out(y)
+        return scene_loss(t, y, self.scene_cfg)
+
+    def task_loss_on(self, u):
+        """Task loss on a given scene output ``u``."""
+        return task_loss(self.task_out(u), u, tv_weight=self.tv_weight)
 
     # ------------------------------------------------------------------
     def scene_param_count(self):
@@ -196,7 +171,7 @@ class RuasModel:
     def flops(self, h, w):
         """Multiply-add count of one forward pass at resolution h x w."""
         total = self.scene_cfg.stages * cell_flops(self.scene_cell, h, w)
-        if self.task_cell is not None:
+        if self.variant != "ruas_s":
             total += cell_flops(self.task_cell, h, w)
             total += conv_flops(TASK_WIDTH, 6, 1, h, w)  # proj in
             total += conv_flops(3, TASK_WIDTH, 1, h, w)  # proj out
@@ -206,8 +181,8 @@ class RuasModel:
     def config_dict(self):
         return {
             "variant": self.variant,
-            "scene_ops": list(self.scene_ops),
-            "task_ops": list(self.task_ops),
+            "scene_ops": self.scene_ops,
+            "task_ops": self.task_ops,
             "gate_eps": self.gate_eps,
             "tv_weight": self.tv_weight,
             "scene_cfg": dataclasses.asdict(self.scene_cfg),
@@ -216,6 +191,23 @@ class RuasModel:
     def config_hash(self):
         blob = json.dumps(self.config_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _op_names(ops):
+    return None if ops is None else tuple(str(o) for o in ops)
+
+
+def _cell(spec, ops, rng, name):
+    """The derived cell of the operators ``ops``; a MixedCell when None."""
+    if ops is None:
+        return MixedCell(spec, rng, name=name, fusion_init="zeros")
+    kinds = [lookup_op(n) for n in ops]
+    return DiscreteCell(spec, kinds, rng, name=name, fusion_init="zeros")
+
+
+def _logits(cell, rng, name):
+    """The per-edge logits that a mixed ``cell`` runs under; None otherwise."""
+    return ArchParams(cell.spec, rng, name=name) if isinstance(cell, MixedCell) else None
 
 
 # ---------------------------------------------------------------------------

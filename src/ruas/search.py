@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import SGD, Tensor, backward
 from .config import SearchConfig  # noqa: F401  (ruas.search.SearchConfig)
 from .errors import NumericError
-from .model import SearchModel
+from .model import RuasModel
 from .scene import scene_loss
 from .search_space import arch_dump, discretize
 
@@ -140,7 +140,7 @@ class SearchResult:
     task_ops: list
     history: list
     momentum: float
-    model: SearchModel
+    model: RuasModel
 
     def history_csv(self):
         lines = ["stage,epoch,scene_val,task_val,combined"]
@@ -233,7 +233,7 @@ def run_search(data, cfg, seed, scene_cfg=None, tv_weight=0.05):
     restart at 0 in each stage.
     """
     rng = np.random.default_rng(seed)
-    model = SearchModel(rng, scene_cfg=scene_cfg, tv_weight=tv_weight)
+    model = RuasModel.supernet(rng, scene_cfg=scene_cfg, tv_weight=tv_weight)
     momentum = cfg.momentum if cfg.momentum is not None else float(rng.uniform(0.5, 0.999))
     history = []
     for stage_index, stage in enumerate(_stages(model, cfg, momentum)):

@@ -42,8 +42,9 @@ def _full_loss(model, y, lam):
     return ad.add(lt, ad.mul(ls, lam))
 
 
-def _run_epochs(model, params, records, loss_fn, cfg, epochs, curve):
-    """SGD sweeps; returns False if a non-finite loss forced an abort."""
+def _run_epochs(params, records, loss_fn, cfg, epochs, curve):
+    """SGD sweeps on ``loss_fn(y)``; returns False if a non-finite loss
+    forced an abort."""
     if not params:
         return True
     opt = SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay, clip_norm=cfg.grad_clip)
@@ -52,7 +53,7 @@ def _run_epochs(model, params, records, loss_fn, cfg, epochs, curve):
         total = 0.0
         for rec in records:
             y = Tensor(rec.input())
-            loss = loss_fn(model, y)
+            loss = loss_fn(y)
             value = float(loss.data)
             if not np.isfinite(value):
                 _restore(params, last_good)
@@ -67,30 +68,18 @@ def _run_epochs(model, params, records, loss_fn, cfg, epochs, curve):
 def train_end_to_end(model, records, cfg):
     """Joint momentum-SGD over all weights on l_t + lambda * l_s."""
     curve = []
-    ok = _run_epochs(
-        model,
-        model.parameters(),
-        records,
-        lambda m, y: _full_loss(m, y, cfg.lambda_weight),
-        cfg,
-        cfg.epochs,
-        curve,
-    )
+    loss_fn = lambda y: _full_loss(model, y, cfg.lambda_weight)
+    ok = _run_epochs(model.parameters(), records, loss_fn, cfg, cfg.epochs, curve)
     return TrainReport(curves={"joint": curve}, aborted=not ok)
-
-
-def _scene_only(model, y):
-    _, t, _ = model.scene_out(y)
-    return scene_loss(t, y, model.scene_cfg)
 
 
 def pretrain_scene(model, records, cfg):
     """Unsupervised scene pre-training: ``cfg.pretrain_epochs`` sweeps over
-    the scene cell's weights alone, on the scene loss of ``model.scene_out``
-    (a RuasModel or the SearchModel supernet)."""
+    the scene cell's weights alone, on ``model.scene_loss``; the model may
+    be derived or the supernet."""
     curve = []
     ok = _run_epochs(
-        model, model.omega_s(), records, _scene_only, cfg, cfg.pretrain_epochs, curve
+        model.omega_s(), records, model.scene_loss, cfg, cfg.pretrain_epochs, curve
     )
     return TrainReport(curves={"scene": curve}, aborted=not ok)
 
@@ -100,14 +89,9 @@ def train_hierarchical(model, records, cfg):
     report = pretrain_scene(model, records, cfg)
     fine_curve = []
     if not report.aborted:
+        loss_fn = lambda y: _full_loss(model, y, 0.0)
         report.aborted = not _run_epochs(
-            model,
-            model.parameters(),
-            records,
-            lambda m, y: _full_loss(m, y, 0.0),
-            cfg,
-            cfg.epochs,
-            fine_curve,
+            model.parameters(), records, loss_fn, cfg, cfg.epochs, fine_curve
         )
     report.curves["fine"] = fine_curve
     return report

@@ -15,7 +15,7 @@ from ruas.errors import (
     NumericError,
     ShapeError,
 )
-from ruas.model import SearchModel
+from ruas.model import RuasModel
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_search_convs_at_32px_take_one_matmul(rng, monkeypatch):
         return rows
 
     monkeypatch.setattr(ad, "_band_rows", spy)
-    model = SearchModel(rng)
+    model = RuasModel.supernet(rng)
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 32, 32)))
     task = model.task_loss_on(model.scene_out(y)[0])
     backward(ad.add(model.scene_loss(y), task))

@@ -176,6 +176,7 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         ("search", {"seed": 1.5}, "seed must be"),
         ("train", {"seed": True}, "seed must be"),
         ("train", {"task": {"variant": "ruas_s", "task_ops": ["bogus"]}}, "task_ops"),
+        *[("search", doc, "JSON object") for doc in (None, [], 0, "", 42, "abc", [1, 2])],
     ],
     ids=[
         "str-tv-weight",
@@ -194,6 +195,10 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         "float-seed",
         "bool-seed",
         "ruas-s-bogus-task-ops",
+        *[
+            f"top-level-{n}"
+            for n in ("null", "empty-list", "zero", "empty-str", "int", "str", "list")
+        ],
     ],
 )
 def test_mistyped_config_values_exit_2_and_write_nothing(

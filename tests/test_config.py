@@ -57,8 +57,11 @@ def test_section_to_dataclass():
     cfg = RunConfig({"scene": {"stages": 2}, "search": {"epochs": 4}})
     assert cfg.scene_config().stages == 2
     assert cfg.search_config().epochs == 4
-    assert cfg.search_config(strategy="global").strategy == "global"
-    assert cfg.train_config(strategy="hierarchical").strategy == "hierarchical"
+    cfg.set_strategy("search", "global")
+    cfg.set_strategy("train", "hierarchical")
+    assert cfg.search_config().strategy == "global"
+    assert cfg.train_config().strategy == "hierarchical"
+    assert cfg.sections["search"]["strategy"] == "global"  # the echoed config
     # invalid values surface when the dataclass is built
     with pytest.raises(ConfigError):
         RunConfig({"scene": {"stages": 0}}).scene_config()
@@ -180,7 +183,11 @@ def test_out_of_range_values_rejected(section, values):
 
 def test_overrides_replace_instead_of_mutating():
     cfg = RunConfig()
-    assert cfg.search_config(strategy="global").strategy == "global"
-    assert cfg.search_config().strategy == "cooperative"
+    before = cfg.search_config()
+    cfg.set_strategy("search", "global")
+    assert cfg.search_config().strategy == "global"
+    assert before.strategy == "cooperative"
+    cfg.set_strategy("search", None)  # None keeps the config's strategy
+    assert cfg.search_config().strategy == "global"
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.scene_config().stages = 5

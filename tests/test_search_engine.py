@@ -8,8 +8,10 @@ from ruas import search
 from ruas.autodiff import Parameter, Tensor
 from ruas.errors import ConfigError
 from ruas.io_metrics import split_records
-from ruas.model import SearchModel
+from ruas.model import SCENE_WIDTH, TASK_WIDTH, RuasModel
 from ruas.search import SearchConfig, hypergrad_onestep, run_search
+from ruas.search_space import ArchParams, CellSpec, MixedCell
+from ruas.task import NoiseRemover
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_inner_steps_apply_to_every_strategy(tiny_dataset, strategy):
 
 def test_frozen_scene_task_grads_equal_full_tape(tiny_dataset):
     _, records = tiny_dataset
-    model = SearchModel(np.random.default_rng(11))
+    model = RuasModel.supernet(np.random.default_rng(11))
     y = Tensor(records[0].input())
     task_params = model.alpha_t.parameters() + model.omega_t()
     scene_params = model.alpha_s.parameters() + model.omega_s()
@@ -219,7 +221,7 @@ def test_alpha_only_pass_matches_full_pass_and_skips_weight_gradients(
     tiny_dataset, monkeypatch
 ):
     _, records = tiny_dataset
-    model = SearchModel(np.random.default_rng(11))
+    model = RuasModel.supernet(np.random.default_rng(11))
     y = Tensor(records[0].input())
     alphas = model.alpha_s.parameters() + model.alpha_t.parameters()
     omegas = model.omega_s() + model.omega_t()
@@ -256,7 +258,7 @@ def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatc
     last_task_loss = [None]
     scene_params = []
 
-    scene_out = SearchModel.scene_out
+    scene_out = RuasModel.scene_out
 
     def counting_scene_out(self, y):
         if where[0] is not None:
@@ -298,7 +300,7 @@ def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatc
         seen["task_backward"] += 1
         seen["leaked"] += [p.name for p in scene_params if p.grad is not None]
 
-    monkeypatch.setattr(SearchModel, "scene_out", counting_scene_out)
+    monkeypatch.setattr(RuasModel, "scene_out", counting_scene_out)
     monkeypatch.setattr(search, "_stages", tagging_stages)
     monkeypatch.setattr(search, "backward", checking_backward)
     monkeypatch.setattr(ad, "backward", checking_backward)
@@ -317,7 +319,7 @@ def _scene_passes_per_loss(data, cfg, monkeypatch):
     call order, over one seeded run."""
     counts = []
     inside = [False]
-    scene_out = SearchModel.scene_out
+    scene_out = RuasModel.scene_out
 
     def counting_scene_out(self, y):
         if inside[0]:
@@ -343,7 +345,7 @@ def _scene_passes_per_loss(data, cfg, monkeypatch):
         phase.val_loss, phase.tr_loss = counted(phase.val_loss), counted(phase.tr_loss)
         return out
 
-    monkeypatch.setattr(SearchModel, "scene_out", counting_scene_out)
+    monkeypatch.setattr(RuasModel, "scene_out", counting_scene_out)
     monkeypatch.setattr(search, "_stages", counting_stages)
     run_search(data, cfg, seed=5)
     return counts
@@ -364,3 +366,24 @@ def test_scene_phase_losses_take_one_scene_pass_each(tiny_dataset, monkeypatch, 
     # the validation loss at the virtual step, two probes and the weight step
     assert len(counts) == pairs + 5 * pairs
     assert counts == [1] * len(counts)
+
+
+def test_supernet_draws_cells_then_logits_then_remover():
+    """Every seeded search artifact rests on this order of draws: scene cell,
+    task cell, scene logits, task logits, remover."""
+    rng = np.random.default_rng(4)
+    scene, task = CellSpec(width=SCENE_WIDTH), CellSpec(width=TASK_WIDTH)
+    parts = [
+        MixedCell(scene, rng, fusion_init="zeros"),
+        MixedCell(task, rng, fusion_init="zeros"),
+        ArchParams(scene, rng),
+        ArchParams(task, rng),
+        NoiseRemover(rng, width=TASK_WIDTH),
+    ]
+    model = RuasModel.supernet(np.random.default_rng(4))
+    got = [model.scene_cell, model.task_cell, model.alpha_s, model.alpha_t, model.remover]
+    want = [p.data for part in parts for p in part.parameters()]
+    got = [p.data for part in got for p in part.parameters()]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

@@ -327,6 +327,17 @@ def test_mixed_cell_flops_count_every_candidate(rng):
     assert cell_flops(cell, 8, 8) == 7 * per_edge + conv_flops(6, 24, 1, 8, 8)
 
 
+def test_flops_follow_the_variant_that_runs():
+    """A ruas model run as ruas_s counts no removal, as a native ruas_s does;
+    the supernet run as ruas_s counts every candidate of its scene cell."""
+    native = RuasModel(np.random.default_rng(0), variant="ruas_s")
+    assert RuasModel(np.random.default_rng(0)).flops(32, 32) == 4_377_600
+    assert RuasModel(np.random.default_rng(0)).set_variant("ruas_s").flops(32, 32) == 1_852_416
+    assert native.flops(32, 32) == 1_852_416
+    supernet = RuasModel.supernet(np.random.default_rng(0)).set_variant("ruas_s")
+    assert supernet.flops(32, 32) == 3 * cell_flops(supernet.scene_cell, 32, 32)
+
+
 def test_arch_dump_formats(rng):
     spec = CellSpec(width=3)
     arch = ArchParams(spec, rng)

@@ -5,7 +5,7 @@ import pytest
 
 from ruas import autodiff as ad
 from ruas.errors import ConfigError
-from ruas.model import RuasModel, SearchModel
+from ruas.model import RuasModel
 from ruas.train import (
     TrainConfig,
     evaluate,
@@ -77,7 +77,7 @@ def test_pretrain_scene_is_the_hierarchical_scene_phase(tiny_dataset):
     for p, b in zip(alone.omega_t(), task_before):
         np.testing.assert_array_equal(p.data, b)
     # the supernet's mixed scene cell pre-trains through the same function
-    supernet = SearchModel(np.random.default_rng(0))
+    supernet = RuasModel.supernet(np.random.default_rng(0))
     report = pretrain_scene(supernet, records[:2], cfg)
     assert len(report.curves["scene"]) == 2 and not report.aborted
 
@@ -93,7 +93,7 @@ def test_train_model_dispatches_on_strategy(tiny_dataset, strategy, phases):
 
 def test_supernet_enhance_is_the_clamped_scene_output(tiny_dataset):
     _, records = tiny_dataset
-    supernet = SearchModel(np.random.default_rng(0))
+    supernet = RuasModel.supernet(np.random.default_rng(0)).set_variant("ruas_s")
     y = ad.Tensor(records[0].input())
     with ad.no_grad():
         x = supernet.enhance(y)
