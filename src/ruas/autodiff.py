@@ -59,23 +59,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 class Parameter(Tensor):
     """A trainable tensor with a unique name path inside its model."""

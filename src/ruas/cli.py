@@ -31,7 +31,7 @@ from .errors import (
 from .io_metrics import load_dataset, load_png, save_png, split_records
 from .model import RuasModel, load_checkpoint, save_checkpoint
 from .search import run_search
-from .search_space import SEARCH_OPS, cell_param_count, count_params
+from .search_space import SEARCH_OPS, count_params
 from .train import evaluate, metrics_csv, pretrain_scene, train_hierarchical, train_model
 
 EXIT_CONFIG = 2
@@ -231,14 +231,15 @@ def cmd_compare_strategies(args):
     for strategy in ("global", "independent", "cooperative"):
         cfg.set_strategy("search", strategy)
         result = _search(cfg, records, seed)
-        final, m = result.history[-1], result.model
-        # the derived ruas model's counts; its remover is the supernet's
-        scene_params = cell_param_count(m.scene_spec, result.scene_ops)
-        task_params = cell_param_count(m.task_spec, result.task_ops)
-        task_params += count_params(m.remover.parameters())
+        final = result.history[-1]
+        # the counts of the derived ruas model, built apart from the search's rng
+        derived = RuasModel(
+            np.random.default_rng(0), scene_ops=result.scene_ops, task_ops=result.task_ops
+        )
         lines.append(
             f"{strategy},{final['scene_val']:.6f},{final['task_val']:.6f},"
-            f"{final['combined']:.6f},{scene_params},{task_params}"
+            f"{final['combined']:.6f},{derived.scene_param_count()},"
+            f"{count_params(derived.omega_t())}"
         )
         (out / f"{strategy}_arch.dot").write_text(result.arch_dot())
         (out / f"{strategy}_history.csv").write_text(result.history_csv())

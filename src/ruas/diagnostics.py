@@ -143,7 +143,7 @@ def mixed_edge_checks(seed=7):
     return checks
 
 
-def scene_composite_checks(seed=7, per_param_limit=None):
+def scene_composite_checks(seed=7):
     """Gradient of scene_forward + scene loss w.r.t. every cell parameter."""
     rng = np.random.default_rng(seed)
     cfg = SceneConfig(stages=3)
@@ -151,9 +151,6 @@ def scene_composite_checks(seed=7, per_param_limit=None):
         CellSpec(width=SCENE_WIDTH), [lookup_op(n) for n in DEFAULT_SCENE_OPS], rng
     )
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
-    params = cell.parameters()
-    if per_param_limit is not None:
-        params = params[:per_param_limit]
     checks = []
 
     def loss_fn(_):
@@ -162,7 +159,7 @@ def scene_composite_checks(seed=7, per_param_limit=None):
 
     # the composite crosses clamp/relu/max kinks; a finer step keeps the
     # central difference on one side of each kink (error scales with h)
-    for p in params:
+    for p in cell.parameters():
         checks.append((f"scene_composite[{p.name}]", grad_check(loss_fn, p, h=1e-6)))
     return checks
 

@@ -110,7 +110,8 @@ class RuasModel:
 
     def set_variant(self, variant):
         """Run as ``variant`` (None: keep the current one) from now on; a
-        variant can drop the modules this model has but not add any."""
+        variant can drop the modules this model has but not add any, and
+        ``ruas_s`` drops the task cell, the remover and ``alpha_t``."""
         if variant is None or variant == self.variant:
             return self
         if variant != "ruas_s" and self.task_cell is None:
@@ -118,6 +119,9 @@ class RuasModel:
                 f"model (hash {self.config_hash()}, variant {self.variant!r}) "
                 f"lacks modules for variant {variant!r}"
             )
+        if variant == "ruas_s":
+            # what does not run is not a parameter, nor saved in a checkpoint
+            self.task_cell = self.remover = self.alpha_t = None
         self.variant = variant
         return self
 
@@ -164,9 +168,6 @@ class RuasModel:
     # ------------------------------------------------------------------
     def scene_param_count(self):
         return count_params(self.omega_s())
-
-    def param_count(self):
-        return count_params(self.parameters())
 
     def flops(self, h, w):
         """Multiply-add count of one forward pass at resolution h x w."""

@@ -153,8 +153,7 @@ class SearchResult:
 
     def arch_dot(self):
         """Both searched cells in Graphviz dot, scene first."""
-        m = self.model
-        scene, task = arch_dump(m.scene_spec, m.alpha_s), arch_dump(m.task_spec, m.alpha_t)
+        scene, task = arch_dump(self.model.alpha_s), arch_dump(self.model.alpha_t)
         return f"# scene cell\n{scene}# task cell\n{task}"
 
 

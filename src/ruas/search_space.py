@@ -1,5 +1,5 @@
-"""Candidate operator registry and the 5-node distillation cell, whose
-edges hold every search candidate (the softmax-mixed supernet) or one
+"""The table of the seven search candidates and the 5-node distillation
+cell, whose edges hold every candidate (the softmax-mixed supernet) or one
 operator each (the derived cell).
 
 The cell is a DAG: node 0 is the input, nodes 1..4 are produced by chain
@@ -24,39 +24,27 @@ from .errors import ConfigError, ShapeError
 class OpKind:
     name: str
     kernel: int  # 0 for skip
-    dilation: int
-    residual: bool
+    dilation: int = 1
+    residual: bool = False
     skip: bool = False
 
     def __str__(self):
         return self.name
 
 
-def _conv(name, k, d=1, residual=False):
-    return OpKind(name, k, d, residual)
-
-
-SKIP = OpKind("SC", 0, 1, False, skip=True)
-
-# full operator table, in table order
-ALL_OPS = (
-    _conv("1-C", 1),
-    _conv("3-C", 3),
-    _conv("5-C", 5),
-    _conv("7-C", 7),
-    _conv("1-RC", 1, residual=True),
-    _conv("3-RC", 3, residual=True),
-    _conv("3-2-DC", 3, 2),
-    _conv("3-6-DC", 3, 6),
-    _conv("3-12-DC", 3, 12),
-    _conv("3-18-DC", 3, 18),
-    _conv("5-2-DC", 5, 2),
-    _conv("7-2-DC", 7, 2),
-    _conv("3-2-RDC", 3, 2, residual=True),
-    SKIP,
+# the operator table: the candidates of every searched edge, in the scene and
+# the task cell alike, in table order
+SEARCH_OPS = (
+    OpKind("1-C", 1),
+    OpKind("3-C", 3),
+    OpKind("1-RC", 1, residual=True),
+    OpKind("3-RC", 3, residual=True),
+    OpKind("3-2-DC", 3, 2),
+    OpKind("3-2-RDC", 3, 2, residual=True),
+    OpKind("SC", 0, skip=True),
 )
 
-OPS_BY_NAME = {op.name: op for op in ALL_OPS}
+OPS_BY_NAME = {op.name: op for op in SEARCH_OPS}
 
 
 def lookup_op(name):
@@ -66,12 +54,6 @@ def lookup_op(name):
     except (KeyError, TypeError):
         known = ", ".join(OPS_BY_NAME)
         raise ConfigError(f"unknown operator {name!r}; known: {known}") from None
-
-
-# the candidates of every searched edge, in the scene and the task cell alike
-SEARCH_OPS = tuple(
-    lookup_op(n) for n in ("1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC", "SC")
-)
 
 
 def init_conv_weights(c_out, c_in, k, rng, name):
@@ -343,14 +325,6 @@ def count_params(parameters):
     return int(sum(p.data.size for p in parameters))
 
 
-def cell_param_count(spec, kinds):
-    """Parameters of a derived cell with operators ``kinds``, from the
-    operators alone: no cell is built."""
-    width = spec.width
-    convs = sum(width * width * k.kernel**2 + width for k in kinds if not k.skip)
-    return convs + width * 4 * width + width  # the 1x1 fusion
-
-
 def conv_flops(c_out, c_in, k, h, w):
     """Multiply-adds of one stride-1 same-padding convolution."""
     return h * w * c_out * c_in * k * k
@@ -365,17 +339,11 @@ def cell_flops(cell, h, w):
     return total
 
 
-def arch_dump(spec, kinds_or_arch):
-    """DOT-style text, one line per edge, for reports and artifacts."""
+def arch_dump(arch):
+    """DOT-style text, one line per edge of ``arch``'s cell: the derived
+    operator and the mixture weights, for reports and artifacts."""
     lines = []
-    if isinstance(kinds_or_arch, ArchParams):
-        arch = kinds_or_arch
-        choices = discretize(arch)
-        weights = arch.mixture_weights()
-        for (i, j), kind, wvec in zip(spec.edges, choices, weights):
-            wtxt = ",".join(f"{v:.4f}" for v in wvec)
-            lines.append(f"edge {i}->{j} op={kind.name} w={wtxt}")
-    else:
-        for (i, j), kind in zip(spec.edges, kinds_or_arch):
-            lines.append(f"edge {i}->{j} op={kind.name}")
+    for (i, j), kind, wvec in zip(arch.spec.edges, discretize(arch), arch.mixture_weights()):
+        wtxt = ",".join(f"{v:.4f}" for v in wvec)
+        lines.append(f"edge {i}->{j} op={kind.name} w={wtxt}")
     return "\n".join(lines) + "\n"

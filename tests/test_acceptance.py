@@ -24,6 +24,7 @@ from ruas.search_space import (
     DiscreteCell,
     OPS_BY_NAME,
     apply_op,
+    count_params,
     make_op_params,
     mixed_forward,
 )
@@ -214,7 +215,7 @@ def test_acceptance_5_parameter_counts():
     small = RuasModel(rng, variant="ruas_s")
     full = RuasModel(np.random.default_rng(5), variant="ruas")
     scene_n = small.scene_param_count()
-    total_n = full.param_count()
+    total_n = count_params(full.parameters())
     ok = 5e2 <= scene_n <= 5e3 and 1e3 <= total_n <= 2e4
     print(f"  scene params {scene_n}, scene+task params {total_n}")
     _report(5, "parameter-count brackets", ok)

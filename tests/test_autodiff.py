@@ -134,9 +134,10 @@ def correlate1d_grad_oracle(kernel, axis, g):
 
 
 # (n, c_in, c_out, h, w, k, dilation): batches of two, non-square images,
-# every kernel size in the operator table, and a 3-18-DC whose reach (18
-# pixels each side) exceeds the 8 px image, so every tap but the centre
-# reads padding
+# 1x1 to 7x7 kernels, and a dilation-18 3x3 whose reach (18 pixels each
+# side) exceeds the 8 px image, so every tap but the centre reads padding;
+# these are raw conv2d shapes, wider than the operator table, whose
+# largest reach is 2 pixels (3-2-DC)
 CONV_CASES = [
     (1, 2, 3, 6, 6, 3, 1),
     (1, 2, 3, 6, 6, 3, 2),
@@ -181,7 +182,7 @@ def test_conv2d_gradients_match_loop_oracle(rng):
 @pytest.mark.parametrize("rows", [1, 2, 4])
 def test_conv2d_bands_match_loop_oracle(rng, monkeypatch, rows):
     """Every conv banded: ``rows`` output rows per forward band, which does
-    not divide most heights and is shorter than the 3-18-DC reach."""
+    not divide most heights and is shorter than the dilation-18 reach."""
     monkeypatch.setattr(ad, "BAND_MIN_BYTES", 0)
     monkeypatch.setattr(ad, "BAND_ALIGN", 1)
     for n, cin, cout, h, w, k, dil in CONV_CASES:

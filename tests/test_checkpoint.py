@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ruas.cli import main
+from ruas.config import VARIANTS
 from ruas.errors import ConfigError, DataIOError, RuasError
 from ruas.model import RuasModel, load_checkpoint, save_checkpoint
 
@@ -60,6 +61,29 @@ def test_loaded_variant_can_drop_modules_but_not_add_them(saved, tmp_path):
     for saved_as, runs_as in (("ruas_a", "ruas_s"), ("ruas_a", "ruas"), ("ruas", "ruas_a")):
         save_checkpoint(RuasModel(np.random.default_rng(3), variant=saved_as), full)
         assert load_checkpoint(full).set_variant(runs_as).variant == runs_as
+
+
+@pytest.mark.parametrize("runs_as", VARIANTS)
+@pytest.mark.parametrize("built", VARIANTS)
+def test_checkpoint_holds_the_variant_that_runs(tmp_path, built, runs_as):
+    """A model saved after ``set_variant`` loads with the parameters of the
+    variant it runs as, which are those of a model built as that variant;
+    a ruas_s model cannot run as ruas or ruas_a."""
+    model = RuasModel(np.random.default_rng(3), variant=built)
+    if built == "ruas_s" and runs_as != "ruas_s":
+        with pytest.raises(ConfigError):
+            model.set_variant(runs_as)
+        return
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.set_variant(runs_as), path)
+    loaded = load_checkpoint(path)
+    native = RuasModel(np.random.default_rng(3), variant=runs_as)
+    assert loaded.variant == runs_as
+    names = [p.name for p in loaded.parameters()]
+    assert names == [p.name for p in model.parameters()]
+    assert names == [p.name for p in native.parameters()]
+    for want, got in zip(model.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_checkpoint_with_a_noise_estimator_is_refused(tmp_path, tiny_dataset):
@@ -118,13 +142,19 @@ def test_trailing_bytes(saved, extra):
         load_checkpoint(path)
 
 
-def test_unknown_operator_in_header(saved):
+def test_unknown_operator_in_header(saved, tmp_path, tiny_dataset):
+    """An operator outside the table, a removed one included, fails to load
+    (exit 3), naming the operator."""
     _, path = saved
     header, blobs = _split(path)
-    header["config"]["scene_ops"][0] = "bogus"
-    _write(path, header, blobs)
-    with pytest.raises(DataIOError, match="bogus"):
-        load_checkpoint(path)
+    _, records = tiny_dataset
+    argv = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
+    for name in ("bogus", "3-6-DC"):
+        header["config"]["scene_ops"][0] = name
+        _write(path, header, blobs)
+        with pytest.raises(DataIOError, match=repr(name)):
+            load_checkpoint(path)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
 
 
 def test_non_integer_stages_in_header(saved):

@@ -8,6 +8,8 @@ import pytest
 
 from ruas.cli import main
 from ruas.errors import ContractError, DomainError
+from ruas.model import load_checkpoint
+from ruas.search_space import count_params
 from ruas.train import TrainReport
 
 FAST = {
@@ -72,6 +74,14 @@ NO_FILE = object()
         # an empty op list is a cell of the wrong length, not the default cell
         ({**FAST, "task": {"variant": "ruas_s", "scene_ops": []}}, None, 2, "got 0"),
         ({**FAST, "task": {"task_ops": []}}, None, 2, "got 0"),
+        # operators that the table no longer holds
+        ({"task": {"scene_ops": ["7-C"] * 7}}, None, 2, "'7-C'"),
+        (
+            {},
+            json.dumps({"scene": {"ops": ["3-C"] * 7}, "task": {"ops": ["5-2-DC"] * 7}}),
+            2,
+            "'5-2-DC'",
+        ),
     ],
     ids=[
         "unknown-op",
@@ -80,6 +90,8 @@ NO_FILE = object()
         "arch-unreadable",
         "empty-scene-ops",
         "empty-task-ops",
+        "removed-op-in-config",
+        "removed-op-in-arch",
     ],
 )
 def test_bad_operator_names_and_arch_files(
@@ -562,6 +574,26 @@ def test_comparison_commands_smoke(tmp_path, tiny_dataset, command, csv_name, he
     assert got_header == header
     assert [r[0] for r in rows] == names
     assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
+
+
+def test_strategy_counts_are_those_of_the_trained_model(tmp_path, tiny_dataset):
+    """strategies.csv counts the parameters of the model that ``train --arch``
+    builds from each strategy's searched architecture."""
+    root, _ = tiny_dataset
+    cfg = tmp_path / "smoke.json"
+    no_training = {"epochs": 0, "pretrain_epochs": 0}
+    cfg.write_text(json.dumps(SMOKE | {"train": no_training, "task": {"variant": "ruas"}}))
+    common = ["--config", str(cfg), "--data", str(root), "--seed", "2"]
+    assert main(["compare-strategies", *common, "--out", str(tmp_path / "cmp")]) == 0
+    _, rows = _csv_rows(tmp_path / "cmp" / "strategies.csv")
+    for strategy, *_, scene_params, task_params in rows:
+        search, train = tmp_path / f"search_{strategy}", tmp_path / f"train_{strategy}"
+        assert main(["search", *common, "--out", str(search), "--strategy", strategy]) == 0
+        arch = str(search / "alpha_final.json")
+        assert main(["train", *common, "--out", str(train), "--arch", arch]) == 0
+        model = load_checkpoint(train / "model.ckpt")
+        assert int(scene_params) == model.scene_param_count()
+        assert int(task_params) == count_params(model.omega_t())
 
 
 @pytest.mark.parametrize("error", [DomainError, ContractError])
