@@ -9,8 +9,8 @@ as a constant for that pass, so the gradients nothing requested depends on
 
 Only the primitives needed by the unrolled enhancement models live here:
 convolution (plain and dilated, stride 1, "same" zero padding), depthwise
-1-D correlation with a fixed kernel, elementwise arithmetic, sliding spatial
-max, softmax, reductions, and a momentum-SGD optimizer.
+1-D correlation with a fixed kernel, elementwise arithmetic, channel slices,
+sliding spatial max, softmax, reductions, and a momentum-SGD optimizer.
 """
 
 from __future__ import annotations
@@ -151,35 +151,41 @@ def neg(a):
     return _make(-a.data, (a,), bw)
 
 
+# relu, clamp, absolute and reduce_l1 compute only their value in the
+# forward pass; the backward derives its mask or sign from the input array
+# captured at forward time (the array, not the tensor: an optimizer step
+# rebinds a parameter's ``.data``), so a pass without a tape builds neither
+
+
 def relu(a):
     a = _as_tensor(a)
-    mask = a.data > 0
+    xd = a.data
 
     def bw(g):
-        yield a, g * mask
+        yield a, g * (xd > 0)
 
-    return _make(a.data * mask, (a,), bw)
+    return _make(np.maximum(xd, 0.0), (a,), bw)
 
 
 def clamp(a, lo, hi):
     """Clip to [lo, hi]; gradient passes through inside the interval."""
     a = _as_tensor(a)
-    mask = (a.data >= lo) & (a.data <= hi)
+    xd = a.data
 
     def bw(g):
-        yield a, g * mask
+        yield a, g * ((xd >= lo) & (xd <= hi))
 
-    return _make(np.clip(a.data, lo, hi), (a,), bw)
+    return _make(np.clip(xd, lo, hi), (a,), bw)
 
 
 def absolute(a):
     a = _as_tensor(a)
-    s = np.sign(a.data)  # subgradient 0 at 0
+    xd = a.data
 
     def bw(g):
-        yield a, g * s
+        yield a, g * np.sign(xd)  # subgradient 0 at 0
 
-    return _make(np.abs(a.data), (a,), bw)
+    return _make(np.abs(xd), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +204,21 @@ def concat(tensors, axis=1):
             yield t, g[tuple(sl)]
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+
+
+def channels(a, lo, hi):
+    """Channels lo..hi-1 (axis 1) of ``a``, as a view of its data."""
+    a = _as_tensor(a)
+    if a.data.ndim < 2 or not 0 <= lo < hi <= a.data.shape[1]:
+        raise ShapeError(f"no channels {lo}..{hi} in shape {a.data.shape}")
+    shape = a.data.shape
+
+    def bw(g):
+        ga = np.zeros(shape)
+        ga[:, lo:hi] = g
+        yield a, ga
+
+    return _make(a.data[:, lo:hi], (a,), bw)
 
 
 def spatial_diff(a, axis):
@@ -493,12 +514,12 @@ def reduce_mean(a):
 
 def reduce_l1(a):
     a = _as_tensor(a)
-    s = np.sign(a.data)
+    xd = a.data
 
     def bw(g):
-        yield a, float(g) * s
+        yield a, float(g) * np.sign(xd)
 
-    return _make(np.abs(a.data).sum(), (a,), bw)
+    return _make(np.abs(xd).sum(), (a,), bw)
 
 
 def reduce_l2sq(a):

@@ -107,6 +107,9 @@ def primitive_checks(seed=7):
             grad_check(lambda t: ad.reduce_l2sq(ad.concat([t, other], axis=1)), x),
         )
     )
+    checks.append(
+        ("channels", grad_check(lambda t: ad.reduce_l2sq(ad.channels(t, 1, 3)), x))
+    )
     # a 72 px input puts the conv's column matrix over the band gate, so the
     # forward values the central differences read are computed band by band
     xb = Tensor(rng.uniform(-1, 1, size=(1, 3, 72, 72)))

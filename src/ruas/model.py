@@ -218,6 +218,12 @@ _MAGIC = b"RUASCKPT"
 
 
 def save_checkpoint(model, path):
+    if model.scene_ops is None or model.task_ops is None:
+        # the loader would rebuild a None op list as the default cell
+        raise ConfigError(
+            "cannot checkpoint the search supernet: its cells mix every candidate;"
+            " save a model derived from its logits instead"
+        )
     params = model.parameters()
     names = [p.name for p in params]
     if len(set(names)) != len(names):

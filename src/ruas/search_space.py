@@ -98,11 +98,47 @@ def apply_op(kind, x, params):
     if kind.skip:
         return x
     w = _op_weight(kind, params)
-    y = ad.relu(ad.conv2d(x, w, params.get("bias"), dilation=kind.dilation))
+    return _activate(kind, x, ad.conv2d(x, w, params.get("bias"), dilation=kind.dilation))
+
+
+def _activate(kind, x, pre):
+    """The output of operator ``kind`` from its conv output ``pre`` on ``x``."""
+    y = ad.relu(pre)
     if kind.residual:
-        _check_residual(kind, x.data.shape[1], w.data.shape[0])
+        _check_residual(kind, x.data.shape[1], pre.data.shape[1])
         y = ad.add(y, x)
     return y
+
+
+def _derived_edges(x, kinds, params):
+    """The outputs of derived edges that all read ``x``, one per operator.
+
+    The conv operators are grouped by (kernel, dilation), and a group of two
+    or more runs one ``conv2d`` of its kernels and biases stacked along the
+    output channels: one column build of ``x`` per band forward, and one
+    weight-gradient product backward.  Each operator then takes its own
+    channels of the stacked output through its ReLU and residual.  A lone
+    conv is ``apply_op``.
+    """
+    outs = [x] * len(kinds)  # a skip outputs its input
+    groups = {}
+    for i, kind in enumerate(kinds):
+        if not kind.skip:
+            groups.setdefault((kind.kernel, kind.dilation), []).append(i)
+    for (_, dil), members in groups.items():
+        if len(members) == 1:
+            i = members[0]
+            outs[i] = apply_op(kinds[i], x, params[i])
+            continue
+        ws = [_op_weight(kinds[i], params[i]) for i in members]
+        bs = [params[i]["bias"] for i in members]
+        pre = ad.conv2d(x, ad.concat(ws, axis=0), ad.concat(bs, axis=0), dilation=dil)
+        lo = 0
+        for i, w in zip(members, ws):
+            hi = lo + w.data.shape[0]
+            outs[i] = _activate(kinds[i], x, ad.channels(pre, lo, hi))
+            lo = hi
+    return outs
 
 
 def mixed_forward(x, edge_logits, edge_weights, registry):
@@ -249,7 +285,8 @@ class Cell:
 
     ``forward(x, arch)`` mixes every edge's candidates under ``arch``'s
     logits (search); ``forward(x)`` runs each edge's single candidate (the
-    derived cell).  Every candidate has its own parameters.
+    derived cell), the convs out of one node that share (kernel, dilation)
+    as one stacked conv.  Every candidate has its own parameters.
     """
 
     def __init__(self, spec, edge_ops, rng, name="cell", fusion_init="random"):
@@ -282,27 +319,37 @@ class Cell:
         out = [p for per_op in self.edge_params for ps in per_op for p in ps.values()]
         return out + [self.fusion_w, self.fusion_b]
 
-    def _edge(self, e, x, arch):
-        ops, params = self.edge_ops[e], self.edge_params[e]
+    def _edges_from(self, edges, x, arch):
+        """The outputs of ``edges``, which all read the node ``x``."""
         if arch is not None:
-            return mixed_forward(x, arch.logits[e], params, ops)
-        if len(ops) != 1:
-            raise ConfigError(f"edge {e} mixes {len(ops)} operators and needs logits")
-        return apply_op(ops[0], x, params[0])
+            return [
+                mixed_forward(x, arch.logits[e], self.edge_params[e], self.edge_ops[e])
+                for e in edges
+            ]
+        for e in edges:
+            if len(self.edge_ops[e]) != 1:
+                raise ConfigError(
+                    f"edge {e} mixes {len(self.edge_ops[e])} operators and needs logits"
+                )
+        kinds = [self.edge_ops[e][0] for e in edges]
+        return _derived_edges(x, kinds, [self.edge_params[e][0] for e in edges])
 
     def forward(self, x, arch=None):
         if x.data.shape[1] != self.spec.width:
             raise ShapeError(
                 f"cell expects {self.spec.width} channels, got {x.data.shape[1]}"
             )
+        # walk the source nodes in order; every edge out of node i is run
+        # together, once the chain edge into node i has made it
+        edges = self.spec.edges
+        outs = [None] * len(edges)
         nodes = [x]
-        n_chain = len(self.spec.chain_edges)
-        for e in range(n_chain):
-            nodes.append(self._edge(e, nodes[e], arch))
-        distill = [
-            self._edge(n_chain + d, nodes[i], arch)
-            for d, (i, _) in enumerate(self.spec.distill_edges)
-        ]
+        for i in range(self.spec.node_count - 1):
+            out_edges = [e for e, (src, _) in enumerate(edges) if src == i]
+            for e, y in zip(out_edges, self._edges_from(out_edges, nodes[i], arch)):
+                outs[e] = y
+            nodes.append(outs[i])  # chain edge e = i makes node i + 1
+        distill = outs[len(self.spec.chain_edges) :]
         merged = ad.concat(distill + [nodes[-1]], axis=1)
         return ad.conv2d(merged, self.fusion_w, self.fusion_b)
 

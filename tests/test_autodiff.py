@@ -400,6 +400,42 @@ def test_spatial_diff_forward_difference(rng):
         ad.spatial_diff(Tensor(x), 1)
 
 
+def channels_oracle(x, lo, hi):
+    """Scalar-loop copy of channels lo..hi-1."""
+    n, _, h, w = x.shape
+    out = np.zeros((n, hi - lo, h, w))
+    for idx in np.ndindex(out.shape):
+        out[idx] = x[idx[0], lo + idx[1], idx[2], idx[3]]
+    return out
+
+
+def channels_grad_oracle(shape, lo, g):
+    """Scalar-loop gradient of sum(g * channels(x, lo, hi)) w.r.t. x."""
+    gx = np.zeros(shape)
+    for idx in np.ndindex(g.shape):
+        gx[idx[0], lo + idx[1], idx[2], idx[3]] += g[idx]
+    return gx
+
+
+@pytest.mark.parametrize(
+    "shape, lo, hi", [((1, 6, 4, 5), 0, 3), ((2, 12, 3, 3), 6, 12), ((1, 3, 2, 7), 1, 2)]
+)
+def test_channels_match_loop_oracle(rng, shape, lo, hi):
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ad.channels(x, lo, hi)
+    np.testing.assert_array_equal(out.data, channels_oracle(x.data, lo, hi))
+    g = rng.normal(size=out.data.shape)
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    np.testing.assert_array_equal(x.grad, channels_grad_oracle(shape, lo, g))
+    assert dict(primitive_checks())["channels"] < TOLERANCE
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2), (-1, 2), (0, 4)])
+def test_channels_rejects_empty_or_outside_ranges(rng, lo, hi):
+    with pytest.raises(ShapeError):
+        ad.channels(Tensor(rng.normal(size=(1, 3, 2, 2))), lo, hi)
+
+
 def test_softmax_properties(rng):
     out = ad.softmax(Tensor(np.zeros(3))).data
     np.testing.assert_allclose(out, np.ones(3) / 3)
@@ -538,6 +574,31 @@ def test_clamp_gradient_dead_outside_interval():
     x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
     backward(ad.reduce_sum(ad.clamp(x, 0.0, 1.0)))
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda t: ad.reduce_sum(ad.relu(t)),
+        lambda t: ad.reduce_sum(ad.clamp(t, -0.5, 0.5)),
+        lambda t: ad.reduce_sum(ad.absolute(t)),
+        ad.reduce_l1,
+    ],
+    ids=["relu", "clamp", "absolute", "reduce_l1"],
+)
+def test_masks_are_those_of_the_forward_input(rng, op):
+    """An optimizer step rebinds a parameter's data between a forward pass
+    and a later backward (the one-step hypergradient does); the gradient
+    still follows the input the forward pass saw."""
+    data = rng.choice([-1.0, 1.0], size=(2, 3)) * rng.uniform(0.2, 1.0, (2, 3))
+    want = Parameter(data.copy(), "want")
+    backward(op(want))
+    p = Parameter(data.copy(), "p")
+    loss = op(p)
+    p.data = p.data + 1.0  # moves every sign and most clamp masks
+    backward(loss)
+    np.testing.assert_array_equal(p.grad, want.grad)
+    assert np.any(want.grad != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_checkpoint_holds_the_variant_that_runs(tmp_path, built, runs_as):
         np.testing.assert_array_equal(got.data, want.data)
 
 
+@pytest.mark.parametrize("runs_as", [None, "ruas_s"])
+def test_supernet_checkpoint_is_refused_before_writing(tmp_path, runs_as):
+    """The loader would rebuild the supernet's None op lists as the default
+    cells, so saving one fails on its cause and leaves no file."""
+    model = RuasModel.supernet(np.random.default_rng(3)).set_variant(runs_as)
+    path = tmp_path / "supernet.ckpt"
+    with pytest.raises(ConfigError, match="supernet"):
+        save_checkpoint(model, path)
+    assert not path.exists()
+
+
 def test_checkpoint_with_a_noise_estimator_is_refused(tmp_path, tiny_dataset):
     """A ruas_a checkpoint that holds the learned estimator's tm.psi_e.*
     parameters, which ruas_a no longer has, fails to load (exit 3)."""

@@ -6,7 +6,7 @@ import pytest
 from ruas import autodiff as ad
 from ruas.autodiff import Parameter, Tensor, backward
 from ruas.errors import ConfigError, ShapeError
-from ruas.model import RuasModel
+from ruas.model import DEFAULT_SCENE_OPS, RuasModel
 from ruas.search_space import (
     SEARCH_OPS,
     ArchParams,
@@ -219,6 +219,91 @@ def test_mixed_forward_checks_its_candidates(rng):
         mixed_forward(x, Tensor(np.zeros(2)), mismatched, plain)
     with pytest.raises(ShapeError, match="4-d"):
         mixed_forward(Tensor(np.ones((3, 6, 6))), logits, weights(), registry)
+
+
+def per_edge_cell_forward(cell, x):
+    """Reference derived cell: a DAG walk that runs ``apply_op`` per edge."""
+    nodes = [x]
+    ops = [edge[0] for edge in cell.edge_ops]
+    params = [edge[0] for edge in cell.edge_params]
+    for e, (i, _) in enumerate(cell.spec.chain_edges):
+        nodes.append(apply_op(ops[e], nodes[i], params[e]))
+    n_chain = len(cell.spec.chain_edges)
+    distill = [
+        apply_op(ops[n_chain + d], nodes[i], params[n_chain + d])
+        for d, (i, _) in enumerate(cell.spec.distill_edges)
+    ]
+    return ad.conv2d(ad.concat(distill + [nodes[-1]], axis=1), cell.fusion_w, cell.fusion_b)
+
+
+# the ops of edges 0->1, 1->2, 2->3, 3->4, 0->4, 1->4, 2->4: nodes 0, 1 and 2
+# each feed edges e and e + 4
+GROUPED_ARCHS = {
+    "default": DEFAULT_SCENE_OPS,
+    # the two edges out of a node differ in kernel, in dilation, or neither (1x1)
+    "kernel-dilation-differ": ("3-C", "3-2-DC", "1-RC", "3-C", "1-C", "3-C", "1-C"),
+    "skip-on-either-edge": ("SC", "3-RC", "SC", "1-C", "3-C", "SC", "SC"),
+    "residual-on-both": ("3-RC", "3-2-RDC", "1-RC", "3-RC", "3-RC", "3-2-RDC", "1-RC"),
+    "plain-on-both": ("3-C", "3-2-DC", "1-C", "1-C", "3-C", "3-2-DC", "1-C"),
+}
+_draw = np.random.default_rng(2024)
+for _i in range(12):
+    GROUPED_ARCHS[f"random-{_i}"] = tuple(
+        SEARCH_OPS[j].name for j in _draw.integers(len(SEARCH_OPS), size=7)
+    )
+
+
+def _cell_run(forward, cell, x, probe):
+    """Output of ``forward(cell, x)`` and the gradients of sum(probe * out)
+    w.r.t. the input and every cell parameter."""
+    leaves = [x] + cell.parameters()
+    for t in leaves:
+        t.grad = None
+    out = forward(cell, x)
+    backward(ad.reduce_sum(ad.mul(out, probe)))
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 3, 9, 7), (2, 6, 8, 8), (1, 6, 64, 64)], ids=["3-wide", "batch-2", "banded"]
+)
+@pytest.mark.parametrize("arch", list(GROUPED_ARCHS))
+def test_grouped_derived_cell_matches_per_edge_ops(arch, shape):
+    """A derived cell runs the edges out of each node that share (kernel,
+    dilation) as one stacked conv; its output equals the per-edge walk's
+    bit for bit, and its gradients agree to rounding (the stacked input
+    gradient sums over both edges' channels in one product)."""
+    rng = np.random.default_rng(7)
+    kinds = [OPS_BY_NAME[n] for n in GROUPED_ARCHS[arch]]
+    cell = DiscreteCell(CellSpec(width=shape[1]), kinds, rng)
+    for p in cell.parameters():
+        p.data = rng.normal(0.0, 0.3, p.data.shape)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    probe = Tensor(rng.normal(size=shape))
+    want, want_grads = _cell_run(per_edge_cell_forward, cell, x, probe)
+    got, got_grads = _cell_run(lambda c, t: c.forward(t), cell, x, probe)
+    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_derived_cell_at_64px_runs_one_conv_per_group(rng, monkeypatch):
+    """In the default cells, nodes 0, 1 and 2 each feed two edges of one
+    (kernel, dilation): a cell forward is 3 stacked convs, node 3's lone
+    3-C and the fusion, 5 in all where one conv per edge made 8.  A whole
+    ruas forward (3 scene stages, the task cell and the remover's two
+    projections) then makes 22, not 34."""
+    calls = []
+    conv2d = ad.conv2d
+    monkeypatch.setattr(ad, "conv2d", lambda *a, **k: calls.append(a[1]) or conv2d(*a, **k))
+    model = RuasModel(rng)
+    y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 64, 64)))
+    with ad.no_grad():
+        model.scene_cell.forward(Tensor(rng.normal(size=(1, 3, 64, 64))))
+        assert [w.data.shape[:3] for w in calls] == [(6, 3, 3)] * 3 + [(3, 3, 3), (3, 12, 1)]
+        calls.clear()
+        model.forward(y)
+    assert len(calls) == 22
 
 
 def test_cell_spec_edges():

@@ -1,0 +1,110 @@
+"""SHA-256 digests of the artifacts of a fixed set of seeded `ruas` runs.
+
+    python3 tools/artifact_digests.py --src CHECKOUT --out DIR
+
+runs the `ruas` command of CHECKOUT/src on 8 synthetic 32 px image pairs
+(dataset seed 3, run seed 3, 2 search epochs with 1 warm-up, 2+2 training
+epochs at lr 3e-5):
+
+- `search` with each strategy;
+- `train` with each strategy, on the default cells and on the cells the
+  cooperative search derived;
+- `enhance --dump-stages` and `eval` of every trained checkpoint.
+
+Every file goes under DIR, which must be empty or new, and one
+`sha256  path` line per file is printed, with paths relative to DIR in
+sorted order, so that the manifests of two checkouts can be diffed:
+
+    diff <(python3 tools/artifact_digests.py --src A --out /tmp/a) \\
+         <(python3 tools/artifact_digests.py --src B --out /tmp/b)
+
+BLAS runs on one thread, so the digests do not depend on the thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SEED = "3"
+CONFIG = {
+    "search": {"epochs": 2, "warmup_epochs": 1, "lr_omega": 3e-5, "lr_alpha": 3e-4},
+    "train": {"epochs": 2, "pretrain_epochs": 2, "lr": 3e-5},
+}
+SEARCH_STRATEGIES = ("cooperative", "independent", "global")
+TRAIN_STRATEGIES = ("hierarchical", "end_to_end")
+
+
+def run_all(src, out):
+    """Run the seeded command set with the `ruas` package under ``src``."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    env.pop("RUAS_SEED", None)
+
+    def python(*args):
+        done = subprocess.run(
+            [sys.executable, *args], cwd=out, env=env, capture_output=True, text=True
+        )
+        if done.returncode:
+            raise SystemExit(f"{' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+
+    def ruas(*args):
+        python("-m", "ruas.cli", *args)
+
+    python(
+        "-c",
+        "from ruas.io_metrics import make_synthetic_dataset as m;"
+        f" m('data', 8, size=32, seed={SEED})",
+    )
+    (out / "cfg.json").write_text(json.dumps(CONFIG, indent=2) + "\n")
+    common = ("--config", "cfg.json", "--data", "data", "--seed", SEED)
+    for strategy in SEARCH_STRATEGIES:
+        ruas("search", *common, "--strategy", strategy, "--out", f"search/{strategy}")
+    for cells, arch in (("default", ()), ("searched", ("--arch", "search/cooperative/alpha_final.json"))):
+        for strategy in TRAIN_STRATEGIES:
+            name = f"{cells}-{strategy}"
+            ruas("train", *common, *arch, "--strategy", strategy, "--out", f"train/{name}")
+            model = f"train/{name}/model.ckpt"
+            ruas("enhance", "--model", model, "--input", "data/input", "--dump-stages",
+                 "--out", f"enhance/{name}")
+            ruas("eval", *common, "--model", model, "--out", f"eval/{name}")
+
+
+def digests(out):
+    """``(sha256, relative path)`` of every file under ``out``, sorted."""
+    rows = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rows.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="checkout whose src/ruas is run")
+    ap.add_argument("--out", required=True, help="new or empty output directory")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve() / "src"
+    if not (src / "ruas" / "__init__.py").is_file():
+        raise SystemExit(f"no ruas package under {src}")
+    out = Path(args.out).resolve()
+    if out.exists() and any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    out.mkdir(parents=True, exist_ok=True)
+    run_all(src, out)
+    for digest, path in digests(out):
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
