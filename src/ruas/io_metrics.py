@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import ConfigError, DataIOError, ShapeError
+from .errors import ConfigError, DataIOError, NumericError, ShapeError
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
@@ -46,32 +46,132 @@ def _chunks(raw, path):
         pos = end + 4
 
 
-# The two loops below take the still-filtered bytes x from a copy
-# (line[bpp:]) and the decoded left neighbour from line itself.
-
-
-def _unfilter_avg(line, prev, bpp):
-    """Undo filter 3 in place: add floor((left + above) / 2), mod 256."""
-    for i in range(bpp):
-        line[i] = (line[i] + (prev[i] >> 1)) & 0xFF
-    for i, x, b in zip(range(bpp, len(line)), line[bpp:], prev[bpp:]):
-        line[i] = (x + ((line[i - bpp] + b) >> 1)) & 0xFF
-
-
-def _unfilter_paeth(line, prev, bpp):
-    """Undo filter 4 in place: add the Paeth predictor of left, above and
-    upper left (PNG spec, section 9.4), mod 256."""
-    for i in range(bpp):
-        line[i] = (line[i] + prev[i]) & 0xFF
-    for i, x, b, c in zip(range(bpp, len(line)), line[bpp:], prev[bpp:], prev):
-        a = line[i - bpp]
-        pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
-        if pa <= pb and pa <= pc:
-            line[i] = (x + a) & 0xFF
-        elif pb <= pc:
-            line[i] = (x + b) & 0xFF
+def _unfilter_plain(rows, out, prev, bpp, start, stop):
+    """Undo None, Sub and Up on rows start..stop-1, one row at a time;
+    returns the last decoded row (``prev`` when the range is empty)."""
+    for r in range(start, stop):
+        ftype = rows[r, 0]
+        cur = rows[r, 1:]
+        if ftype == 0:
+            out[r] = cur
+        elif ftype == 1:  # uint8 sums wrap modulo 256, as the filter needs
+            out[r] = np.cumsum(cur.reshape(-1, bpp), axis=0, dtype=np.uint8).ravel()
         else:
-            line[i] = (x + c) & 0xFF
+            np.add(cur, prev, out=out[r])
+        prev = out[r]
+    return prev
+
+
+# Predictors of the left (a), upper (b) and upper-left (c) pixel bytes, all
+# uint8 arrays of one shape; each returns the uint8 prediction.
+
+
+def _avg_predictor(a, b, c):
+    """floor((a + b) / 2) without leaving uint8: (a & b) + ((a ^ b) >> 1)."""
+    pred = a & b
+    half = a ^ b
+    half >>= 1
+    pred += half
+    return pred
+
+
+def _paeth_predictor(a, b, c):
+    """Whichever of a, b, c is nearest a + b - c, ties to a then b (PNG
+    spec, section 9.4)."""
+    pa = np.subtract(b, c, dtype=np.int16)  # p - a
+    pb = np.subtract(a, c, dtype=np.int16)  # p - b
+    pc = np.add(pa, pb)  # p - c
+    np.abs(pa, out=pa)
+    np.abs(pb, out=pb)
+    np.abs(pc, out=pc)
+    pred = np.where(pb <= pc, b, c)
+    np.copyto(pred, a, where=pa <= np.minimum(pb, pc))
+    return pred
+
+
+# filter type and predictor of each row kind that reads the row above
+_PREDICTORS = (
+    (2, lambda a, b, c: b),
+    (3, _avg_predictor),
+    (4, _paeth_predictor),
+)
+
+
+def _unfilter_wavefront(rows, out, prev, bpp):
+    """Undo the filters of every row of ``rows`` by anti-diagonal wavefronts;
+    ``prev`` is the decoded row above the first.  Returns the last row.
+
+    Pixel (r, p) reads only (r, p - 1), (r - 1, p) and (r - 1, p - 1), so
+    the pixels of one diagonal r + p = d depend only on diagonals d - 1 and
+    d - 2 and decode together.  The rows go through in strips of at most
+    min(h, w) rows.  A strip lives in a skewed uint8 buffer ``sk`` that
+    holds pixel (r, p) at sk[r + p + 2, r + 1]: diagonal d is the
+    contiguous run sk[d + 2], its left and upper neighbours are slices of
+    sk[d + 1] and its upper-left ones of sk[d].  Column 0 holds the row
+    above the strip, and the slots of pixel (r, -1) stay zero.  The buffer
+    has (s + w + 1)(s + 1) pixels for s strip rows, about twice the strip
+    at most, and a strip takes s + w - 1 steps.  None and Sub rows read
+    nothing above them and are decoded before the steps.  Each step
+    evaluates the Up, Avg and Paeth predictors each only over the span of
+    the active rows that use it, and adds it only on those rows.
+    """
+    h, w = rows.shape[0], (rows.shape[1] - 1) // bpp
+    s = min(h, w)
+    sk = np.zeros((s + w + 1, s + 1, bpp), dtype=np.uint8)
+    # pixel (r, p) of the strip, as a writable view of its slot in sk
+    grid = as_strided(sk[2:, 1:], (s, w, bpp), ((s + 2) * bpp, (s + 1) * bpp, 1))
+    above = sk[1 : w + 1, 0]
+    for top in range(0, h, s):
+        m = min(s, h - top)
+        ftypes = rows[top : top + m, 0]
+        grid[:m] = rows[top : top + m, 1:].reshape(m, w, bpp)
+        for r in np.flatnonzero(ftypes == 1).tolist():  # Sub reads its own row only
+            grid[r] = np.cumsum(grid[r], axis=0, dtype=np.uint8)
+        above[:] = prev.reshape(w, bpp)
+        groups = []
+        for ftype, predict in _PREDICTORS:
+            uses = ftypes == ftype
+            if uses.any():
+                # rows in [r0, r1) using it: slots[count[r0]:count[r1]]
+                count = np.concatenate([[0], np.cumsum(uses)]).tolist()
+                slots = (np.flatnonzero(uses) + 1).tolist()
+                keep = np.concatenate([[0], uses * 255]).astype(np.uint8)
+                mask = np.repeat(keep[:, None], bpp, axis=1)
+                groups.append((predict, count, slots, mask))
+        for d in range(m + w - 1):
+            r0, r1 = max(0, d - w + 1), min(m, d + 1)
+            cur, left, up = sk[d + 2], sk[d + 1], sk[d]
+            for predict, count, slots, mask in groups:
+                lo, hi = count[r0], count[r1]
+                if lo == hi:
+                    continue
+                j0, j1 = slots[lo], slots[hi - 1] + 1
+                x = cur[j0:j1]
+                pred = predict(left[j0:j1], left[j0 - 1 : j1 - 1], up[j0 - 1 : j1 - 1])
+                if j1 - j0 == hi - lo:
+                    x += pred
+                else:
+                    x += pred & mask[j0:j1]
+        out[top : top + m].reshape(m, w, bpp)[...] = grid[:m]
+        prev = out[top + m - 1]
+    return prev
+
+
+def _unfilter(rows, bpp):
+    """Decoded (h, stride) bytes of (h, stride + 1) filtered scanlines.
+
+    Rows before the first Avg/Paeth row and after the last one go row at a
+    time; the span between them goes by wavefronts.
+    """
+    h, stride = rows.shape[0], rows.shape[1] - 1
+    out = np.empty((h, stride), dtype=np.uint8)
+    wave = np.flatnonzero(rows[:, 0] >= 3)
+    first, last = (int(wave[0]), int(wave[-1]) + 1) if wave.size else (h, h)
+    prev = _unfilter_plain(rows, out, np.zeros(stride, dtype=np.uint8), bpp, 0, first)
+    if wave.size:
+        prev = _unfilter_wavefront(rows[first:last], out[first:last], prev, bpp)
+    _unfilter_plain(rows, out, prev, bpp, last, h)
+    return out
 
 
 def load_png(path):
@@ -134,23 +234,7 @@ def load_png(path):
     rows = np.frombuffer(data, dtype=np.uint8).reshape(h, stride + 1)
     if rows[:, 0].max() > 4:
         raise DataIOError(f"{path}: unknown filter type {rows[:, 0].max()}")
-    out = np.empty((h, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for r in range(h):
-        ftype = rows[r, 0]
-        cur = rows[r, 1:]
-        if ftype == 0:
-            out[r] = cur
-        elif ftype == 1:  # uint8 sums wrap modulo 256, as the filter needs
-            out[r] = np.cumsum(cur.reshape(-1, bpp), axis=0, dtype=np.uint8).ravel()
-        elif ftype == 2:
-            np.add(cur, prev, out=out[r])
-        else:  # Avg and Paeth read the byte just decoded: plain int loop
-            line = bytearray(cur)
-            unfilter = _unfilter_avg if ftype == 3 else _unfilter_paeth
-            unfilter(line, prev.tobytes(), bpp)
-            out[r] = np.frombuffer(line, dtype=np.uint8)
-        prev = out[r]
+    out = _unfilter(rows, bpp)
 
     if depth == 8:
         img = out.reshape(h, w, channels).astype(np.float64) / 255.0
@@ -163,12 +247,17 @@ def load_png(path):
 
 
 def save_png(img, path):
-    """Write a (1, 3, h, w) or (3, h, w) float array in [0, 1] as 8-bit RGB."""
+    """Write a (1, 3, h, w) or (3, h, w) float array in [0, 1] as 8-bit RGB.
+
+    Values are clipped to [0, 1]; a NaN or infinity raises NumericError.
+    """
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim == 4:
         arr = arr[0]
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ShapeError(f"expected (3, h, w) image, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"cannot write {path}: the image has non-finite values")
     h, w = arr.shape[1], arr.shape[2]
     pix = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
     rows = pix.transpose(1, 2, 0).reshape(h, w * 3)
@@ -195,11 +284,17 @@ def save_png(img, path):
 
 
 def psnr(a, b):
-    """Peak signal-to-noise ratio in dB on unit-range images, capped at 99."""
+    """Peak signal-to-noise ratio in dB on unit-range images, capped at 99.
+
+    A NaN or infinity in either image raises NumericError.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
+    for name, x in (("first", a), ("second", b)):
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"psnr of a non-finite image ({name} argument)")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return 99.0

@@ -245,7 +245,8 @@ def save_checkpoint(model, path):
 def load_checkpoint(path):
     """Rebuild a RuasModel from a checkpoint file.
 
-    The file is untrusted: every defect in it raises DataIOError.
+    The file is untrusted: every defect in it, a non-finite parameter value
+    included, raises DataIOError.
     """
     try:
         with open(path, "rb") as fh:
@@ -284,6 +285,9 @@ def load_checkpoint(path):
     for name, _ in stored:
         p = by_name[name]
         n = p.data.size
-        p.data = np.frombuffer(blob, np.float64, n, end).reshape(p.data.shape).copy()
+        data = np.frombuffer(blob, np.float64, n, end)
+        if not np.all(np.isfinite(data)):
+            raise DataIOError(f"non-finite values in parameter {name} of {path}")
+        p.data = data.reshape(p.data.shape).copy()
         end += 8 * n
     return model

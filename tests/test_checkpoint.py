@@ -259,3 +259,29 @@ def test_single_byte_mutations_load_or_raise_ruas_error(saved):
             outcomes["rejected"] += 1
     assert outcomes["rejected"] > 200
     assert outcomes["loaded"] > 0  # blob bytes and some header whitespace load
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_parameter_is_refused(saved, tmp_path, tiny_dataset, capsys, value):
+    """A non-finite weight would make `eval` score the all-NaN output as a
+    perfect 99 dB and `enhance` write black images; the loader names the
+    parameter instead, and neither command writes anything."""
+    _, path = saved
+    header, blobs = _split(path)
+    offset = 0
+    for meta in header["params"]:
+        if meta["name"] == "sm.cell.fusion.bias":
+            break
+        offset += 8 * math.prod(meta["shape"])
+    blobs = bytearray(blobs)
+    blobs[offset : offset + 8] = np.float64(value).tobytes()
+    _write(path, header, bytes(blobs))
+    with pytest.raises(DataIOError, match="sm.cell.fusion.bias"):
+        load_checkpoint(path)
+    root, records = tiny_dataset
+    enhance = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
+    evaluate = ["eval", "--model", str(path), "--data", str(root)]
+    for argv, out in ((enhance, tmp_path / "enhanced"), (evaluate, tmp_path / "eval")):
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "sm.cell.fusion.bias" in capsys.readouterr().err
+        assert not out.exists()

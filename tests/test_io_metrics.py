@@ -1,13 +1,14 @@
 """PNG codec, metrics against loop oracles, synthetic data, dataset plumbing."""
 
 import struct
+import tracemalloc
 import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from ruas.errors import ConfigError, DataIOError, RuasError, ShapeError
+from ruas.errors import ConfigError, DataIOError, NumericError, RuasError, ShapeError
 from ruas.io_metrics import (
     MAX_PIXELS,
     _gaussian_window,
@@ -112,37 +113,83 @@ def _unfilter_oracle(scan, h, stride, bpp):
     return out
 
 
-PNG_FORMATS = {"rgb8": (8, 2, 3), "rgba8": (8, 6, 4), "rgb16": (16, 2, 3)}
+PNG_FORMATS = {
+    "rgb8": (8, 2, 3),
+    "rgba8": (8, 6, 4),
+    "rgb16": (16, 2, 3),
+    "rgba16": (16, 6, 4),
+}
+
+# (h, w): one pixel, one row, one column, tall and wide strips, and shapes
+# of several wavefront strips (a strip has at most min(h, w) rows)
+PNG_SHAPES = [(7, 9), (1, 1), (1, 17), (17, 1), (40, 3), (3, 40), (23, 5)]
+
+
+def _filter_types(ftype, h, rng):
+    """Per-row filter types: one filter, random ones ("mixed"), or ("span")
+    None/Sub/Up rows before, inside and after a run that starts and ends
+    with an Avg or Paeth row."""
+    if ftype == "mixed":
+        return rng.integers(0, 5, size=h)
+    if ftype != "span":
+        return np.full(h, ftype)
+    types = rng.integers(0, 3, size=h)
+    first, last = h // 3, h - 1 - h // 3
+    types[first : last + 1] = rng.integers(0, 5, size=last + 1 - first)
+    types[first], types[last] = rng.integers(3, 5, size=2)
+    return types
 
 
 @pytest.mark.parametrize("fmt", list(PNG_FORMATS))
 @pytest.mark.parametrize(
-    "ftype", [0, 1, 2, 3, 4, None], ids=["none", "sub", "up", "avg", "paeth", "mixed"]
+    "ftype",
+    [0, 1, 2, 3, 4, "mixed", "span"],
+    ids=["none", "sub", "up", "avg", "paeth", "mixed", "span"],
 )
 def test_png_unfilter_matches_spec_oracle(tmp_path, fmt, ftype):
     """Random residual bytes make every filter wrap modulo 256; the decode
     must match the spec loop exactly and raise no warning."""
     depth, color, channels = PNG_FORMATS[fmt]
-    bps = depth // 8
-    h, w = 7, 9
-    stride = w * channels * bps
+    bpp = channels * depth // 8
     rng = np.random.default_rng(5)
-    rows = rng.integers(0, 256, size=(h, stride + 1), dtype=np.uint8)
-    rows[:, 0] = rng.integers(0, 5, size=h) if ftype is None else ftype
-    scan = rows.tobytes()
-    path = tmp_path / f"{fmt}.png"
-    path.write_bytes(_png(_ihdr(w, h, depth, color), zlib.compress(scan)))
+    for h, w in PNG_SHAPES:
+        stride = w * bpp
+        rows = rng.integers(0, 256, size=(h, stride + 1), dtype=np.uint8)
+        rows[:, 0] = _filter_types(ftype, h, rng)
+        scan = rows.tobytes()
+        path = tmp_path / f"{fmt}-{h}x{w}.png"
+        path.write_bytes(_png(_ihdr(w, h, depth, color), zlib.compress(scan)))
 
-    vals = np.array(_unfilter_oracle(scan, h, stride, channels * bps))
-    if depth == 8:
-        want = vals.reshape(h, w, channels) / 255.0
-    else:
-        want = (vals[:, 0::2] * 256 + vals[:, 1::2]).reshape(h, w, channels) / 65535.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+        vals = np.array(_unfilter_oracle(scan, h, stride, bpp))
+        if depth == 8:
+            want = vals.reshape(h, w, channels) / 255.0
+        else:
+            want = (vals[:, 0::2] * 256 + vals[:, 1::2]).reshape(h, w, channels) / 65535.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_png(path)
+        assert got.shape == (1, 3, h, w)
+        assert np.array_equal(got[0], want[:, :, :3].transpose(2, 0, 1)), (h, w)
+
+
+@pytest.mark.parametrize("h, w", [(2048, 2), (2, 2048)], ids=["tall", "wide"])
+def test_png_wavefront_memory_stays_near_the_image_size(tmp_path, h, w):
+    """All-Paeth RGBA16 files: the wavefront buffers stay O(image bytes).
+    A skew of the whole 2048x2 image would take (h + w) * h * 8 bytes,
+    about 34 MB, against 98 kB of returned floats."""
+    rng = np.random.default_rng(9)
+    rows = rng.integers(0, 256, size=(h, w * 8 + 1), dtype=np.uint8)
+    rows[:, 0] = 4
+    path = tmp_path / "paeth.png"
+    path.write_bytes(_png(_ihdr(w, h, 16, 6), zlib.compress(rows.tobytes())))
+    tracemalloc.start()
+    try:
         got = load_png(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert got.shape == (1, 3, h, w)
-    assert np.array_equal(got[0], want[:, :, :3].transpose(2, 0, 1))
+    assert peak < 6 * got.nbytes, (peak, got.nbytes)
 
 
 def test_png_errors_name_the_path(tmp_path):
@@ -286,6 +333,16 @@ def test_save_png_shape_check(tmp_path):
         save_png(np.zeros((1, 8, 8)), tmp_path / "x.png")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_save_png_refuses_non_finite_values(tmp_path, value):
+    """A NaN used to be cast to a 0 byte and written as black."""
+    img = np.full((1, 3, 4, 4), 0.5)
+    img[0, 1, 2, 3] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        save_png(img, tmp_path / "x.png")
+    assert not (tmp_path / "x.png").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -297,6 +354,18 @@ def test_psnr_hand_values(rng):
     assert abs(psnr(a, b) - 20.0) < 1e-9
     with pytest.raises(ShapeError):
         psnr(a, a[..., :4])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_psnr_refuses_non_finite_input(rng, value):
+    """min(99.0, nan) is 99.0, so a NaN image used to score a perfect 99 dB."""
+    a = rng.uniform(0, 1, size=(1, 3, 8, 8))
+    b = a.copy()
+    b[0, 0, 0, 0] = value
+    with pytest.raises(NumericError, match="second"):
+        psnr(a, b)
+    with pytest.raises(NumericError, match="first"):
+        psnr(b, a)
 
 
 def test_ssim_self_similarity(rng):

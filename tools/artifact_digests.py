@@ -9,7 +9,13 @@ epochs at lr 3e-5):
 - `search` with each strategy;
 - `train` with each strategy, on the default cells and on the cells the
   cooperative search derived;
-- `enhance --dump-stages` and `eval` of every trained checkpoint.
+- `enhance --dump-stages` and `eval` of every trained checkpoint;
+- a seeded set of PNG files of random residual bytes that the tool writes
+  itself (each row filter alone and a per-row mix; 8- and 16-bit RGB and
+  RGBA; square, tall and wide shapes): the raw float64 bytes `load_png`
+  returns for each, and `enhance` of each with one trained checkpoint.
+  `save_png` writes filter 0 only, so these are the files that reach the
+  decoder's Sub/Up/Avg/Paeth paths.
 
 Every file goes under DIR, which must be empty or new, and one
 `sha256  path` line per file is printed, with paths relative to DIR in
@@ -27,8 +33,11 @@ import argparse
 import hashlib
 import json
 import os
+import random
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 SEED = "3"
@@ -38,6 +47,47 @@ CONFIG = {
 }
 SEARCH_STRATEGIES = ("cooperative", "independent", "global")
 TRAIN_STRATEGIES = ("hierarchical", "end_to_end")
+
+# (bit depth, PNG color type) per format, (h, w) per shape; a filter index
+# of 5 gives each row a random filter.  The decoder's Avg/Paeth wavefronts
+# run in strips of at most min(h, w) rows, so the tall shape takes three.
+PNG_FORMATS = {"rgb8": (8, 2), "rgba8": (8, 6), "rgb16": (16, 2), "rgba16": (16, 6)}
+PNG_SHAPES = {"square": (32, 32), "tall": (48, 16), "wide": (16, 48)}
+PNG_FILTERS = ("none", "sub", "up", "avg", "paeth", "mixed")
+DECODE = """
+import pathlib
+from ruas.io_metrics import load_png
+out = pathlib.Path("decoded")
+out.mkdir()
+for path in sorted(pathlib.Path("png").glob("*.png")):
+    (out / f"{path.stem}.f64").write_bytes(load_png(path).tobytes())
+"""
+
+
+def _chunk(ctype, body):
+    crc = zlib.crc32(ctype + body)
+    return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", crc)
+
+
+def write_pngs(out):
+    """Write the seeded random-residual PNG set under ``out``."""
+    out.mkdir()
+    rng = random.Random(int(SEED))
+    for fmt, (depth, color) in PNG_FORMATS.items():
+        bpp = (3 if color == 2 else 4) * depth // 8
+        for shape, (h, w) in PNG_SHAPES.items():
+            for ftype, name in enumerate(PNG_FILTERS):
+                scan = b"".join(
+                    bytes([rng.randrange(5) if ftype == 5 else ftype]) + rng.randbytes(w * bpp)
+                    for _ in range(h)
+                )
+                ihdr = struct.pack(">IIBBBBB", w, h, depth, color, 0, 0, 0)
+                (out / f"{fmt}-{shape}-{name}.png").write_bytes(
+                    b"\x89PNG\r\n\x1a\n"
+                    + _chunk(b"IHDR", ihdr)
+                    + _chunk(b"IDAT", zlib.compress(scan, 6))
+                    + _chunk(b"IEND", b"")
+                )
 
 
 def run_all(src, out):
@@ -78,6 +128,10 @@ def run_all(src, out):
             ruas("enhance", "--model", model, "--input", "data/input", "--dump-stages",
                  "--out", f"enhance/{name}")
             ruas("eval", *common, "--model", model, "--out", f"eval/{name}")
+    write_pngs(out / "png")
+    python("-c", DECODE)
+    ruas("enhance", "--model", "train/default-hierarchical/model.ckpt", "--input", "png",
+         "--out", "enhance/png")
 
 
 def digests(out):
