@@ -54,6 +54,12 @@ def primitive_checks(seed=7):
         ("clamp", grad_check(lambda t: ad.reduce_sum(ad.clamp(t, -0.5, 0.5)), xk))
     )
     checks.append(("abs", grad_check(lambda t: ad.reduce_sum(ad.absolute(t)), xk)))
+    checks.append(
+        ("relu_add_a", grad_check(lambda t: ad.reduce_l2sq(ad.relu_add(t, other)), xk))
+    )
+    checks.append(
+        ("relu_add_b", grad_check(lambda t: ad.reduce_l2sq(ad.relu_add(xk, t)), x))
+    )
 
     w = _rand(rng, 2, 3, 3, 3)
     b = _rand(rng, 2)

@@ -236,13 +236,15 @@ def load_png(path):
         raise DataIOError(f"{path}: unknown filter type {rows[:, 0].max()}")
     out = _unfilter(rows, bpp)
 
+    # alpha is dropped while the samples are still integers, and the one
+    # float array is scaled in place: the result views exactly its own floats
     if depth == 8:
-        img = out.reshape(h, w, channels).astype(np.float64) / 255.0
+        img = out.reshape(h, w, channels)[:, :, :3].astype(np.float64)
+        img /= 255.0
     else:
-        img16 = out.reshape(h, w, channels, 2)
-        vals = img16[..., 0].astype(np.uint16) << 8 | img16[..., 1]
-        img = vals.astype(np.float64) / 65535.0
-    img = img[:, :, :3]  # drop alpha
+        img16 = out.reshape(h, w, channels, 2)[:, :, :3]
+        img = (img16[..., 0].astype(np.uint16) << 8 | img16[..., 1]).astype(np.float64)
+        img /= 65535.0
     return img.transpose(2, 0, 1)[None, ...]
 
 

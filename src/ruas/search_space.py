@@ -103,11 +103,10 @@ def apply_op(kind, x, params):
 
 def _activate(kind, x, pre):
     """The output of operator ``kind`` from its conv output ``pre`` on ``x``."""
-    y = ad.relu(pre)
     if kind.residual:
         _check_residual(kind, x.data.shape[1], pre.data.shape[1])
-        y = ad.add(y, x)
-    return y
+        return ad.relu_add(pre, x)
+    return ad.relu(pre)
 
 
 def _derived_edges(x, kinds, params):

@@ -248,6 +248,35 @@ def test_conv_that_bands_would_change_takes_one_matmul(rng, monkeypatch, n, c, k
     np.testing.assert_array_equal(ad._raw_conv(x, wk, 1), _one_matmul_conv(monkeypatch, x, wk, 1))
 
 
+@pytest.mark.parametrize("size", [(128, 128), (97, 130)], ids=["128x128", "97x130"])
+def test_model_forward_is_byte_identical_to_one_matmul_convs(monkeypatch, size):
+    """A whole derived forward pass, with its convs banded wherever the
+    gate allows and their biases added after the last band, equals the pass
+    whose every conv is one matmul."""
+    rng = np.random.default_rng(3)
+    model = RuasModel(rng)
+    for p in model.parameters():
+        if p.name.endswith("fusion.weight"):  # zero at init
+            p.data = rng.uniform(-0.05, 0.05, p.data.shape)
+    y = Tensor(rng.uniform(0.0, 1.0, size=(1, 3) + size))
+    banded = []
+    band_rows = ad._band_rows
+
+    def spy(n, c, k, h, w):
+        rows = band_rows(n, c, k, h, w)
+        banded.append(rows < h)
+        return rows
+
+    monkeypatch.setattr(ad, "_band_rows", spy)
+    with ad.no_grad():
+        got = model.forward(y)["x"].data
+    assert any(banded) == (size[0] * size[1] % ad.BAND_ALIGN == 0)
+    monkeypatch.setattr(ad, "BAND_MIN_BYTES", np.inf)
+    with ad.no_grad():
+        want = model.forward(y)["x"].data
+    assert got.tobytes() == want.tobytes()
+
+
 def test_search_convs_at_32px_take_one_matmul(rng, monkeypatch):
     """The search workload's convs stay below the band gate: the largest is
     the input gradient of the task cell's stacked width-12 3x3 group."""
@@ -289,11 +318,21 @@ def test_conv2d_rejects_bad_inputs(rng):
             ad.conv2d(x, w, Tensor(rng.normal(size=bias_shape)))
 
 
+# batches and channels, and maps narrower, shorter or smaller than a window,
+# where a shift reaches past the edge and the max runs over the map alone
+SLIDING_MAX_SHAPES = [(1, 2, 7, 5), (2, 3, 6, 6), (2, 2, 2, 9), (1, 3, 9, 1), (3, 1, 1, 1)]
+
+
 def test_sliding_max_matches_loop_oracle(rng):
-    for _ in range(10):
-        x = rng.normal(size=(1, 2, 7, 5))
-        got = ad.sliding_max(Tensor(x), 3).data
-        np.testing.assert_array_equal(got, sliding_max_oracle(x, 3))
+    """Distinct values, values quantised to five levels (ties in most
+    windows, signed zeros among them) and maps with -inf entries."""
+    for window in (1, 3, 5, 7):
+        for shape in SLIDING_MAX_SHAPES:
+            ties = rng.integers(-2, 3, size=shape) / 2.0
+            with_inf = np.where(rng.uniform(size=shape) < 0.3, -np.inf, rng.normal(size=shape))
+            for x in (rng.normal(size=shape), ties * np.sign(rng.normal(size=shape)), with_inf):
+                got = ad.sliding_max(Tensor(x), window).data
+                np.testing.assert_array_equal(got, sliding_max_oracle(x, window))
 
 
 @pytest.mark.parametrize("window", [1, 3, 5, 7])
@@ -301,7 +340,7 @@ def test_sliding_max_matches_loop_oracle(rng):
 def test_sliding_max_gradient_matches_loop_oracle(rng, window, ties):
     # inputs quantised to five levels put several maxima in most windows,
     # which pins the first-maximum rule
-    for shape in [(2, 2, 7, 5), (1, 3, 4, 9), (2, 1, 6, 6)]:
+    for shape in [(2, 2, 7, 5), (1, 3, 4, 9), (2, 1, 6, 6), (1, 2, 2, 3)]:
         x = rng.integers(-2, 3, size=shape) / 2.0 if ties else rng.normal(size=shape)
         g = rng.normal(size=shape)
         xt = Tensor(x, requires_grad=True)
@@ -434,6 +473,44 @@ def test_channels_match_loop_oracle(rng, shape, lo, hi):
 def test_channels_rejects_empty_or_outside_ranges(rng, lo, hi):
     with pytest.raises(ShapeError):
         ad.channels(Tensor(rng.normal(size=(1, 3, 2, 2))), lo, hi)
+
+
+def relu_add_oracle(a, b):
+    """Scalar-loop max(a, 0) + b."""
+    out = np.empty_like(a)
+    for idx in np.ndindex(a.shape):
+        out[idx] = max(a[idx], 0.0) + b[idx]
+    return out
+
+
+def relu_add_grad_oracle(a, g):
+    """Scalar-loop gradients of sum(g * relu_add(a, b)) w.r.t. a and b."""
+    ga, gb = np.zeros_like(a), np.zeros_like(a)
+    for idx in np.ndindex(a.shape):
+        ga[idx] = g[idx] if a[idx] > 0 else 0.0
+        gb[idx] = g[idx]
+    return ga, gb
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 4, 5), (2, 6, 3, 3), (7,)])
+def test_relu_add_matches_loop_oracle(rng, shape):
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    b = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ad.relu_add(a, b)
+    np.testing.assert_allclose(out.data, relu_add_oracle(a.data, b.data), atol=1e-9)
+    g = rng.normal(size=shape)
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    want_a, want_b = relu_add_grad_oracle(a.data, g)
+    np.testing.assert_allclose(a.grad, want_a, atol=1e-9)
+    np.testing.assert_allclose(b.grad, want_b, atol=1e-9)
+    checks = dict(primitive_checks())
+    assert checks["relu_add_a"] < TOLERANCE
+    assert checks["relu_add_b"] < TOLERANCE
+
+
+def test_relu_add_rejects_unequal_shapes(rng):
+    with pytest.raises(ShapeError):
+        ad.relu_add(Tensor(rng.normal(size=(1, 3, 2, 2))), Tensor(rng.normal(size=(3, 1, 1))))
 
 
 def test_softmax_properties(rng):
@@ -580,11 +657,12 @@ def test_clamp_gradient_dead_outside_interval():
     "op",
     [
         lambda t: ad.reduce_sum(ad.relu(t)),
+        lambda t: ad.reduce_sum(ad.relu_add(t, Tensor(np.ones((2, 3))))),
         lambda t: ad.reduce_sum(ad.clamp(t, -0.5, 0.5)),
         lambda t: ad.reduce_sum(ad.absolute(t)),
         ad.reduce_l1,
     ],
-    ids=["relu", "clamp", "absolute", "reduce_l1"],
+    ids=["relu", "relu_add", "clamp", "absolute", "reduce_l1"],
 )
 def test_masks_are_those_of_the_forward_input(rng, op):
     """An optimizer step rebinds a parameter's data between a forward pass

@@ -192,6 +192,33 @@ def test_png_wavefront_memory_stays_near_the_image_size(tmp_path, h, w):
     assert peak < 6 * got.nbytes, (peak, got.nbytes)
 
 
+@pytest.mark.parametrize("fmt", list(PNG_FORMATS))
+def test_png_result_holds_only_its_rgb_floats(tmp_path, fmt):
+    """The decoded image is a view of one (h, w, 3) float array: an RGBA
+    file's alpha is dropped while its samples are still integers, and the
+    scaling to [0, 1] is in place, so decoding makes one float array."""
+    depth, color, channels = PNG_FORMATS[fmt]
+    h, w = 64, 48
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 256, size=(h, w * channels * depth // 8 + 1), dtype=np.uint8)
+    rows[:, 0] = 0
+    path = tmp_path / f"{fmt}.png"
+    path.write_bytes(_png(_ihdr(w, h, depth, color), zlib.compress(rows.tobytes())))
+    tracemalloc.start()
+    try:
+        got = load_png(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (1, 3, h, w)
+    assert got.base is not None and got.base.base is None
+    assert got.base.nbytes == got.nbytes == 3 * h * w * 8
+    # the float array, plus the file, the inflated rows and (16-bit) the
+    # combined samples, each a fraction of it; a decode that makes two
+    # float arrays of all four channels reaches 3.4x (8-bit), 4.8x (16-bit)
+    assert peak < (2.5 if depth == 8 else 3.5) * got.nbytes, (peak, got.nbytes)
+
+
 def test_png_errors_name_the_path(tmp_path):
     bad = tmp_path / "junk.png"
     bad.write_bytes(b"not a png at all")

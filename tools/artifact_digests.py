@@ -15,7 +15,12 @@ epochs at lr 3e-5):
   RGBA; square, tall and wide shapes): the raw float64 bytes `load_png`
   returns for each, and `enhance` of each with one trained checkpoint.
   `save_png` writes filter 0 only, so these are the files that reach the
-  decoder's Sub/Up/Avg/Paeth paths.
+  decoder's Sub/Up/Avg/Paeth paths;
+- `enhance --dump-stages` of every trained checkpoint on two seeded
+  low-light images of 128x128 and 97x130 px.  The other inputs are at most
+  48 px, where every conv is one matmul; at 128x128 the 3x3 convs run in
+  row bands, and 97x130, whose pixel count is not a multiple of 16, takes
+  one matmul per conv at a size that would otherwise band.
 
 Every file goes under DIR, which must be empty or new, and one
 `sha256  path` line per file is printed, with paths relative to DIR in
@@ -54,6 +59,20 @@ TRAIN_STRATEGIES = ("hierarchical", "end_to_end")
 PNG_FORMATS = {"rgb8": (8, 2), "rgba8": (8, 6), "rgb16": (16, 2), "rgba16": (16, 6)}
 PNG_SHAPES = {"square": (32, 32), "tall": (48, 16), "wide": (16, 48)}
 PNG_FILTERS = ("none", "sub", "up", "avg", "paeth", "mixed")
+# (h, w) of the `enhance` inputs large enough for the convs to band
+LARGE_SHAPES = ((128, 128), (97, 130))
+LARGE = f"""
+import pathlib
+import numpy as np
+from ruas.io_metrics import random_clean_image, save_png, synth_lowlight
+rng = np.random.default_rng({SEED})
+out = pathlib.Path("large")
+out.mkdir()
+for h, w in {LARGE_SHAPES}:
+    clean = random_clean_image(rng, size=max(h, w))[:, :h, :w]
+    dark, _ = synth_lowlight(clean, rng, noise_sigma=0.01)
+    save_png(dark, out / f"{{h}}x{{w}}.png")
+"""
 DECODE = """
 import pathlib
 from ruas.io_metrics import load_png
@@ -120,6 +139,7 @@ def run_all(src, out):
     common = ("--config", "cfg.json", "--data", "data", "--seed", SEED)
     for strategy in SEARCH_STRATEGIES:
         ruas("search", *common, "--strategy", strategy, "--out", f"search/{strategy}")
+    python("-c", LARGE)
     for cells, arch in (("default", ()), ("searched", ("--arch", "search/cooperative/alpha_final.json"))):
         for strategy in TRAIN_STRATEGIES:
             name = f"{cells}-{strategy}"
@@ -127,6 +147,8 @@ def run_all(src, out):
             model = f"train/{name}/model.ckpt"
             ruas("enhance", "--model", model, "--input", "data/input", "--dump-stages",
                  "--out", f"enhance/{name}")
+            ruas("enhance", "--model", model, "--input", "large", "--dump-stages",
+                 "--out", f"enhance-large/{name}")
             ruas("eval", *common, "--model", model, "--out", f"eval/{name}")
     write_pngs(out / "png")
     python("-c", DECODE)
