@@ -74,10 +74,15 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _taped(parents):
+    """Whether an op on ``parents`` is recorded on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn):
     """Build an op output; backward_fn(g) yields (parent, contribution) pairs."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _taped(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -151,7 +156,7 @@ def neg(a):
     return _make(-a.data, (a,), bw)
 
 
-# relu, relu_add, clamp, absolute and reduce_l1 compute only their value in
+# relu, clamp, absolute and reduce_l1 compute only their value in
 # the forward pass; the backward derives its mask or sign from the input
 # array captured at forward time (the array, not the tensor: an optimizer
 # step rebinds a parameter's ``.data``), so a pass without a tape builds
@@ -166,23 +171,6 @@ def relu(a):
         yield a, g * (xd > 0)
 
     return _make(np.maximum(xd, 0.0), (a,), bw)
-
-
-def relu_add(a, b):
-    """``max(a, 0) + b`` for same-shape ``a`` and ``b``, written to one array:
-    a residual operator's ReLU and skip."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"relu_add needs equal shapes, got {a.data.shape} and {b.data.shape}")
-    xd = a.data
-    out = np.maximum(xd, 0.0)
-    out += b.data
-
-    def bw(g):
-        yield a, g * (xd > 0)
-        yield b, g
-
-    return _make(out, (a, b), bw)
 
 
 def clamp(a, lo, hi):
@@ -478,32 +466,25 @@ def _band_columns(xp, k, dilation, lo, rows, w):
     return _shifted(xp, k, dilation, lo, rows, w)[0].reshape(n, c * k * k, rows * w)
 
 
-def _columns(xd, k, dilation):
-    """The (n, c*k*k, h*w) column matrix of the whole of ``xd``.
-
-    The columns are rebuilt for the weight gradient rather than kept on the
-    tape, where they would hold k*k copies of every conv input until backward.
-    """
-    h, w = xd.shape[2:]
-    return _band_columns(_padded(xd, dilation * (k - 1) // 2), k, dilation, 0, h, w)
-
-
 def _raw_conv(xd, wd, dilation, bias=None):
     """Convolution of ``xd`` with ``wd`` plus ``bias``, one column band at a
     time.
 
-    The bias is added once, to the whole output, after the last band.  Per
-    band, the add is a broadcast over ``o`` output planes h * w * 8 bytes
-    apart, run once per band: at 256 px, in 128 bands, it took 2.0 of the
-    8.2 ms of a width 6 to 12 3x3 conv (2-vCPU Xeon VM, one BLAS thread).
-    The full bands read one strided view of ``xp`` and write one view of
-    ``out``, so each is one column copy into a reused buffer and one matmul.
+    The bias is added once, to the whole output, after the last band: per
+    band it would be a broadcast over ``o`` output planes h * w * 8 bytes
+    apart, once per band.  The full bands read one strided view of ``xp``
+    and write one view of ``out``, so each is one column copy into a reused
+    buffer and one matmul.
     """
     n, c, h, w = xd.shape
     o, _, k, _ = wd.shape
     wm = wd.reshape(o, -1)
-    xp = _padded(xd, dilation * (k - 1) // 2)
+    # the output is allocated before the padded copy, which is freed on
+    # return: a stacked conv's output lives on as its edges' outputs, and
+    # above the hole the copy leaves it raised the heap's peak by about one
+    # output in a no_grad forward
     out = np.empty((n, o, h, w))
+    xp = _padded(xd, dilation * (k - 1) // 2)
     step = _band_rows(n, c, k, h, w)
     full = h // step if step < h else 0
     if full:
@@ -527,7 +508,10 @@ def _raw_conv(xd, wd, dilation, bias=None):
 def _raw_conv_wgrad(xd, go, k, dilation):
     n, c, h, w = xd.shape
     o = go.shape[1]
-    cols = _columns(xd, k, dilation).transpose(1, 0, 2).reshape(c * k * k, n * h * w)
+    # the columns are rebuilt here rather than kept on the tape, where they
+    # would hold k*k copies of every conv input until backward
+    cols = _band_columns(_padded(xd, dilation * (k - 1) // 2), k, dilation, 0, h, w)
+    cols = cols.transpose(1, 0, 2).reshape(c * k * k, n * h * w)
     # one product over batch and pixels, computed as (c*k*k, o) and returned
     # transposed so that seeded runs stay byte-identical: NumPy's sums over
     # a gradient, such as the norm SGD.step takes, follow its memory layout

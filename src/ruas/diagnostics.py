@@ -54,12 +54,6 @@ def primitive_checks(seed=7):
         ("clamp", grad_check(lambda t: ad.reduce_sum(ad.clamp(t, -0.5, 0.5)), xk))
     )
     checks.append(("abs", grad_check(lambda t: ad.reduce_sum(ad.absolute(t)), xk)))
-    checks.append(
-        ("relu_add_a", grad_check(lambda t: ad.reduce_l2sq(ad.relu_add(t, other)), xk))
-    )
-    checks.append(
-        ("relu_add_b", grad_check(lambda t: ad.reduce_l2sq(ad.relu_add(xk, t)), x))
-    )
 
     w = _rand(rng, 2, 3, 3, 3)
     b = _rand(rng, 2)
@@ -138,7 +132,7 @@ def mixed_edge_checks(seed=7):
     logits = _rand(rng, len(SEARCH_OPS))
 
     def loss(_):
-        return ad.reduce_l2sq(mixed_forward(x, logits, weights, SEARCH_OPS))
+        return ad.reduce_l2sq(mixed_forward(x, [(SEARCH_OPS, weights, logits)]))
 
     # the edge crosses relu kinks; a fine step keeps each central difference
     # on one side of them, as in the scene composite check

@@ -72,163 +72,154 @@ def make_op_params(kind, width, rng, name):
     return {"weight": w, "bias": b}
 
 
-def _op_weight(kind, params):
-    """The conv weight of operator ``kind``, checked against its kernel size."""
-    if "weight" not in params:
-        raise ConfigError(f"operator {kind.name} requires conv weights")
-    w = params["weight"]
-    if w.data.ndim != 4 or w.data.shape[2:] != (kind.kernel, kind.kernel):
-        raise ConfigError(
-            f"weights of shape {w.data.shape} do not match operator {kind.name}"
-        )
-    return w
+def mixed_forward(x, edges):
+    """The outputs of cell edges that all read ``x``, stacked along channels.
 
+    ``edges`` holds one (kinds, params, logits) triple per edge: its
+    candidate operators, their parameter dicts, and its logits, or None for
+    a derived edge of one candidate.  Every conv candidate is followed by
+    ReLU, and a residual candidate adds its input afterwards, so its output
+    is not sign-constrained; a skip outputs its input.  An edge with logits
+    is DARTS's continuous relaxation (Liu et al. 2019): the softmax-weighted
+    sum of its candidates, in their order.
 
-def _check_residual(kind, c_in, c_out):
-    if kind.residual and c_in != c_out:
-        raise ShapeError("residual operator requires c_in == c_out")
-
-
-def apply_op(kind, x, params):
-    """Run one candidate operator.
-
-    Every convolutional candidate is followed by ReLU; residual variants add
-    their input afterwards so the edge output is not sign-constrained.
+    This is one tape node.  The conv candidates of all the edges are grouped
+    by (kernel, dilation), and a group runs one convolution of its kernels
+    and biases stacked along the output channels, which builds the input
+    columns once per band; its backward pass is one weight-gradient product
+    and one input-gradient convolution.  ReLU and residual run in place on
+    the group's output, which is the node's output when the edges are the
+    derived members of one group.
     """
-    if kind.skip:
-        return x
-    w = _op_weight(kind, params)
-    return _activate(kind, x, ad.conv2d(x, w, params.get("bias"), dilation=kind.dilation))
-
-
-def _activate(kind, x, pre):
-    """The output of operator ``kind`` from its conv output ``pre`` on ``x``."""
-    if kind.residual:
-        _check_residual(kind, x.data.shape[1], pre.data.shape[1])
-        return ad.relu_add(pre, x)
-    return ad.relu(pre)
-
-
-def _derived_edges(x, kinds, params):
-    """The outputs of derived edges that all read ``x``, one per operator.
-
-    The conv operators are grouped by (kernel, dilation), and a group of two
-    or more runs one ``conv2d`` of its kernels and biases stacked along the
-    output channels: one column build of ``x`` per band forward, and one
-    weight-gradient product backward.  Each operator then takes its own
-    channels of the stacked output through its ReLU and residual.  A lone
-    conv is ``apply_op``.
-    """
-    outs = [x] * len(kinds)  # a skip outputs its input
-    groups = {}
-    for i, kind in enumerate(kinds):
-        if not kind.skip:
-            groups.setdefault((kind.kernel, kind.dilation), []).append(i)
-    for (_, dil), members in groups.items():
-        if len(members) == 1:
-            i = members[0]
-            outs[i] = apply_op(kinds[i], x, params[i])
-            continue
-        ws = [_op_weight(kinds[i], params[i]) for i in members]
-        bs = [params[i]["bias"] for i in members]
-        pre = ad.conv2d(x, ad.concat(ws, axis=0), ad.concat(bs, axis=0), dilation=dil)
-        lo = 0
-        for i, w in zip(members, ws):
-            hi = lo + w.data.shape[0]
-            outs[i] = _activate(kinds[i], x, ad.channels(pre, lo, hi))
-            lo = hi
-    return outs
-
-
-def mixed_forward(x, edge_logits, edge_weights, registry):
-    """Softmax-weighted sum of every candidate operator on one edge.
-
-    This is DARTS's continuous relaxation (Liu et al. 2019) as one tape
-    node.  The conv candidates are grouped by (kernel, dilation): a group
-    runs one convolution of its candidates' kernels stacked along the output
-    channels, which builds the input columns once per band, and its backward
-    pass is one weight-gradient product and one input-gradient convolution.
-    Each candidate is ``apply_op``'s operator, summed in registry order.
-    """
-    if edge_logits.data.shape != (len(registry),):
-        raise ConfigError(
-            f"expected {len(registry)} logits, got shape {edge_logits.data.shape}"
-        )
-    if x.data.ndim != 4:
-        raise ShapeError(f"input must be 4-d, got shape {x.data.shape}")
-    mix = ad.softmax(edge_logits)
     xd = x.data
+    if xd.ndim != 4:
+        raise ShapeError(f"input must be 4-d, got shape {xd.shape}")
     n, c, h, w = xd.shape
-
-    # (kernel, dilation) -> [(registry index, weight, bias, rows in the group)]
+    # (kernel, dilation) -> [(edge, candidate, weight, bias, rows in the group)]
     groups = {}
-    parents = [x, mix]
-    for i, kind in enumerate(registry):
-        if kind.skip:
-            continue
-        wt = _op_weight(kind, edge_weights[i])
-        o = wt.data.shape[0]
-        if wt.data.shape[1] != c:
-            raise ShapeError(
-                f"channel mismatch: input has {c} channels, "
-                f"operator {kind.name} expects {wt.data.shape[1]}"
+    mixes, widths, parents = [], [], [x]
+    for e, (kinds, params, logits) in enumerate(edges):
+        if logits is None and len(kinds) != 1:
+            raise ConfigError(f"an edge of {len(kinds)} operators needs logits")
+        if logits is not None and logits.data.shape != (len(kinds),):
+            raise ConfigError(
+                f"expected {len(kinds)} logits, got shape {logits.data.shape}"
             )
-        _check_residual(kind, c, o)
-        b = edge_weights[i].get("bias")
-        if b is not None and b.data.shape != (o,):
-            raise ShapeError(f"bias must have shape ({o},), got {b.data.shape}")
-        members = groups.setdefault((kind.kernel, kind.dilation), [])
-        lo = members[-1][3].stop if members else 0
-        members.append((i, wt, b, slice(lo, lo + o)))
-        parents += [wt] if b is None else [wt, b]
+        mixes.append(None if logits is None else ad.softmax(logits))
+        parents += [] if logits is None else [mixes[-1]]
+        width = {c} if any(kind.skip for kind in kinds) else set()
+        for i, kind in enumerate(kinds):
+            if kind.skip:
+                continue
+            if "weight" not in params[i]:
+                raise ConfigError(f"operator {kind.name} requires conv weights")
+            wt, b = params[i]["weight"], params[i].get("bias")
+            if wt.data.ndim != 4 or wt.data.shape[2:] != (kind.kernel, kind.kernel):
+                raise ConfigError(
+                    f"weights of shape {wt.data.shape} do not match operator {kind.name}"
+                )
+            o = wt.data.shape[0]
+            if wt.data.shape[1] != c:
+                raise ShapeError(
+                    f"channel mismatch: input has {c} channels, "
+                    f"operator {kind.name} expects {wt.data.shape[1]}"
+                )
+            if kind.residual and o != c:
+                raise ShapeError("residual operator requires c_in == c_out")
+            if b is not None and b.data.shape != (o,):
+                raise ShapeError(f"bias must have shape ({o},), got {b.data.shape}")
+            members = groups.setdefault((kind.kernel, kind.dilation), [])
+            lo = members[-1][4].stop if members else 0
+            members.append((e, i, wt, b, slice(lo, lo + o)))
+            parents += [wt] if b is None else [wt, b]
+            width.add(o)
+        if len(width) > 1:
+            raise ShapeError("mixed edge candidates disagree on output channels")
+        widths.append(width.pop())
 
-    outs = [xd] * len(registry)  # a skip candidate outputs its input
+    # the residual masks are taken before the input is added; a plain
+    # candidate's mask is that of its output, read in backward
+    taped = ad._taped(parents)
+    cands = [[xd] * len(kinds) for kinds, _, _ in edges]
     masks = {}
-    for (k, dil), members in groups.items():
-        stacked = np.concatenate([wt.data for _, wt, *_ in members])
-        y = ad._raw_conv(xd, stacked, dil)
-        for i, _, b, rows in members:
-            pre = y[:, rows] if b is None else y[:, rows] + b.data[None, :, None, None]
-            masks[i] = pre > 0
-            outs[i] = pre * masks[i]
-            if registry[i].residual:
-                outs[i] = outs[i] + xd
-    if len({o.shape for o in outs}) > 1:
-        raise ShapeError("mixed edge candidates disagree on output channels")
+    for (_, dil), members in groups.items():
+        stacked = np.concatenate([wt.data for _, _, wt, _, _ in members])
+        bias = np.concatenate(
+            [np.zeros(rows.stop - rows.start) if b is None else b.data for *_, b, rows in members]
+        )
+        y = ad._raw_conv(xd, stacked, dil, bias)
+        for e, i, _, _, rows in members:
+            out = y[:, rows]
+            np.maximum(out, 0.0, out=out)
+            if edges[e][0][i].residual:
+                if taped:
+                    masks[e, i] = out > 0
+                out += xd
+            cands[e][i] = out
 
-    m = mix.data
-    out = None
-    for i, o in enumerate(outs):
-        term = o * m[i]
-        out = term if out is None else out + term
+    outs = [cands[e][0] for e in range(len(edges))]
+    for e, mix in enumerate(mixes):
+        if mix is not None:
+            outs[e] = cands[e][0] * mix.data[0]
+            for o, m in zip(cands[e][1:], mix.data[1:]):
+                outs[e] = outs[e] + o * m
+    offs = np.cumsum([0] + widths)
+    if len(outs) == 1:
+        out = outs[0]
+    elif all(m is None for m in mixes) and [len(m) for m in groups.values()] == [len(edges)]:
+        out = y  # derived edges of one group: its output, in edge order
+    else:
+        out = np.concatenate(outs, axis=1)
+    for e, mix in enumerate(mixes):
+        if mix is None:  # hold the output, not the group's conv output
+            cands[e][0] = out[:, offs[e] : offs[e + 1]]
+
+    def group_grads(key, ge):
+        """Yield the gradients of group ``key``'s parameters; return its
+        input-gradient term."""
+        k, dil = key
+        members = groups[key]
+        # the gradient at the group's pre-activations, stacked like its output
+        gpre = np.empty((n, members[-1][4].stop, h, w))
+        for e, i, _, b, rows in members:
+            mask = masks[e, i] if (e, i) in masks else cands[e][i] > 0
+            g = ge[e] if mixes[e] is None else ge[e] * mixes[e].data[i]
+            np.multiply(g, mask, out=gpre[:, rows])
+            if b is not None and b.requires_grad:
+                yield b, gpre[:, rows].sum(axis=(0, 2, 3))
+        if any(wt.requires_grad for _, _, wt, _, _ in members):
+            gw = ad._raw_conv_wgrad(xd, gpre, k, dil)
+            for _, _, wt, _, rows in members:
+                if wt.requires_grad:
+                    yield wt, gw[rows]
+        if x.requires_grad:
+            flipped = np.concatenate(
+                [wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) for _, _, wt, _, _ in members],
+                axis=1,
+            )
+            return ad._raw_conv(gpre, flipped, dil)
 
     def bw(g):
-        if mix.requires_grad:
-            yield mix, np.array([np.vdot(g, o) for o in outs])
-        if x.requires_grad:
-            # skip and residual candidates pass g * m_i straight to the input
-            direct = [m[i] for i, kind in enumerate(registry) if kind.skip or kind.residual]
-            gx = g * sum(direct)
-        for (k, dil), members in groups.items():
-            # gradient at the group's pre-activations, stacked like its output
-            gpre = np.empty((n, members[-1][3].stop, h, w))
-            for i, _, b, rows in members:
-                np.multiply(g * m[i], masks[i], out=gpre[:, rows])
-                if b is not None and b.requires_grad:
-                    yield b, gpre[:, rows].sum(axis=(0, 2, 3))
-            if any(wt.requires_grad for _, wt, *_ in members):
-                gw = ad._raw_conv_wgrad(xd, gpre, k, dil)
-                for _, wt, _, rows in members:
-                    if wt.requires_grad:
-                        yield wt, gw[rows]
+        ge = [g[:, offs[e] : offs[e + 1]] for e in range(len(edges))]
+        for e, mix in enumerate(mixes):
+            if mix is not None and mix.requires_grad:
+                yield mix, np.array([np.vdot(ge[e], o) for o in cands[e]])
+        # the input gradient comes in the terms, and the order, of one tape
+        # node per operator: edges from last to first, each with its skip or
+        # residual term, then the conv term of every group whose first member
+        # it holds; a mixed edge sums its terms into one
+        for e in reversed(range(len(edges))):
+            kinds, mix = edges[e][0], mixes[e]
+            direct = [i for i, kind in enumerate(kinds) if kind.skip or kind.residual]
+            terms = []
+            if x.requires_grad and (direct or mix is not None):
+                terms.append(ge[e] if mix is None else ge[e] * sum(mix.data[i] for i in direct))
+            for key, members in groups.items():
+                if members[0][0] == e:
+                    terms.append((yield from group_grads(key, ge)))
             if x.requires_grad:
-                flipped = np.concatenate(
-                    [wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) for _, wt, *_ in members],
-                    axis=1,
-                )
-                gx = gx + ad._raw_conv(gpre, flipped, dil)
-        if x.requires_grad:
-            yield x, gx
+                for term in terms if mix is None else [sum(terms[1:], terms[0])]:
+                    yield x, term
 
     return ad._make(out, parents, bw)
 
@@ -284,8 +275,9 @@ class Cell:
 
     ``forward(x, arch)`` mixes every edge's candidates under ``arch``'s
     logits (search); ``forward(x)`` runs each edge's single candidate (the
-    derived cell), the convs out of one node that share (kernel, dilation)
-    as one stacked conv.  Every candidate has its own parameters.
+    derived cell), the edges out of one node as one ``mixed_forward`` node,
+    whose convs that share (kernel, dilation) are one stacked conv.  Every
+    candidate has its own parameters.
     """
 
     def __init__(self, spec, edge_ops, rng, name="cell", fusion_init="random"):
@@ -319,19 +311,23 @@ class Cell:
         return out + [self.fusion_w, self.fusion_b]
 
     def _edges_from(self, edges, x, arch):
-        """The outputs of ``edges``, which all read the node ``x``."""
+        """The outputs of ``edges``, which all read the node ``x``: one edge
+        node per mixed edge, or one for all the derived edges but skips,
+        split by channels.  A derived skip outputs ``x`` itself."""
         if arch is not None:
             return [
-                mixed_forward(x, arch.logits[e], self.edge_params[e], self.edge_ops[e])
+                mixed_forward(x, [(self.edge_ops[e], self.edge_params[e], arch.logits[e])])
                 for e in edges
             ]
-        for e in edges:
-            if len(self.edge_ops[e]) != 1:
-                raise ConfigError(
-                    f"edge {e} mixes {len(self.edge_ops[e])} operators and needs logits"
-                )
-        kinds = [self.edge_ops[e][0] for e in edges]
-        return _derived_edges(x, kinds, [self.edge_params[e][0] for e in edges])
+        outs = [x] * len(edges)
+        ops = [self.edge_ops[e] for e in edges]
+        conv = [j for j, kinds in enumerate(ops) if len(kinds) > 1 or not kinds[0].skip]
+        if conv:
+            y = mixed_forward(x, [(ops[j], self.edge_params[edges[j]], None) for j in conv])
+            c = self.spec.width
+            for pos, j in enumerate(conv):
+                outs[j] = y if len(conv) == 1 else ad.channels(y, pos * c, (pos + 1) * c)
+        return outs
 
     def forward(self, x, arch=None):
         if x.data.shape[1] != self.spec.width:

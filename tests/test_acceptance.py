@@ -23,7 +23,6 @@ from ruas.search_space import (
     CellSpec,
     DiscreteCell,
     OPS_BY_NAME,
-    apply_op,
     count_params,
     make_op_params,
     mixed_forward,
@@ -34,6 +33,7 @@ from test_autodiff import conv2d_oracle
 from test_io_metrics import ssim_oracle
 from test_scene import rtv_oracle
 from test_search_engine import quadratic_problem
+from test_search_space import reference_op
 
 
 def _report(number, name, ok):
@@ -130,7 +130,7 @@ def test_acceptance_2_oracle_equivalence():
             if params:
                 params["bias"].data = rng.normal(0.0, 0.1, 3)
         logits = rng.normal(size=len(mixed_ops))
-        got = mixed_forward(Tensor(xc), Tensor(logits), weights, mixed_ops).data
+        got = mixed_forward(Tensor(xc), [(mixed_ops, weights, Tensor(logits))]).data
         ok &= np.allclose(got, _mixed_oracle(xc, logits, weights, mixed_ops), atol=1e-9)
 
         # rtv prior
@@ -179,8 +179,8 @@ def test_acceptance_3_retinex_invariants():
     for pick in range(len(registry)):
         logits = np.full(len(registry), -40.0)
         logits[pick] = 40.0
-        mixed = mixed_forward(x, Tensor(logits), weights, registry).data
-        direct = apply_op(registry[pick], x, weights[pick]).data
+        mixed = mixed_forward(x, [(registry, weights, Tensor(logits))]).data
+        direct = reference_op(registry[pick], x, weights[pick]).data
         ok &= bool(np.allclose(mixed, direct, atol=1e-6))
     _report(3, "retinex invariants", ok)
 

@@ -475,44 +475,6 @@ def test_channels_rejects_empty_or_outside_ranges(rng, lo, hi):
         ad.channels(Tensor(rng.normal(size=(1, 3, 2, 2))), lo, hi)
 
 
-def relu_add_oracle(a, b):
-    """Scalar-loop max(a, 0) + b."""
-    out = np.empty_like(a)
-    for idx in np.ndindex(a.shape):
-        out[idx] = max(a[idx], 0.0) + b[idx]
-    return out
-
-
-def relu_add_grad_oracle(a, g):
-    """Scalar-loop gradients of sum(g * relu_add(a, b)) w.r.t. a and b."""
-    ga, gb = np.zeros_like(a), np.zeros_like(a)
-    for idx in np.ndindex(a.shape):
-        ga[idx] = g[idx] if a[idx] > 0 else 0.0
-        gb[idx] = g[idx]
-    return ga, gb
-
-
-@pytest.mark.parametrize("shape", [(1, 3, 4, 5), (2, 6, 3, 3), (7,)])
-def test_relu_add_matches_loop_oracle(rng, shape):
-    a = Tensor(rng.normal(size=shape), requires_grad=True)
-    b = Tensor(rng.normal(size=shape), requires_grad=True)
-    out = ad.relu_add(a, b)
-    np.testing.assert_allclose(out.data, relu_add_oracle(a.data, b.data), atol=1e-9)
-    g = rng.normal(size=shape)
-    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
-    want_a, want_b = relu_add_grad_oracle(a.data, g)
-    np.testing.assert_allclose(a.grad, want_a, atol=1e-9)
-    np.testing.assert_allclose(b.grad, want_b, atol=1e-9)
-    checks = dict(primitive_checks())
-    assert checks["relu_add_a"] < TOLERANCE
-    assert checks["relu_add_b"] < TOLERANCE
-
-
-def test_relu_add_rejects_unequal_shapes(rng):
-    with pytest.raises(ShapeError):
-        ad.relu_add(Tensor(rng.normal(size=(1, 3, 2, 2))), Tensor(rng.normal(size=(3, 1, 1))))
-
-
 def test_softmax_properties(rng):
     out = ad.softmax(Tensor(np.zeros(3))).data
     np.testing.assert_allclose(out, np.ones(3) / 3)
@@ -657,12 +619,11 @@ def test_clamp_gradient_dead_outside_interval():
     "op",
     [
         lambda t: ad.reduce_sum(ad.relu(t)),
-        lambda t: ad.reduce_sum(ad.relu_add(t, Tensor(np.ones((2, 3))))),
         lambda t: ad.reduce_sum(ad.clamp(t, -0.5, 0.5)),
         lambda t: ad.reduce_sum(ad.absolute(t)),
         ad.reduce_l1,
     ],
-    ids=["relu", "relu_add", "clamp", "absolute", "reduce_l1"],
+    ids=["relu", "clamp", "absolute", "reduce_l1"],
 )
 def test_masks_are_those_of_the_forward_input(rng, op):
     """An optimizer step rebinds a parameter's data between a forward pass

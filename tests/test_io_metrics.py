@@ -7,11 +7,11 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ruas.errors import ConfigError, DataIOError, NumericError, RuasError, ShapeError
 from ruas.io_metrics import (
     MAX_PIXELS,
-    _gaussian_window,
     load_dataset,
     load_png,
     make_synthetic_dataset,
@@ -406,6 +406,75 @@ def test_ssim_window_size_check(rng):
     a = rng.uniform(0, 1, size=(1, 3, 8, 8))
     with pytest.raises(ConfigError):
         ssim(a, a)  # smaller than the 11x11 window
+    with pytest.raises(ConfigError, match="odd"):
+        ssim(a, a, window=4)
+
+
+def _gaussian_window(size=11, sigma=1.5):
+    """The normalised 2-D Gaussian window."""
+    xs = np.arange(size) - (size - 1) / 2.0
+    g = np.exp(-(xs**2) / (2 * sigma**2))
+    k = np.outer(g, g)
+    return k / k.sum()
+
+
+def ssim_2d(a, b, window=11, sigma=1.5):
+    """SSIM of (c, h, w) images from the 2-D window: each local moment is a
+    contraction of every valid window view with the whole kernel."""
+    k = _gaussian_window(window, sigma)
+    c1, c2 = 0.01**2, 0.03**2
+    vals = []
+    for c in range(a.shape[0]):
+        wa = sliding_window_view(a[c], (window, window))
+        wb = sliding_window_view(b[c], (window, window))
+        mu_a = np.tensordot(wa, k, axes=([2, 3], [0, 1]))
+        mu_b = np.tensordot(wb, k, axes=([2, 3], [0, 1]))
+        ex_aa = np.tensordot(wa * wa, k, axes=([2, 3], [0, 1]))
+        ex_bb = np.tensordot(wb * wb, k, axes=([2, 3], [0, 1]))
+        ex_ab = np.tensordot(wa * wb, k, axes=([2, 3], [0, 1]))
+        var_a = ex_aa - mu_a**2
+        var_b = ex_bb - mu_b**2
+        cov = ex_ab - mu_a * mu_b
+        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        vals.append(np.mean(num / den))
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize(
+    "shape, window",
+    [
+        ((3, 11, 11), 11),
+        ((3, 11, 40), 11),
+        ((2, 40, 11), 11),
+        ((1, 13, 14), 11),
+        ((2, 37, 19), 11),
+        ((3, 64, 64), 11),
+        ((4, 23, 29), 7),
+        ((1, 9, 5), 5),
+        ((3, 6, 8), 1),
+    ],
+)
+def test_ssim_matches_2d_window(rng, shape, window):
+    a = rng.uniform(0, 1, size=shape)
+    b = np.clip(a + rng.normal(0, 0.1, shape), 0, 1)
+    assert abs(ssim(a, b, window) - ssim_2d(a, b, window)) <= 1e-12
+    assert abs(ssim(a, a, window) - 1.0) <= 1e-12
+
+
+def test_ssim_memory_stays_a_multiple_of_the_image(rng):
+    """The separable passes hold a few image-sized maps at a time, where
+    window views held 121 products per pixel (81x the image at 512 px)."""
+    for px in (64, 256):
+        a = rng.uniform(0, 1, size=(1, 3, px, px))
+        b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * a.nbytes
 
 
 def ssim_oracle(a, b, window=11, sigma=1.5):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ruas import autodiff as ad
+from ruas import search_space
 from ruas.autodiff import Parameter, Tensor, backward
 from ruas.errors import ConfigError, ShapeError
 from ruas.model import DEFAULT_SCENE_OPS, RuasModel
@@ -14,7 +15,6 @@ from ruas.search_space import (
     DiscreteCell,
     MixedCell,
     OPS_BY_NAME,
-    apply_op,
     arch_dump,
     cell_flops,
     conv_flops,
@@ -62,10 +62,29 @@ def test_lookup_op_rejects_unknown_names(name):
     assert str(exc.value) == f"unknown operator {name!r}; known: {known}"
 
 
+def reference_op(kind, x, params):
+    """Reference operator from autodiff primitives: a skip outputs its
+    input; a conv is followed by ReLU, and a residual conv adds its input
+    afterwards."""
+    if kind.skip:
+        return x
+    out = ad.relu(ad.conv2d(x, params["weight"], params.get("bias"), dilation=kind.dilation))
+    return ad.add(out, x) if kind.residual else out
+
+
+def apply_op(kind, x, params):
+    """One operator on ``x`` as a derived cell runs it: a skip passes ``x``
+    itself, and any other operator is a one-edge node."""
+    return x if kind.skip else mixed_forward(x, [((kind,), [params], None)])
+
+
 def test_apply_op_skip_is_identity(rng):
     x = Tensor(rng.normal(size=(1, 3, 6, 6)))
     out = apply_op(OPS_BY_NAME["SC"], x, {})
     assert out is x
+    # a derived cell's skip edges pass their node along, with no tape node
+    cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["SC"]] * 7, rng)
+    assert cell._edges_from([0, 4], x, None) == [x, x]
 
 
 def test_apply_op_residual_adds_input(rng):
@@ -90,6 +109,11 @@ def test_apply_op_kernel_mismatch(rng):
         apply_op(OPS_BY_NAME["1-C"], Tensor(rng.normal(size=(1, 3, 6, 6))), params)
 
 
+def mixed_edge(x, edge_logits, edge_weights, registry):
+    """One mixed edge through the edge node."""
+    return mixed_forward(x, [(registry, edge_weights, edge_logits)])
+
+
 def test_mixed_forward_one_hot_equals_selected(rng):
     registry = SEARCH_OPS
     weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
@@ -97,8 +121,8 @@ def test_mixed_forward_one_hot_equals_selected(rng):
     for pick in range(len(registry)):
         logits = np.full(len(registry), -40.0)
         logits[pick] = 40.0  # softmax is one-hot to machine precision
-        mixed = mixed_forward(x, Tensor(logits), weights, registry).data
-        direct = apply_op(registry[pick], x, weights[pick]).data
+        mixed = mixed_edge(x, Tensor(logits), weights, registry).data
+        direct = reference_op(registry[pick], x, weights[pick]).data
         np.testing.assert_allclose(mixed, direct, atol=1e-6)
 
 
@@ -107,12 +131,12 @@ def test_mixed_forward_logit_count_checked(rng):
     weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     with pytest.raises(ConfigError):
-        mixed_forward(x, Tensor(np.zeros(3)), weights, registry)
+        mixed_edge(x, Tensor(np.zeros(3)), weights, registry)
 
 
 def composite_mixed_forward(x, edge_logits, edge_weights, registry):
     """Reference mixed edge built from autodiff primitives: each candidate's
-    ``apply_op`` output times its softmax entry, summed in registry order."""
+    ``reference_op`` output times its softmax entry, summed in registry order."""
     mix = ad.softmax(edge_logits)
 
     def entry(i):
@@ -125,7 +149,7 @@ def composite_mixed_forward(x, edge_logits, edge_weights, registry):
 
     out = None
     for i, kind in enumerate(registry):
-        wi = ad.mul(apply_op(kind, x, edge_weights[i]), entry(i))
+        wi = ad.mul(reference_op(kind, x, edge_weights[i]), entry(i))
         out = wi if out is None else ad.add(out, wi)
     return out
 
@@ -166,7 +190,7 @@ def _edge_run(forward, registry, shape, x_grad, seed):
 def test_fused_mixed_edge_matches_composite(case):
     registry, shape, x_grad = MIXED_CASES[case]
     want, _, want_grads = _edge_run(composite_mixed_forward, registry, shape, x_grad, 11)
-    got, leaves, got_grads = _edge_run(mixed_forward, registry, shape, x_grad, 11)
+    got, leaves, got_grads = _edge_run(mixed_edge, registry, shape, x_grad, 11)
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9)
     assert (got_grads[0] is None) == (not x_grad)
     for g, w in zip(got_grads, want_grads):
@@ -193,44 +217,53 @@ def test_mixed_forward_checks_its_candidates(rng):
     missing = weights()
     missing[1] = {}
     with pytest.raises(ConfigError, match="requires conv weights"):
-        mixed_forward(x, logits, missing, registry)
+        mixed_edge(x, logits, missing, registry)
     wrong_kernel = weights()
     wrong_kernel[0] = make_op_params(OPS_BY_NAME["3-C"], 3, rng, "op0")
     with pytest.raises(ConfigError, match="do not match operator 1-C"):
-        mixed_forward(x, logits, wrong_kernel, registry)
+        mixed_edge(x, logits, wrong_kernel, registry)
     wide = weights()
     wide[3]["weight"] = Parameter(rng.normal(size=(4, 3, 3, 3)), "wide")
     wide[3]["bias"] = Parameter(np.zeros(4), "wide.bias")
     with pytest.raises(ShapeError, match="c_in == c_out"):
-        mixed_forward(x, logits, wide, registry)
+        mixed_edge(x, logits, wide, registry)
     narrow_in = weights()
     narrow_in[1]["weight"] = Parameter(rng.normal(size=(3, 2, 3, 3)), "narrow")
     with pytest.raises(ShapeError, match="channel mismatch"):
-        mixed_forward(x, logits, narrow_in, registry)
+        mixed_edge(x, logits, narrow_in, registry)
     bad_bias = weights()
     bad_bias[4]["bias"] = Parameter(np.zeros(1), "bias")
     with pytest.raises(ShapeError, match="bias"):
-        mixed_forward(x, logits, bad_bias, registry)
+        mixed_edge(x, logits, bad_bias, registry)
     plain = _ops("3-C", "1-C")
     mismatched = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(plain)]
     mismatched[1]["weight"] = Parameter(rng.normal(size=(4, 3, 1, 1)), "four")
     mismatched[1]["bias"] = Parameter(np.zeros(4), "four.bias")
     with pytest.raises(ShapeError, match="output channels"):
-        mixed_forward(x, Tensor(np.zeros(2)), mismatched, plain)
+        mixed_edge(x, Tensor(np.zeros(2)), mismatched, plain)
     with pytest.raises(ShapeError, match="4-d"):
-        mixed_forward(Tensor(np.ones((3, 6, 6))), logits, weights(), registry)
+        mixed_edge(Tensor(np.ones((3, 6, 6))), logits, weights(), registry)
+    # an edge of several candidates is mixed only under logits
+    with pytest.raises(ConfigError, match="an edge of 7 operators needs logits"):
+        mixed_forward(x, [(registry, weights(), None)])
+    # a derived call checks every edge's candidate, not only the first
+    derived = [(kind,) for kind in _ops("3-RC", "1-C")]
+    params = [[make_op_params(kinds[0], 3, rng, f"e{e}")] for e, kinds in enumerate(derived)]
+    params[1][0]["weight"] = Parameter(rng.normal(size=(3, 3, 3, 3)), "e1.weight")
+    with pytest.raises(ConfigError, match="do not match operator 1-C"):
+        mixed_forward(x, [(kinds, ps, None) for kinds, ps in zip(derived, params)])
 
 
 def per_edge_cell_forward(cell, x):
-    """Reference derived cell: a DAG walk that runs ``apply_op`` per edge."""
+    """Reference derived cell: a DAG walk that runs ``reference_op`` per edge."""
     nodes = [x]
     ops = [edge[0] for edge in cell.edge_ops]
     params = [edge[0] for edge in cell.edge_params]
     for e, (i, _) in enumerate(cell.spec.chain_edges):
-        nodes.append(apply_op(ops[e], nodes[i], params[e]))
+        nodes.append(reference_op(ops[e], nodes[i], params[e]))
     n_chain = len(cell.spec.chain_edges)
     distill = [
-        apply_op(ops[n_chain + d], nodes[i], params[n_chain + d])
+        reference_op(ops[n_chain + d], nodes[i], params[n_chain + d])
         for d, (i, _) in enumerate(cell.spec.distill_edges)
     ]
     return ad.conv2d(ad.concat(distill + [nodes[-1]], axis=1), cell.fusion_w, cell.fusion_b)
@@ -287,6 +320,125 @@ def test_grouped_derived_cell_matches_per_edge_ops(arch, shape):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+def _unstacked_archs(count, seed):
+    """Seeded random archs in which no two convs out of one node share
+    (kernel, dilation), so that no conv is stacked."""
+    draw = np.random.default_rng(seed)
+    archs = []
+    while len(archs) < count:
+        kinds = [SEARCH_OPS[j] for j in draw.integers(len(SEARCH_OPS), size=7)]
+        # nodes 0, 1 and 2 each feed edges i and i + 4
+        if all(
+            a.skip or b.skip or (a.kernel, a.dilation) != (b.kernel, b.dilation)
+            for a, b in zip(kinds[:3], kinds[4:])
+        ):
+            archs.append(kinds)
+    return archs
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 3, 9, 7), (2, 6, 8, 8), (1, 6, 64, 64)], ids=["3-wide", "batch-2", "banded"]
+)
+def test_unstacked_derived_cell_is_the_per_edge_walk(shape):
+    """With no stacked group, a derived cell does the per-edge walk's
+    arithmetic: its output and every gradient equal the walk's bit for bit.
+    This pins the order in which the edge nodes yield their input-gradient
+    terms, which decides how the input's gradient is summed."""
+    for kinds in _unstacked_archs(25, 11):
+        rng = np.random.default_rng(7)
+        cell = DiscreteCell(CellSpec(width=shape[1]), kinds, rng)
+        for p in cell.parameters():
+            p.data = rng.normal(0.0, 0.3, p.data.shape)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        probe = Tensor(rng.normal(size=shape))
+        want, want_grads = _cell_run(per_edge_cell_forward, cell, x, probe)
+        got, got_grads = _cell_run(lambda c, t: c.forward(t), cell, x, probe)
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("arch", ["default", "skip-on-either-edge"])
+def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
+    """A derived cell forward makes one edge node per source node that has a
+    conv edge, whose parents are its input and the weights and biases of its
+    edges in edge order; no weight is concatenated."""
+    kinds = [OPS_BY_NAME[n] for n in GROUPED_ARCHS[arch]]
+    cell = DiscreteCell(CellSpec(width=3), kinds, rng)
+    nodes, concats = [], []
+    node, concat = search_space.mixed_forward, ad.concat
+    monkeypatch.setattr(
+        search_space, "mixed_forward", lambda x, edges: nodes.append((x, node(x, edges))) or nodes[-1][1]
+    )
+    monkeypatch.setattr(ad, "concat", lambda ts, axis=1: concats.append(ts) or concat(ts, axis))
+    x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+    cell.forward(x)
+    want = []
+    for i in range(cell.spec.node_count - 1):
+        edges = [e for e, (src, _) in enumerate(cell.spec.edges) if src == i and not kinds[e].skip]
+        if edges:
+            want.append([p for e in edges for p in cell.edge_params[e][0].values()])
+    assert len(nodes) == len(want) and nodes[0][0] is x
+    for (inp, out), params in zip(nodes, want):
+        assert out._parents[0] is inp
+        assert [id(p) for p in out._parents[1:]] == [id(p) for p in params]
+    # the one concat is the fusion's input, of tensors that are no parameter
+    assert len(concats) == 1
+    assert not any(isinstance(t, Parameter) for t in concats[0])
+
+
+def test_edge_node_masks_are_those_of_the_forward_input(rng):
+    """An optimizer step rebinds a tensor's data between a forward pass and
+    a later backward (the one-step hypergradient does); the node's input
+    gradient still follows the input the forward pass saw, for a stacked
+    residual and plain pair of derived edges and for a mixed edge."""
+    pair = _ops("3-RC", "3-C")
+    derived = [((k,), [make_op_params(k, 3, rng, f"e{e}")], None) for e, k in enumerate(pair)]
+    weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(SEARCH_OPS)]
+    mixed = [(SEARCH_OPS, weights, Tensor(rng.normal(size=len(SEARCH_OPS))))]
+    data = rng.normal(size=(1, 3, 6, 6))
+    for edges, width in ((derived, 6), (mixed, 3)):
+        probe = Tensor(rng.normal(size=(1, width, 6, 6)))
+        want = Parameter(data.copy(), "want")
+        backward(ad.reduce_sum(ad.mul(mixed_forward(want, edges), probe)))
+        p = Parameter(data.copy(), "p")
+        loss = ad.reduce_sum(ad.mul(mixed_forward(p, edges), probe))
+        p.data = p.data + 1.0  # moves most ReLU masks
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, want.grad)
+
+
+def test_edge_node_stacks_mixed_and_derived_edges():
+    """One node over two mixed edges and a derived one, whose convs share
+    groups across edges, equals one node per edge with the outputs stacked,
+    to rounding: a taller stack of kernels may take other BLAS blocking, and
+    a shared group sums its edges' input gradients in one product."""
+
+    def run(split):
+        rng = np.random.default_rng(5)
+        edges = []
+        for e, kinds in enumerate((SEARCH_OPS, _ops("3-RC"), SEARCH_OPS)):
+            params = [make_op_params(k, 3, rng, f"e{e}.{i}") for i, k in enumerate(kinds)]
+            for ps in params:
+                if ps:
+                    ps["bias"].data = rng.normal(0.0, 0.1, 3)
+            logits = Parameter(rng.normal(size=len(kinds)), f"e{e}") if len(kinds) > 1 else None
+            edges.append((kinds, params, logits))
+        x = Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
+        if split:
+            out = ad.concat([mixed_forward(x, [edge]) for edge in edges], axis=1)
+        else:
+            out = mixed_forward(x, edges)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(rng.normal(size=(2, 9, 7, 6))))))
+        leaves = [x] + [l for *_, l in edges if l is not None]
+        leaves += [p for _, params, _ in edges for ps in params for p in ps.values()]
+        return out.data, [t.grad for t in leaves]
+
+    (want, want_grads), (got, got_grads) = run(split=True), run(split=False)
+    for g, w in zip([got] + got_grads, [want] + want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_derived_cell_at_64px_runs_one_conv_per_group(rng, monkeypatch):
     """In the default cells, nodes 0, 1 and 2 each feed two edges of one
     (kernel, dilation): a cell forward is 3 stacked convs, node 3's lone
@@ -294,13 +446,13 @@ def test_derived_cell_at_64px_runs_one_conv_per_group(rng, monkeypatch):
     ruas forward (3 scene stages, the task cell and the remover's two
     projections) then makes 22, not 34."""
     calls = []
-    conv2d = ad.conv2d
-    monkeypatch.setattr(ad, "conv2d", lambda *a, **k: calls.append(a[1]) or conv2d(*a, **k))
+    raw_conv = ad._raw_conv
+    monkeypatch.setattr(ad, "_raw_conv", lambda xd, wd, *a: calls.append(wd) or raw_conv(xd, wd, *a))
     model = RuasModel(rng)
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 64, 64)))
     with ad.no_grad():
         model.scene_cell.forward(Tensor(rng.normal(size=(1, 3, 64, 64))))
-        assert [w.data.shape[:3] for w in calls] == [(6, 3, 3)] * 3 + [(3, 3, 3), (3, 12, 1)]
+        assert [w.shape[:3] for w in calls] == [(6, 3, 3)] * 3 + [(3, 3, 3), (3, 12, 1)]
         calls.clear()
         model.forward(y)
     assert len(calls) == 22

@@ -7,8 +7,8 @@ runs the `ruas` command of CHECKOUT/src on 8 synthetic 32 px image pairs
 epochs at lr 3e-5):
 
 - `search` with each strategy;
-- `train` with each strategy, on the default cells and on the cells the
-  cooperative search derived;
+- `train` with each strategy, on the default cells, on the cells the
+  cooperative search derived, and on the fixed cells of `FIXED_ARCH`;
 - `enhance --dump-stages` and `eval` of every trained checkpoint;
 - a seeded set of PNG files of random residual bytes that the tool writes
   itself (each row filter alone and a per-row mix; 8- and 16-bit RGB and
@@ -52,6 +52,18 @@ CONFIG = {
 }
 SEARCH_STRATEGIES = ("cooperative", "independent", "global")
 TRAIN_STRATEGIES = ("hierarchical", "end_to_end")
+# hand-written cells whose derived edges cover the cases the edge node
+# sums its input-gradient terms for in its own order, so that the trained
+# checkpoints pin that order whatever the search derives: a chain skip (0->1
+# in the scene cell, 1->2 in the task cell), two residual edges of different
+# (kernel, dilation) out of one node (1->2 and 1->4 in the scene cell), and
+# stacked pairs of a residual and a plain edge (2->3 and 2->4 in the scene
+# cell; 0->1 and 0->4, and 2->3 and 2->4, in the task cell).  Edge order:
+# 0->1, 1->2, 2->3, 3->4, 0->4, 1->4, 2->4.
+FIXED_ARCH = {
+    "scene": {"ops": ["SC", "3-RC", "1-RC", "3-C", "3-C", "3-2-RDC", "1-C"]},
+    "task": {"ops": ["3-2-RDC", "SC", "3-RC", "1-C", "3-2-DC", "1-RC", "3-C"]},
+}
 
 # (bit depth, PNG color type) per format, (h, w) per shape; a filter index
 # of 5 gives each row a random filter.  The decoder's Avg/Paeth wavefronts
@@ -140,7 +152,13 @@ def run_all(src, out):
     for strategy in SEARCH_STRATEGIES:
         ruas("search", *common, "--strategy", strategy, "--out", f"search/{strategy}")
     python("-c", LARGE)
-    for cells, arch in (("default", ()), ("searched", ("--arch", "search/cooperative/alpha_final.json"))):
+    (out / "fixed_arch.json").write_text(json.dumps(FIXED_ARCH, indent=2) + "\n")
+    archs = (
+        ("default", ()),
+        ("searched", ("--arch", "search/cooperative/alpha_final.json")),
+        ("fixed", ("--arch", "fixed_arch.json")),
+    )
+    for cells, arch in archs:
         for strategy in TRAIN_STRATEGIES:
             name = f"{cells}-{strategy}"
             ruas("train", *common, *arch, "--strategy", strategy, "--out", f"train/{name}")
