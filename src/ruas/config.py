@@ -216,6 +216,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.seed = doc.pop("seed", None)
+        resolve_seed(None, None, self.seed)  # a bad seed fails even if overridden
         self.sections = {}
         self.configs = {}
         for name, defaults in _SECTION_DEFAULTS.items():

@@ -75,13 +75,18 @@ def make_op_params(kind, width, rng, name):
 def mixed_forward(x, edges):
     """The outputs of cell edges that all read ``x``, stacked along channels.
 
-    ``edges`` holds one (kinds, params, logits) triple per edge: its
-    candidate operators, their parameter dicts, and its logits, or None for
-    a derived edge of one candidate.  Every conv candidate is followed by
-    ReLU, and a residual candidate adds its input afterwards, so its output
-    is not sign-constrained; a skip outputs its input.  An edge with logits
-    is DARTS's continuous relaxation (Liu et al. 2019): the softmax-weighted
-    sum of its candidates, in their order.
+    ``edges`` holds one (kinds, params, logits) triple per edge, as a
+    ``Cell`` builds them: the edge's candidate operators, their parameter
+    dicts from ``make_op_params`` (a (c, c, k, k) weight of the candidate's
+    kernel and a (c,) bias, for ``x`` of shape (n, c, h, w)), and one logit
+    per candidate, or None for a derived edge of one candidate.  The node
+    checks none of this; ``Cell.forward`` checks its input and logits.
+
+    Every conv candidate is followed by ReLU, and a residual candidate adds
+    its input afterwards, so its output is not sign-constrained; a skip
+    outputs its input.  An edge with logits is DARTS's continuous relaxation
+    (Liu et al. 2019): the softmax-weighted sum of its candidates, in their
+    order.
 
     This is one tape node.  The conv candidates of all the edges are grouped
     by (kernel, dilation), and a group runs one convolution of its kernels
@@ -92,50 +97,19 @@ def mixed_forward(x, edges):
     derived members of one group.
     """
     xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"input must be 4-d, got shape {xd.shape}")
     n, c, h, w = xd.shape
     # (kernel, dilation) -> [(edge, candidate, weight, bias, rows in the group)]
     groups = {}
-    mixes, widths, parents = [], [], [x]
+    mixes, parents = [], [x]
     for e, (kinds, params, logits) in enumerate(edges):
-        if logits is None and len(kinds) != 1:
-            raise ConfigError(f"an edge of {len(kinds)} operators needs logits")
-        if logits is not None and logits.data.shape != (len(kinds),):
-            raise ConfigError(
-                f"expected {len(kinds)} logits, got shape {logits.data.shape}"
-            )
         mixes.append(None if logits is None else ad.softmax(logits))
         parents += [] if logits is None else [mixes[-1]]
-        width = {c} if any(kind.skip for kind in kinds) else set()
         for i, kind in enumerate(kinds):
-            if kind.skip:
-                continue
-            if "weight" not in params[i]:
-                raise ConfigError(f"operator {kind.name} requires conv weights")
-            wt, b = params[i]["weight"], params[i].get("bias")
-            if wt.data.ndim != 4 or wt.data.shape[2:] != (kind.kernel, kind.kernel):
-                raise ConfigError(
-                    f"weights of shape {wt.data.shape} do not match operator {kind.name}"
-                )
-            o = wt.data.shape[0]
-            if wt.data.shape[1] != c:
-                raise ShapeError(
-                    f"channel mismatch: input has {c} channels, "
-                    f"operator {kind.name} expects {wt.data.shape[1]}"
-                )
-            if kind.residual and o != c:
-                raise ShapeError("residual operator requires c_in == c_out")
-            if b is not None and b.data.shape != (o,):
-                raise ShapeError(f"bias must have shape ({o},), got {b.data.shape}")
-            members = groups.setdefault((kind.kernel, kind.dilation), [])
-            lo = members[-1][4].stop if members else 0
-            members.append((e, i, wt, b, slice(lo, lo + o)))
-            parents += [wt] if b is None else [wt, b]
-            width.add(o)
-        if len(width) > 1:
-            raise ShapeError("mixed edge candidates disagree on output channels")
-        widths.append(width.pop())
+            if not kind.skip:
+                members = groups.setdefault((kind.kernel, kind.dilation), [])
+                rows = slice(len(members) * c, (len(members) + 1) * c)
+                members.append((e, i, params[i]["weight"], params[i]["bias"], rows))
+                parents += [params[i]["weight"], params[i]["bias"]]
 
     # the residual masks are taken before the input is added; a plain
     # candidate's mask is that of its output, read in backward
@@ -144,9 +118,7 @@ def mixed_forward(x, edges):
     masks = {}
     for (_, dil), members in groups.items():
         stacked = np.concatenate([wt.data for _, _, wt, _, _ in members])
-        bias = np.concatenate(
-            [np.zeros(rows.stop - rows.start) if b is None else b.data for *_, b, rows in members]
-        )
+        bias = np.concatenate([b.data for _, _, _, b, _ in members])
         y = ad._raw_conv(xd, stacked, dil, bias)
         for e, i, _, _, rows in members:
             out = y[:, rows]
@@ -160,10 +132,10 @@ def mixed_forward(x, edges):
     outs = [cands[e][0] for e in range(len(edges))]
     for e, mix in enumerate(mixes):
         if mix is not None:
-            outs[e] = cands[e][0] * mix.data[0]
+            outs[e] = acc = cands[e][0] * mix.data[0]
+            term = np.empty_like(acc)
             for o, m in zip(cands[e][1:], mix.data[1:]):
-                outs[e] = outs[e] + o * m
-    offs = np.cumsum([0] + widths)
+                acc += np.multiply(o, m, out=term)
     if len(outs) == 1:
         out = outs[0]
     elif all(m is None for m in mixes) and [len(m) for m in groups.values()] == [len(edges)]:
@@ -172,7 +144,7 @@ def mixed_forward(x, edges):
         out = np.concatenate(outs, axis=1)
     for e, mix in enumerate(mixes):
         if mix is None:  # hold the output, not the group's conv output
-            cands[e][0] = out[:, offs[e] : offs[e + 1]]
+            cands[e][0] = out[:, e * c : (e + 1) * c]
 
     def group_grads(key, ge):
         """Yield the gradients of group ``key``'s parameters; return its
@@ -185,7 +157,7 @@ def mixed_forward(x, edges):
             mask = masks[e, i] if (e, i) in masks else cands[e][i] > 0
             g = ge[e] if mixes[e] is None else ge[e] * mixes[e].data[i]
             np.multiply(g, mask, out=gpre[:, rows])
-            if b is not None and b.requires_grad:
+            if b.requires_grad:
                 yield b, gpre[:, rows].sum(axis=(0, 2, 3))
         if any(wt.requires_grad for _, _, wt, _, _ in members):
             gw = ad._raw_conv_wgrad(xd, gpre, k, dil)
@@ -200,7 +172,7 @@ def mixed_forward(x, edges):
             return ad._raw_conv(gpre, flipped, dil)
 
     def bw(g):
-        ge = [g[:, offs[e] : offs[e + 1]] for e in range(len(edges))]
+        ge = [g[:, e * c : (e + 1) * c] for e in range(len(edges))]
         for e, mix in enumerate(mixes):
             if mix is not None and mix.requires_grad:
                 yield mix, np.array([np.vdot(ge[e], o) for o in cands[e]])
@@ -243,15 +215,14 @@ class CellSpec:
 
 
 class ArchParams:
-    """Per-edge operator logits for one searchable cell."""
+    """Per-edge operator logits for one searchable cell, normal with std 1e-3."""
 
-    def __init__(self, spec, rng=None, init_scale=1e-3, name="alpha"):
+    def __init__(self, spec, rng, name="alpha"):
         self.spec = spec
-        n = len(SEARCH_OPS)
-        self.logits = []
-        for e, (i, j) in enumerate(spec.edges):
-            init = np.zeros(n) if rng is None else rng.normal(0.0, init_scale, n)
-            self.logits.append(Parameter(init, f"{name}.edge{e}_{i}to{j}"))
+        self.logits = [
+            Parameter(rng.normal(0.0, 1e-3, len(SEARCH_OPS)), f"{name}.edge{e}_{i}to{j}")
+            for e, (i, j) in enumerate(spec.edges)
+        ]
 
     def parameters(self):
         return list(self.logits)
@@ -277,7 +248,9 @@ class Cell:
     logits (search); ``forward(x)`` runs each edge's single candidate (the
     derived cell), the edges out of one node as one ``mixed_forward`` node,
     whose convs that share (kernel, dilation) are one stacked conv.  Every
-    candidate has its own parameters.
+    candidate has its own parameters.  The edge nodes check nothing: the
+    candidates are built width-preserving, and ``forward`` checks its input
+    and logits once per call.
     """
 
     def __init__(self, spec, edge_ops, rng, name="cell", fusion_init="random"):
@@ -320,20 +293,28 @@ class Cell:
                 for e in edges
             ]
         outs = [x] * len(edges)
-        ops = [self.edge_ops[e] for e in edges]
-        conv = [j for j, kinds in enumerate(ops) if len(kinds) > 1 or not kinds[0].skip]
+        conv = [e for e in edges if not self.edge_ops[e][0].skip]
         if conv:
-            y = mixed_forward(x, [(ops[j], self.edge_params[edges[j]], None) for j in conv])
+            y = mixed_forward(x, [(self.edge_ops[e], self.edge_params[e], None) for e in conv])
             c = self.spec.width
-            for pos, j in enumerate(conv):
-                outs[j] = y if len(conv) == 1 else ad.channels(y, pos * c, (pos + 1) * c)
+            for pos, e in enumerate(conv):
+                part = y if len(conv) == 1 else ad.channels(y, pos * c, (pos + 1) * c)
+                outs[edges.index(e)] = part
         return outs
 
     def forward(self, x, arch=None):
-        if x.data.shape[1] != self.spec.width:
-            raise ShapeError(
-                f"cell expects {self.spec.width} channels, got {x.data.shape[1]}"
-            )
+        width = self.spec.width
+        if x.data.ndim != 4 or x.data.shape[1] != width:
+            raise ShapeError(f"cell expects an (n, {width}, h, w) input, got shape {x.data.shape}")
+        mixed = any(len(ops) > 1 for ops in self.edge_ops)
+        if (arch is None) == mixed:
+            which = "a mixed cell needs" if mixed else "a derived cell takes no"
+            raise ConfigError(f"{which} logits")
+        if arch is not None:
+            got = [l.data.shape for l in arch.logits]
+            want = [(len(ops),) for ops in self.edge_ops]
+            if got != want:
+                raise ConfigError(f"expected logits of shapes {want}, got {got}")
         # walk the source nodes in order; every edge out of node i is run
         # together, once the chain edge into node i has made it
         edges = self.spec.edges

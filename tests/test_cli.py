@@ -187,6 +187,9 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         ("train", {"paths": {"data_dir": 5}}, "data_dir must be"),
         ("search", {"seed": 1.5}, "seed must be"),
         ("train", {"seed": True}, "seed must be"),
+        # the config's seed is checked even where the flag overrides it
+        ("search --seed 1", {"seed": True}, "seed must be"),
+        ("train --seed 1", {"seed": "abc"}, "seed must be"),
         ("train", {"task": {"variant": "ruas_s", "task_ops": ["bogus"]}}, "task_ops"),
         *[("search", doc, "JSON object") for doc in (None, [], 0, "", 42, "abc", [1, 2])],
     ],
@@ -206,6 +209,8 @@ def test_out_of_range_search_fields_exit_2(tmp_path, tiny_dataset, capsys, searc
         "int-data-dir",
         "float-seed",
         "bool-seed",
+        "bool-seed-under-seed-flag",
+        "str-seed-under-seed-flag",
         "ruas-s-bogus-task-ops",
         *[
             f"top-level-{n}"
@@ -220,7 +225,7 @@ def test_mistyped_config_values_exit_2_and_write_nothing(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
     out = tmp_path / "out"
-    argv = [command, "--config", str(cfg), "--data", str(root), "--out", str(out)]
+    argv = [*command.split(), "--config", str(cfg), "--data", str(root), "--out", str(out)]
     assert main(argv) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()

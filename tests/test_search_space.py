@@ -103,12 +103,6 @@ def test_apply_op_relu_nonnegative(rng):
     assert apply_op(kind, x, params).data.min() >= 0.0
 
 
-def test_apply_op_kernel_mismatch(rng):
-    params = make_op_params(OPS_BY_NAME["3-C"], 3, rng, "op")
-    with pytest.raises(ConfigError):
-        apply_op(OPS_BY_NAME["1-C"], Tensor(rng.normal(size=(1, 3, 6, 6))), params)
-
-
 def mixed_edge(x, edge_logits, edge_weights, registry):
     """One mixed edge through the edge node."""
     return mixed_forward(x, [(registry, edge_weights, edge_logits)])
@@ -124,14 +118,6 @@ def test_mixed_forward_one_hot_equals_selected(rng):
         mixed = mixed_edge(x, Tensor(logits), weights, registry).data
         direct = reference_op(registry[pick], x, weights[pick]).data
         np.testing.assert_allclose(mixed, direct, atol=1e-6)
-
-
-def test_mixed_forward_logit_count_checked(rng):
-    registry = SEARCH_OPS
-    weights = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
-    x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    with pytest.raises(ConfigError):
-        mixed_edge(x, Tensor(np.zeros(3)), weights, registry)
 
 
 def composite_mixed_forward(x, edge_logits, edge_weights, registry):
@@ -204,54 +190,6 @@ def test_fused_mixed_edge_matches_composite(case):
     x, logits, *params = leaves
     assert got._parents[0] is x and got._parents[1]._parents == (logits,)
     assert [id(p) for p in got._parents[2:]] == [id(p) for p in params]
-
-
-def test_mixed_forward_checks_its_candidates(rng):
-    registry = SEARCH_OPS
-    x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    logits = Tensor(np.zeros(len(registry)))
-
-    def weights():
-        return [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(registry)]
-
-    missing = weights()
-    missing[1] = {}
-    with pytest.raises(ConfigError, match="requires conv weights"):
-        mixed_edge(x, logits, missing, registry)
-    wrong_kernel = weights()
-    wrong_kernel[0] = make_op_params(OPS_BY_NAME["3-C"], 3, rng, "op0")
-    with pytest.raises(ConfigError, match="do not match operator 1-C"):
-        mixed_edge(x, logits, wrong_kernel, registry)
-    wide = weights()
-    wide[3]["weight"] = Parameter(rng.normal(size=(4, 3, 3, 3)), "wide")
-    wide[3]["bias"] = Parameter(np.zeros(4), "wide.bias")
-    with pytest.raises(ShapeError, match="c_in == c_out"):
-        mixed_edge(x, logits, wide, registry)
-    narrow_in = weights()
-    narrow_in[1]["weight"] = Parameter(rng.normal(size=(3, 2, 3, 3)), "narrow")
-    with pytest.raises(ShapeError, match="channel mismatch"):
-        mixed_edge(x, logits, narrow_in, registry)
-    bad_bias = weights()
-    bad_bias[4]["bias"] = Parameter(np.zeros(1), "bias")
-    with pytest.raises(ShapeError, match="bias"):
-        mixed_edge(x, logits, bad_bias, registry)
-    plain = _ops("3-C", "1-C")
-    mismatched = [make_op_params(k, 3, rng, f"op{i}") for i, k in enumerate(plain)]
-    mismatched[1]["weight"] = Parameter(rng.normal(size=(4, 3, 1, 1)), "four")
-    mismatched[1]["bias"] = Parameter(np.zeros(4), "four.bias")
-    with pytest.raises(ShapeError, match="output channels"):
-        mixed_edge(x, Tensor(np.zeros(2)), mismatched, plain)
-    with pytest.raises(ShapeError, match="4-d"):
-        mixed_edge(Tensor(np.ones((3, 6, 6))), logits, weights(), registry)
-    # an edge of several candidates is mixed only under logits
-    with pytest.raises(ConfigError, match="an edge of 7 operators needs logits"):
-        mixed_forward(x, [(registry, weights(), None)])
-    # a derived call checks every edge's candidate, not only the first
-    derived = [(kind,) for kind in _ops("3-RC", "1-C")]
-    params = [[make_op_params(kinds[0], 3, rng, f"e{e}")] for e, kinds in enumerate(derived)]
-    params[1][0]["weight"] = Parameter(rng.normal(size=(3, 3, 3, 3)), "e1.weight")
-    with pytest.raises(ConfigError, match="do not match operator 1-C"):
-        mixed_forward(x, [(kinds, ps, None) for kinds, ps in zip(derived, params)])
 
 
 def per_edge_cell_forward(cell, x):
@@ -467,7 +405,9 @@ def test_cell_spec_edges():
 
 def test_discretize_argmax_and_ties(rng):
     spec = CellSpec(width=3)
-    arch = ArchParams(spec)  # zero logits everywhere
+    arch = ArchParams(spec, rng)
+    for logits in arch.logits:
+        logits.data = np.zeros_like(logits.data)
     kinds = discretize(arch)
     assert all(k.name == "1-C" for k in kinds)  # ties break to lowest index
     arch.logits[2].data[4] = 1.0
@@ -503,14 +443,25 @@ def test_zero_fusion_cell_outputs_zero(rng):
 def test_cell_channel_check(rng):
     for mixed in (False, True):
         cell, arch = _cell(mixed, rng)
-        with pytest.raises(ShapeError):
-            cell.forward(Tensor(rng.normal(size=(1, 4, 5, 5))), arch)
+        for shape in ((1, 4, 5, 5), (3, 5, 5)):
+            with pytest.raises(ShapeError, match=r"\(n, 3, h, w\)"):
+                cell.forward(Tensor(rng.normal(size=shape)), arch)
 
 
 def test_mixed_cell_needs_logits(rng):
-    cell, _ = _cell(True, rng)
-    with pytest.raises(ConfigError):
-        cell.forward(Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6))))
+    """The edge nodes do not check their logits, so ``Cell.forward`` does:
+    a mixed cell needs one logit per candidate on every edge, and a derived
+    cell takes none."""
+    x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
+    cell, arch = _cell(True, rng)
+    with pytest.raises(ConfigError, match="a mixed cell needs logits"):
+        cell.forward(x)
+    derived, _ = _cell(False, rng)
+    with pytest.raises(ConfigError, match="a derived cell takes no logits"):
+        derived.forward(x, arch)
+    arch.logits[2].data = np.zeros(3)  # zip would drop the last 4 candidates
+    with pytest.raises(ConfigError, match=r"expected logits of shapes"):
+        cell.forward(x, arch)
 
 
 def test_discrete_cell_requires_full_choice_list(rng):
