@@ -671,6 +671,19 @@ def backward(loss, wrt=None):
             node.requires_grad = True
 
 
+def gradients(loss, params):
+    """The gradients of ``loss`` w.r.t. ``params`` alone, one array per
+    parameter, which is also its new ``.grad``: the old ones are cleared
+    first, and a parameter off every gradient path gets zeros."""
+    for p in params:
+        p.grad = None
+    backward(loss, wrt=params)
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+    return [p.grad for p in params]
+
+
 # ---------------------------------------------------------------------------
 # optimizer and gradient checking
 
@@ -732,11 +745,7 @@ class SGD:
         dead ReLU, say) steps on a zero gradient: weight decay and momentum
         only.
         """
-        self.zero_grad()
-        backward(loss, wrt=self.params)
-        for p in self.params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
+        gradients(loss, self.params)
         self.step()
 
     def zero_grad(self):

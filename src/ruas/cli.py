@@ -45,16 +45,19 @@ def _load_config(path):
 
 def _out_dir(args, cfg):
     """``--out`` if given, else the config's ``paths.out_dir``."""
-    return Path(args.out if args.out is not None else cfg.paths_config().out_dir)
+    return Path(args.out if args.out is not None else cfg.paths.out_dir)
 
 
 def _records_from(cfg, data_flag, need_reference=False):
-    data_dir = data_flag or cfg.paths_config().data_dir
+    data_dir = data_flag or cfg.paths.data_dir
     if not data_dir:
         raise ConfigError("no data directory given (--data or paths.data_dir)")
     records = load_dataset(data_dir)
-    if need_reference and any(r.reference_path is None for r in records):
-        raise ConfigError(f"dataset {data_dir} lacks reference images")
+    if need_reference:
+        if any(r.reference_path is None for r in records):
+            raise ConfigError(f"dataset {data_dir} lacks reference images")
+        for r in records:
+            r.reference()  # a reference that fails to load fails before the run
     return records
 
 
@@ -73,7 +76,7 @@ def _start_run(args, need_reference=False, strategy_section=None):
 
 
 def _model_from_config(cfg, rng, arch_path=None, stages=None):
-    task = cfg.task_config()
+    task = cfg.task
     if arch_path:
         try:
             raw = Path(arch_path).read_bytes()
@@ -88,7 +91,7 @@ def _model_from_config(cfg, rng, arch_path=None, stages=None):
                 f" task.ops lists: {exc!r}"
             ) from exc
         task = dataclasses.replace(task, scene_ops=scene_ops, task_ops=task_ops)
-    scene_cfg = cfg.scene_config()
+    scene_cfg = cfg.scene
     if stages is not None:
         scene_cfg = dataclasses.replace(scene_cfg, stages=stages)
     return RuasModel.from_config(rng, task, scene_cfg)
@@ -97,8 +100,7 @@ def _model_from_config(cfg, rng, arch_path=None, stages=None):
 def _search(cfg, records, seed):
     """A search with the config's settings on a seeded split."""
     data = split_records(records, rng=np.random.default_rng(seed))
-    tv_weight = cfg.task_config().tv_weight
-    return run_search(data, cfg.search_config(), seed, cfg.scene_config(), tv_weight)
+    return run_search(data, cfg.search, seed, cfg.scene, cfg.task.tv_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,7 @@ def cmd_search(args):
         },
         "momentum": result.momentum,
         "seed": seed,
-        "strategy": cfg.search_config().strategy,
+        "strategy": cfg.search.strategy,
     }
     (out / "alpha_final.json").write_text(json.dumps(alpha, indent=2) + "\n")
     (out / "arch.dot").write_text(result.arch_dot())
@@ -132,7 +134,7 @@ def cmd_train(args):
     cfg, seed, records, out = _start_run(args, strategy_section="train")
     rng = np.random.default_rng(seed)
     model = _model_from_config(cfg, rng, arch_path=args.arch)
-    report = train_model(model, records, cfg.train_config())
+    report = train_model(model, records, cfg.train)
     save_checkpoint(model, out / "model.ckpt")
     _write_curves(report, out / "curve.csv")
     if report.aborted:
@@ -216,7 +218,7 @@ def cmd_ablate_k(args):
     lines, aborted = ["k,psnr_db,ssim"], []
     for k in k_list:
         model = _model_from_config(cfg, np.random.default_rng(seed), stages=k)
-        if train_model(model, records, cfg.train_config()).aborted:
+        if train_model(model, records, cfg.train).aborted:
             aborted.append(f"k={k}")
         _, means = evaluate(model, records)
         lines.append(f"{k},{means['psnr']:.4f},{means['ssim']:.6f}")
@@ -249,14 +251,14 @@ def cmd_compare_strategies(args):
 
 def cmd_fixed_op(args):
     cfg, seed, records, out = _start_run(args, need_reference=True)
-    tcfg = cfg.train_config()
-    tv_weight = cfg.task_config().tv_weight
+    tcfg = cfg.train
+    tv_weight = cfg.task.tv_weight
     models, aborted = {}, []
     for kind in SEARCH_OPS:
         model = RuasModel(
             np.random.default_rng(seed),
             variant="ruas_s",
-            scene_cfg=cfg.scene_config(),
+            scene_cfg=cfg.scene,
             scene_ops=[kind.name] * 7,
             tv_weight=tv_weight,
         )
@@ -264,7 +266,7 @@ def cmd_fixed_op(args):
             aborted.append(kind.name)
         models[kind.name] = model
     # the supernet's mixed scene cell at its initial (uniform-ish) logits
-    supernet = RuasModel.supernet(np.random.default_rng(seed), cfg.scene_config(), tv_weight)
+    supernet = RuasModel.supernet(np.random.default_rng(seed), cfg.scene, tv_weight)
     scene_cfg = dataclasses.replace(tcfg, pretrain_epochs=max(tcfg.pretrain_epochs, 1))
     if pretrain_scene(supernet, records, scene_cfg).aborted:
         aborted.append("supernet")

@@ -202,32 +202,30 @@ SECTIONS = dict(
     scene=SceneConfig, search=SearchConfig, train=TrainConfig, task=TaskConfig,
     paths=PathsConfig,
 )
-_SECTION_DEFAULTS = {name: asdict(cls()) for name, cls in SECTIONS.items()}
 
 DEFAULT_SEED = 42
 
 
 class RunConfig:
-    """The parsed document; every section is built, and so checked, here."""
+    """The parsed document: ``seed`` and one dataclass per section, the
+    attributes ``scene``, ``search``, ``train``, ``task`` and ``paths``; every
+    section is built, and so checked, here."""
 
     def __init__(self, doc=None):
         doc = dict(doc or {})
-        unknown = set(doc) - set(_SECTION_DEFAULTS) - {"seed"}
+        unknown = set(doc) - set(SECTIONS) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.seed = doc.pop("seed", None)
         resolve_seed(None, None, self.seed)  # a bad seed fails even if overridden
-        self.sections = {}
-        self.configs = {}
-        for name, defaults in _SECTION_DEFAULTS.items():
+        for name, cls in SECTIONS.items():
             given = doc.get(name, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(given) - set(defaults)
+            bad = set(given) - {f.name for f in dataclasses.fields(cls)}
             if bad:
                 raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-            self.sections[name] = defaults | given
-            self.configs[name] = SECTIONS[name](**self.sections[name])
+            setattr(self, name, cls(**given))
 
     @classmethod
     def load(cls, path):
@@ -242,33 +240,17 @@ class RunConfig:
             raise ConfigError(f"config {path} must hold a JSON object, not {kind}")
         return cls(doc)
 
-    def scene_config(self):
-        return self.configs["scene"]
-
-    def task_config(self):
-        return self.configs["task"]
-
-    def paths_config(self):
-        return self.configs["paths"]
-
-    def search_config(self):
-        return self.configs["search"]
-
-    def train_config(self):
-        return self.configs["train"]
-
     def set_strategy(self, section, strategy):
         """Make a command-line strategy (None: keep the config's) the
         ``section``'s own, so that the echoed config describes the run."""
         if strategy is not None:
-            self.sections[section] = self.sections[section] | {"strategy": strategy}
-            self.configs[section] = SECTIONS[section](**self.sections[section])
+            setattr(self, section, dataclasses.replace(getattr(self, section), strategy=strategy))
 
     def echo(self, out_dir, seed):
         """Write the effective (post-default) config as run_config.json."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        doc = {"seed": seed} | self.sections
+        doc = {"seed": seed} | {name: asdict(getattr(self, name)) for name in SECTIONS}
         (out_dir / "run_config.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -434,10 +434,18 @@ class ImageRecord:
         return self._input
 
     def reference(self):
+        """The reference image, None without one; DataIOError unless it has
+        its input's size."""
         if self.reference_path is None:
             return None
         if self._reference is None:
-            self._reference = load_png(self.reference_path)
+            ref, shape = load_png(self.reference_path), self.input().shape
+            if ref.shape != shape:
+                raise DataIOError(
+                    f"reference {self.reference_path} has shape {ref.shape}, its input"
+                    f" {self.input_path} has {shape}"
+                )
+            self._reference = ref
         return self._reference
 
 

@@ -19,8 +19,6 @@ from .search_space import (
     CellSpec,
     DiscreteCell,
     MixedCell,
-    cell_flops,
-    conv_flops,
     count_params,
     lookup_op,
 )
@@ -170,13 +168,11 @@ class RuasModel:
         return count_params(self.omega_s())
 
     def flops(self, h, w):
-        """Multiply-add count of one forward pass at resolution h x w."""
-        total = self.scene_cfg.stages * cell_flops(self.scene_cell, h, w)
-        if self.variant != "ruas_s":
-            total += cell_flops(self.task_cell, h, w)
-            total += conv_flops(TASK_WIDTH, 6, 1, h, w)  # proj in
-            total += conv_flops(3, TASK_WIDTH, 1, h, w)  # proj out
-        return total
+        """Multiply-add count of one forward pass at resolution h x w: every
+        entry of a conv weight the model holds is one multiply-add per pixel
+        (stride 1, same padding), and the scene cell runs once per stage."""
+        convs = lambda params: count_params(p for p in params if p.data.ndim == 4)
+        return h * w * (self.scene_cfg.stages * convs(self.omega_s()) + convs(self.omega_t()))
 
     # ------------------------------------------------------------------
     def config_dict(self):

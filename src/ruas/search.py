@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SGD, Tensor, backward
+from .autodiff import SGD, Tensor, gradients
 from .config import SearchConfig  # noqa: F401  (ruas.search.SearchConfig)
 from .errors import NumericError
 from .model import RuasModel
@@ -31,18 +31,6 @@ from .search_space import arch_dump, discretize
 
 # ---------------------------------------------------------------------------
 # one-step finite-difference hypergradient
-
-
-def _grads(loss, params):
-    """Gradient of ``loss`` w.r.t. ``params`` alone, one array per parameter
-    (zeros off the gradient path); no other leaf is differentiated."""
-    for p in params:
-        p.grad = None
-    backward(loss, wrt=params)
-    return [
-        np.zeros_like(p.data) if p.grad is None else np.array(p.grad, copy=True)
-        for p in params
-    ]
 
 
 def _check_finite(arrays, context):
@@ -67,12 +55,12 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
     alphas, omegas = list(alphas), list(omegas)
 
     if lr_omega == 0.0:
-        g = _grads(loss_val_fn(), alphas)
+        g = gradients(loss_val_fn(), alphas)
         _check_finite(g, "direct validation gradient")
         return g
 
     # gradient of the training loss at the current weights
-    g_tr = _grads(loss_tr_fn(), omegas)
+    g_tr = gradients(loss_tr_fn(), omegas)
     _check_finite(g_tr, "inner training gradient")
 
     saved = [w.data.copy() for w in omegas]
@@ -80,7 +68,7 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
         # virtual inner step, then validation gradients at the stepped weights
         for w, g in zip(omegas, g_tr):
             w.data = w.data - lr_omega * g
-        g_val = _grads(loss_val_fn(), alphas + omegas)
+        g_val = gradients(loss_val_fn(), alphas + omegas)
         g_val_alpha, g_val_omega = g_val[: len(alphas)], g_val[len(alphas) :]
         _check_finite(g_val, "validation gradient at virtual step")
 
@@ -91,11 +79,11 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
 
         for w, s, g in zip(omegas, saved, g_val_omega):
             w.data = s + eps * g
-        ga_plus = _grads(loss_tr_fn(), alphas)
+        ga_plus = gradients(loss_tr_fn(), alphas)
 
         for w, s, g in zip(omegas, saved, g_val_omega):
             w.data = s - eps * g
-        ga_minus = _grads(loss_tr_fn(), alphas)
+        ga_minus = gradients(loss_tr_fn(), alphas)
         _check_finite(ga_plus + ga_minus, "finite-difference probe")
     finally:
         for w, s in zip(omegas, saved):

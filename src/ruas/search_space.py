@@ -196,18 +196,22 @@ def mixed_forward(x, edges):
     return ad._make(out, parents, bw)
 
 
+# the cell's node count, which its edge lists, its fusion width and its
+# forward pass share
+NODES = 5
+
+
 @dataclass(frozen=True)
 class CellSpec:
     width: int
-    node_count: int = 5
 
     @property
     def chain_edges(self):
-        return [(i, i + 1) for i in range(self.node_count - 1)]
+        return [(i, i + 1) for i in range(NODES - 1)]
 
     @property
     def distill_edges(self):
-        return [(i, self.node_count - 1) for i in range(self.node_count - 2)]
+        return [(i, NODES - 1) for i in range(NODES - 2)]
 
     @property
     def edges(self):
@@ -267,8 +271,9 @@ class Cell:
             ]
             for e, ops in enumerate(self.edge_ops)
         ]
+        # the fusion reads the distill outputs and the chain input to the last node
         self.fusion_w, self.fusion_b = init_conv_weights(
-            spec.width, 4 * spec.width, 1, rng, f"{name}.fusion"
+            spec.width, (NODES - 1) * spec.width, 1, rng, f"{name}.fusion"
         )
         # a zeroed fusion makes the whole cell start as a zero correction, so
         # the unrolled illumination stays near its local-max warm start until
@@ -320,7 +325,7 @@ class Cell:
         edges = self.spec.edges
         outs = [None] * len(edges)
         nodes = [x]
-        for i in range(self.spec.node_count - 1):
+        for i in range(NODES - 1):
             out_edges = [e for e, (src, _) in enumerate(edges) if src == i]
             for e, y in zip(out_edges, self._edges_from(out_edges, nodes[i], arch)):
                 outs[e] = y
@@ -346,20 +351,6 @@ class DiscreteCell(Cell):
 
 def count_params(parameters):
     return int(sum(p.data.size for p in parameters))
-
-
-def conv_flops(c_out, c_in, k, h, w):
-    """Multiply-adds of one stride-1 same-padding convolution."""
-    return h * w * c_out * c_in * k * k
-
-
-def cell_flops(cell, h, w):
-    """Multiply-adds of one cell forward pass, counting every candidate."""
-    width = cell.spec.width
-    total = conv_flops(width, 4 * width, 1, h, w)
-    for ops in cell.edge_ops:
-        total += sum(conv_flops(width, width, k.kernel, h, w) for k in ops if not k.skip)
-    return total
 
 
 def arch_dump(arch):

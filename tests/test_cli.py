@@ -8,7 +8,8 @@ import pytest
 
 from ruas.cli import main
 from ruas.errors import ContractError, DomainError
-from ruas.model import load_checkpoint
+from ruas.io_metrics import make_synthetic_dataset, save_png
+from ruas.model import RuasModel, load_checkpoint, save_checkpoint
 from ruas.search_space import count_params
 from ruas.train import TrainReport
 
@@ -534,6 +535,27 @@ def test_enhance_corrupt_png_exits_3(tmp_path, fast_config, tiny_dataset):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["eval --model", "ablate-k --k-list 1", "fixed-op"])
+def test_reference_of_another_size_exits_3_and_writes_nothing(
+    tmp_path, fast_config, capsys, command
+):
+    """The commands that score against references check every reference's
+    size before they train or write anything."""
+    root = tmp_path / "data"
+    records = make_synthetic_dataset(root, 4, size=16, seed=5)
+    bad = records[2]
+    save_png(np.full((3, 12, 16), 0.5), bad.reference_path)
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(0), variant="ruas_s"), model)
+    out = tmp_path / "out"
+    argv = command.split() + ([str(model)] if command.startswith("eval") else [])
+    argv += ["--config", fast_config, "--data", str(root), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(bad.reference_path) in err and str(bad.input_path) in err
+    assert not out.exists()
 
 
 # no hypergradient (warm-up covers the one epoch) keeps the sweeps cheap

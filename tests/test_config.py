@@ -25,20 +25,20 @@ from ruas.train import TrainConfig
 
 def test_defaults_materialize():
     cfg = RunConfig()
-    assert cfg.sections["scene"] == asdict(SceneConfig())
-    assert cfg.sections["search"] == asdict(SearchConfig())
-    assert cfg.sections["train"] == asdict(TrainConfig())
-    assert cfg.sections["scene"]["stages"] == 3
-    assert cfg.sections["search"]["strategy"] == "cooperative"
-    assert cfg.sections["train"]["strategy"] == "end_to_end"
-    assert cfg.sections["task"]["variant"] == "ruas"
+    assert asdict(cfg.scene) == asdict(SceneConfig())
+    assert asdict(cfg.search) == asdict(SearchConfig())
+    assert asdict(cfg.train) == asdict(TrainConfig())
+    assert cfg.scene.stages == 3
+    assert cfg.search.strategy == "cooperative"
+    assert cfg.train.strategy == "end_to_end"
+    assert cfg.task.variant == "ruas"
     assert cfg.seed is None
 
 
 def test_overrides_merge_into_defaults():
     cfg = RunConfig({"train": {"epochs": 7}, "seed": 11})
-    assert cfg.sections["train"]["epochs"] == 7
-    assert cfg.sections["train"]["lr"] == 3e-4  # untouched default
+    assert cfg.train.epochs == 7
+    assert cfg.train.lr == 3e-4  # untouched default
     assert cfg.seed == 11
 
 
@@ -55,22 +55,22 @@ def test_unknown_keys_rejected():
 
 def test_section_to_dataclass():
     cfg = RunConfig({"scene": {"stages": 2}, "search": {"epochs": 4}})
-    assert cfg.scene_config().stages == 2
-    assert cfg.search_config().epochs == 4
+    assert cfg.scene.stages == 2
+    assert cfg.search.epochs == 4
     cfg.set_strategy("search", "global")
     cfg.set_strategy("train", "hierarchical")
-    assert cfg.search_config().strategy == "global"
-    assert cfg.train_config().strategy == "hierarchical"
-    assert cfg.sections["search"]["strategy"] == "global"  # the echoed config
+    assert cfg.search.strategy == "global"
+    assert cfg.train.strategy == "hierarchical"
+    assert asdict(cfg.search)["strategy"] == "global"  # the echoed config
     # invalid values surface when the dataclass is built
     with pytest.raises(ConfigError):
-        RunConfig({"scene": {"stages": 0}}).scene_config()
+        RunConfig({"scene": {"stages": 0}}).scene
 
 
 def test_load_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"train": {"epochs": 3}}))
-    assert RunConfig.load(path).sections["train"]["epochs"] == 3
+    assert RunConfig.load(path).train.epochs == 3
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         RunConfig.load(path)
@@ -146,8 +146,8 @@ def test_search_batch_is_an_unknown_key():
 
 def test_int_in_a_float_field_is_kept_unchanged(tmp_path):
     cfg = RunConfig({"search": {"beta": 1}, "scene": {"gamma": 1}})
-    assert type(cfg.search_config().beta) is int
-    assert type(cfg.scene_config().gamma) is int
+    assert type(cfg.search.beta) is int
+    assert type(cfg.scene.gamma) is int
     cfg.echo(tmp_path, seed=1)
     doc = json.loads((tmp_path / "run_config.json").read_text())
     assert doc["search"]["beta"] == 1 and type(doc["search"]["beta"]) is int
@@ -161,9 +161,9 @@ def test_optional_fields_take_none():
             "task": {"scene_ops": None, "task_ops": ["3-C"] * 7},
         }
     )
-    assert cfg.search_config().momentum is None
-    assert cfg.train_config().grad_clip is None
-    assert cfg.task_config().task_ops == ["3-C"] * 7
+    assert cfg.search.momentum is None
+    assert cfg.train.grad_clip is None
+    assert cfg.task.task_ops == ["3-C"] * 7
 
 
 @pytest.mark.parametrize(
@@ -183,11 +183,11 @@ def test_out_of_range_values_rejected(section, values):
 
 def test_overrides_replace_instead_of_mutating():
     cfg = RunConfig()
-    before = cfg.search_config()
+    before = cfg.search
     cfg.set_strategy("search", "global")
-    assert cfg.search_config().strategy == "global"
+    assert cfg.search.strategy == "global"
     assert before.strategy == "cooperative"
     cfg.set_strategy("search", None)  # None keeps the config's strategy
-    assert cfg.search_config().strategy == "global"
+    assert cfg.search.strategy == "global"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.scene_config().stages = 5
+        cfg.scene.stages = 5

@@ -302,8 +302,7 @@ def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatc
 
     monkeypatch.setattr(RuasModel, "scene_out", counting_scene_out)
     monkeypatch.setattr(search, "_stages", tagging_stages)
-    monkeypatch.setattr(search, "backward", checking_backward)
-    monkeypatch.setattr(ad, "backward", checking_backward)
+    monkeypatch.setattr(ad, "backward", checking_backward)  # autodiff.gradients calls it
     run_search(data, cfg, seed=5)
 
     pairs = len(data.train)

@@ -11,13 +11,12 @@ from ruas.model import DEFAULT_SCENE_OPS, RuasModel
 from ruas.search_space import (
     SEARCH_OPS,
     ArchParams,
+    NODES,
     CellSpec,
     DiscreteCell,
     MixedCell,
     OPS_BY_NAME,
     arch_dump,
-    cell_flops,
-    conv_flops,
     count_params,
     discretize,
     lookup_op,
@@ -312,7 +311,7 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
     cell.forward(x)
     want = []
-    for i in range(cell.spec.node_count - 1):
+    for i in range(NODES - 1):
         edges = [e for e, (src, _) in enumerate(cell.spec.edges) if src == i and not kinds[e].skip]
         if edges:
             want.append([p for e in edges for p in cell.edge_params[e][0].values()])
@@ -485,19 +484,22 @@ def test_count_params_and_flops(rng):
     cell = DiscreteCell(spec, [OPS_BY_NAME["3-C"]] * 7, rng)
     expected = 7 * (3 * 3 * 9 + 3) + (3 * 12 * 1 * 1 + 3)
     assert count_params(cell.parameters()) == expected
-    assert conv_flops(3, 3, 3, 8, 8) == 8 * 8 * 3 * 3 * 9
+    # three stages of the cell: per pixel, its seven 3x3 convs and the fusion
+    scene_only = lambda ops: RuasModel(rng, variant="ruas_s", scene_ops=ops)
+    assert scene_only(["3-C"] * 7).flops(8, 8) == 3 * 8 * 8 * (7 * 3 * 3 * 9 + 3 * 12)
     # skip edges contribute nothing
-    skip_cell = DiscreteCell(spec, [OPS_BY_NAME["SC"]] * 7, rng)
-    assert cell_flops(skip_cell, 8, 8) == conv_flops(3, 12, 1, 8, 8)
+    assert scene_only(["SC"] * 7).flops(8, 8) == 3 * 8 * 8 * 3 * 12
 
 
 def test_mixed_cell_flops_count_every_candidate(rng):
-    spec = CellSpec(width=6)
-    cell = MixedCell(spec, rng)
-    per_edge = sum(conv_flops(6, 6, k.kernel, 8, 8) for k in SEARCH_OPS if not k.skip)
     # 1-C, 3-C, 1-RC, 3-RC, 3-2-DC and 3-2-RDC; the skip costs nothing
-    assert per_edge == 8 * 8 * 6 * 6 * (1 + 9 + 1 + 9 + 9 + 9)
-    assert cell_flops(cell, 8, 8) == 7 * per_edge + conv_flops(6, 24, 1, 8, 8)
+    taps = 1 + 9 + 1 + 9 + 9 + 9
+    assert sum(k.kernel**2 for k in SEARCH_OPS if not k.skip) == taps
+    mixed_cell = lambda c: 7 * c * c * taps + c * 4 * c  # and the 1x1 fusion
+    # three stages of the 3-wide scene cell, the 6-wide task cell, and the
+    # remover's 1x1 projections 6 -> 6 and 6 -> 3
+    supernet = RuasModel.supernet(rng)
+    assert supernet.flops(8, 8) == 8 * 8 * (3 * mixed_cell(3) + mixed_cell(6) + 36 + 18)
 
 
 def test_flops_follow_the_variant_that_runs():
@@ -508,7 +510,7 @@ def test_flops_follow_the_variant_that_runs():
     assert RuasModel(np.random.default_rng(0)).set_variant("ruas_s").flops(32, 32) == 1_852_416
     assert native.flops(32, 32) == 1_852_416
     supernet = RuasModel.supernet(np.random.default_rng(0)).set_variant("ruas_s")
-    assert supernet.flops(32, 32) == 3 * cell_flops(supernet.scene_cell, 32, 32)
+    assert supernet.flops(32, 32) == 3 * 32 * 32 * (7 * 3 * 3 * 38 + 3 * 12)
 
 
 def test_arch_dump_formats(rng):
