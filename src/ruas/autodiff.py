@@ -9,8 +9,9 @@ as a constant for that pass, so the gradients nothing requested depends on
 
 Only the primitives needed by the unrolled enhancement models live here:
 convolution (plain and dilated, stride 1, "same" zero padding), depthwise
-1-D correlation with a fixed kernel, elementwise arithmetic, channel slices,
-sliding spatial max, softmax, reductions, and a momentum-SGD optimizer.
+1-D correlation with a fixed kernel, elementwise arithmetic, channel slices
+and fills, sliding spatial max, softmax, reductions, and a momentum-SGD
+optimizer.
 """
 
 from __future__ import annotations
@@ -198,18 +199,47 @@ def absolute(a):
 # structural primitives
 
 
-def concat(tensors, axis=1):
+class _Slots(list):
+    """The backward of a tensor that ``fill`` wrote, a list of (part, lo,
+    hi): each taped part's gradient is the output's at its channels."""
+
+    def __call__(self, g):
+        for part, lo, hi in self:
+            yield part, g[:, lo:hi]
+
+
+def fill(out, parts, lo):
+    """Copy ``parts`` into the channels (axis 1) of ``out`` from ``lo`` on,
+    in order, and return ``out``.
+
+    ``out`` is a tensor of a preallocated array, ``Tensor(np.empty(shape))``,
+    and its fills make it one tape node whose parents are the taped parts in
+    fill order.  An untaped part is not kept, so a caller that drops it frees
+    it once it is copied.
+    """
+    for part in parts:
+        part = _as_tensor(part)
+        hi = lo + part.data.shape[1]
+        if out.data[:, lo:hi].shape != part.data.shape:
+            raise ShapeError(
+                f"no slot for shape {part.data.shape} at channel {lo} of {out.data.shape}"
+            )
+        out.data[:, lo:hi] = part.data
+        if _taped([part]):
+            if out._backward is None:
+                out.requires_grad, out._backward = True, _Slots()
+            out._parents += (part,)
+            out._backward.append((part, lo, hi))
+        lo = hi
+    return out
+
+
+def concat(tensors):
+    """The channel (axis 1) concatenation of ``tensors``: one ``fill``."""
     tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def bw(g):
-        offs = np.cumsum([0] + sizes)
-        for t, lo, hi in zip(tensors, offs[:-1], offs[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            yield t, g[tuple(sl)]
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+    n, _, *rest = tensors[0].data.shape
+    width = sum(t.data.shape[1] for t in tensors)
+    return fill(Tensor(np.empty((n, width, *rest))), tensors, 0)
 
 
 def channels(a, lo, hi):

@@ -28,7 +28,7 @@ from .errors import (
     NumericError,
     RuasError,
 )
-from .io_metrics import load_dataset, load_png, save_png, split_records
+from .io_metrics import load_dataset, load_png, output_dir, save_png, split_records, write_file
 from .model import RuasModel, load_checkpoint, save_checkpoint
 from .search import run_search
 from .search_space import SEARCH_OPS, count_params
@@ -48,20 +48,24 @@ def _out_dir(args, cfg):
     return Path(args.out if args.out is not None else cfg.paths.out_dir)
 
 
-def _records_from(cfg, data_flag, need_reference=False):
+def _records_from(cfg, data_flag, references=None):
+    """The dataset's records.  A command that scores them loads their
+    references up front, so that a bad one fails before the run: every one
+    the dataset has (``references="present"``), or one per record
+    (``"all"``)."""
     data_dir = data_flag or cfg.paths.data_dir
     if not data_dir:
         raise ConfigError("no data directory given (--data or paths.data_dir)")
     records = load_dataset(data_dir)
-    if need_reference:
-        if any(r.reference_path is None for r in records):
-            raise ConfigError(f"dataset {data_dir} lacks reference images")
+    if references == "all" and any(r.reference_path is None for r in records):
+        raise ConfigError(f"dataset {data_dir} lacks reference images")
+    if references is not None:
         for r in records:
-            r.reference()  # a reference that fails to load fails before the run
+            r.reference()
     return records
 
 
-def _start_run(args, need_reference=False, strategy_section=None):
+def _start_run(args, references=None, strategy_section=None):
     """Config, seed, records and output directory of a run; the effective
     config, with ``--strategy`` applied to ``strategy_section``, is echoed
     only after all of them were accepted."""
@@ -69,7 +73,7 @@ def _start_run(args, need_reference=False, strategy_section=None):
     if strategy_section is not None:
         cfg.set_strategy(strategy_section, args.strategy)
     seed = resolve_seed(args.seed, os.environ.get("RUAS_SEED"), cfg.seed)
-    records = _records_from(cfg, args.data, need_reference)
+    records = _records_from(cfg, args.data, references)
     out = _out_dir(args, cfg)
     cfg.echo(out, seed)
     return cfg, seed, records, out
@@ -111,7 +115,7 @@ def cmd_search(args):
     cfg, seed, records, out = _start_run(args, strategy_section="search")
     result = _search(cfg, records, seed)
 
-    (out / "history.csv").write_text(result.history_csv())
+    write_file(out / "history.csv", result.history_csv())
     alpha = {
         "scene": {
             "ops": [k.name for k in result.scene_ops],
@@ -125,8 +129,8 @@ def cmd_search(args):
         "seed": seed,
         "strategy": cfg.search.strategy,
     }
-    (out / "alpha_final.json").write_text(json.dumps(alpha, indent=2) + "\n")
-    (out / "arch.dot").write_text(result.arch_dot())
+    write_file(out / "alpha_final.json", json.dumps(alpha, indent=2) + "\n")
+    write_file(out / "arch.dot", result.arch_dot())
     return 0
 
 
@@ -147,7 +151,7 @@ def _write_curves(report, path):
     for phase, curve in report.curves.items():
         for i, v in enumerate(curve):
             lines.append(f"{phase},{i},{v:.8f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _raise_if_aborted(rows):
@@ -160,8 +164,7 @@ def _raise_if_aborted(rows):
 
 def cmd_enhance(args):
     model = load_checkpoint(args.model).set_variant(args.variant)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     in_path = Path(args.input)
     inputs = sorted(in_path.glob("*.png")) if in_path.is_dir() else [in_path]
     if not inputs:
@@ -169,12 +172,13 @@ def cmd_enhance(args):
     single = len(inputs) == 1
     for p in inputs:
         y = Tensor(load_png(p))
+        stages = [] if args.dump_stages else None
         with ad.no_grad():
-            result = model.forward(y)
-        save_png(result["x"].data, out / f"{p.stem}.png")
+            x = model.forward(y, stages)["x"]
+        save_png(x.data, out / f"{p.stem}.png")
         if args.dump_stages:
             prefix = "" if single else f"{p.stem}_"
-            for k, (t, u) in enumerate(result["trajectory"], start=1):
+            for k, (t, u) in enumerate(stages, start=1):
                 save_png(np.clip(t.data, 0, 1), out / f"{prefix}stage{k}_t.png")
                 save_png(np.clip(u.data, 0, 1), out / f"{prefix}stage{k}_u.png")
     return 0
@@ -183,11 +187,10 @@ def cmd_enhance(args):
 def cmd_eval(args):
     cfg = _load_config(args.config)
     model = load_checkpoint(args.model).set_variant(args.variant)
-    records = _records_from(cfg, args.data)
+    records = _records_from(cfg, args.data, references="present")
+    out = output_dir(_out_dir(args, cfg))
     rows, means = evaluate(model, records)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(metrics_csv(rows, means))
+    write_file(out / "metrics.csv", metrics_csv(rows, means))
     return 0
 
 
@@ -195,10 +198,8 @@ def cmd_gradcheck(args):
     checks = run_all(seed=resolve_seed(args.seed, None, 7))
     worst = max(err for _, err in checks)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         lines = ["check,max_rel_error"] + [f"{n},{e:.3e}" for n, e in checks]
-        (out / "gradcheck.csv").write_text("\n".join(lines) + "\n")
+        write_file(Path(args.out) / "gradcheck.csv", "\n".join(lines) + "\n")
     for name, err in checks:
         status = "ok" if err < TOLERANCE else "FAIL"
         print(f"{status:4s} {name}: {err:.3e}")
@@ -214,7 +215,7 @@ def cmd_ablate_k(args):
         k_list = []
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError(f"invalid k-list {args.k_list!r}")
-    cfg, seed, records, out = _start_run(args, need_reference=True)
+    cfg, seed, records, out = _start_run(args, references="all")
     lines, aborted = ["k,psnr_db,ssim"], []
     for k in k_list:
         model = _model_from_config(cfg, np.random.default_rng(seed), stages=k)
@@ -222,7 +223,7 @@ def cmd_ablate_k(args):
             aborted.append(f"k={k}")
         _, means = evaluate(model, records)
         lines.append(f"{k},{means['psnr']:.4f},{means['ssim']:.6f}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "ablation.csv", "\n".join(lines) + "\n")
     _raise_if_aborted(aborted)
     return 0
 
@@ -243,14 +244,14 @@ def cmd_compare_strategies(args):
             f"{final['combined']:.6f},{derived.scene_param_count()},"
             f"{count_params(derived.omega_t())}"
         )
-        (out / f"{strategy}_arch.dot").write_text(result.arch_dot())
-        (out / f"{strategy}_history.csv").write_text(result.history_csv())
-    (out / "strategies.csv").write_text("\n".join(lines) + "\n")
+        write_file(out / f"{strategy}_arch.dot", result.arch_dot())
+        write_file(out / f"{strategy}_history.csv", result.history_csv())
+    write_file(out / "strategies.csv", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_fixed_op(args):
-    cfg, seed, records, out = _start_run(args, need_reference=True)
+    cfg, seed, records, out = _start_run(args, references="all")
     tcfg = cfg.train
     tv_weight = cfg.task.tv_weight
     models, aborted = {}, []
@@ -279,7 +280,7 @@ def cmd_fixed_op(args):
             f"{name},{means['psnr']:.4f},{means['ssim']:.6f},"
             f"{model.scene_param_count()},{model.flops(h, w)}"
         )
-    (out / "fixed_op.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "fixed_op.csv", "\n".join(lines) + "\n")
     _raise_if_aborted(aborted)
     return 0
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataIOError
+from .io_metrics import write_file
 from .search_space import CellSpec, lookup_op
 
 WARM_START_MODES = ("fixed", "no_rectify", "rectify")
@@ -248,10 +249,8 @@ class RunConfig:
 
     def echo(self, out_dir, seed):
         """Write the effective (post-default) config as run_config.json."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         doc = {"seed": seed} | {name: asdict(getattr(self, name)) for name in SECTIONS}
-        (out_dir / "run_config.json").write_text(json.dumps(doc, indent=2) + "\n")
+        write_file(Path(out_dir) / "run_config.json", json.dumps(doc, indent=2) + "\n")
 
 
 def resolve_seed(flag_seed, env_seed, config_seed):

@@ -102,10 +102,7 @@ def primitive_checks(seed=7):
     blur = lambda t: ad.correlate1d(ad.correlate1d(t, kernel, 2), kernel, 3)
     checks.append(("correlate1d", grad_check(lambda t: ad.reduce_l2sq(blur(t)), x)))
     checks.append(
-        (
-            "concat",
-            grad_check(lambda t: ad.reduce_l2sq(ad.concat([t, other], axis=1)), x),
-        )
+        ("concat", grad_check(lambda t: ad.reduce_l2sq(ad.concat([t, other])), x))
     )
     checks.append(
         ("channels", grad_check(lambda t: ad.reduce_l2sq(ad.channels(t, 1, 3)), x))

@@ -249,6 +249,29 @@ def load_png(path):
     return img.transpose(2, 0, 1)[None, ...]
 
 
+def output_dir(path):
+    """Make the directory ``path`` and its missing parents; return it as a
+    Path.  A file in the way, or no permission, raises DataIOError naming
+    the path."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataIOError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
+def write_file(path, data):
+    """Write ``data``, bytes or text, to ``path`` in a directory made if
+    missing; an OSError raises DataIOError naming the path."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}") from exc
+
+
 def save_png(img, path):
     """Write a (1, 3, h, w) or (3, h, w) float array in [0, 1] as 8-bit RGB.
 
@@ -277,9 +300,7 @@ def save_png(img, path):
         + chunk(b"IDAT", zlib.compress(scanlines, 6))
         + chunk(b"IEND", b"")
     )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(payload)
+    write_file(path, payload)
 
 
 # ---------------------------------------------------------------------------

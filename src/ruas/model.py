@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import VARIANTS, SceneConfig, TaskConfig
 from .errors import ConfigError, DataIOError
+from .io_metrics import write_file
 from .scene import scene_forward, scene_loss
 from .search_space import (
     ArchParams,
@@ -123,25 +124,23 @@ class RuasModel:
         self.variant = variant
         return self
 
-    def scene_out(self, y):
+    def scene_out(self, y, stages=None):
+        """``scene_forward`` of ``y`` with the scene cell: (u_K, t_K, stages)."""
         cell_fn = lambda t: self.scene_cell.forward(t, self.alpha_s)
-        return scene_forward(y, self.scene_cfg, cell_fn)
+        return scene_forward(y, self.scene_cfg, cell_fn, stages)
 
     def task_out(self, u):
         """Noise removal of the scene output ``u``."""
         cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
         return self.remover.forward(u, cell_fn)
 
-    def forward(self, y):
-        """Full pipeline; returns a dict with every intermediate of interest."""
-        u, t, trajectory = self.scene_out(y)
-        out = {
-            "u": u,
-            "t": t,
-            "trajectory": trajectory,
-            "noise_sigma": None,
-            "gate_skip": None,
-        }
+    def forward(self, y, stages=None):
+        """Full pipeline; returns a dict of the output ``x``, the scene's
+        ``u`` and ``t`` and the ``ruas_a`` gate's ``noise_sigma`` and
+        ``gate_skip``.  Each scene stage's (t_k, u_k) is appended to the
+        list ``stages`` if one is given, and kept nowhere otherwise."""
+        u, t, _ = self.scene_out(y, stages)
+        out = {"u": u, "t": t, "noise_sigma": None, "gate_skip": None}
         if self.variant == "ruas_a":
             out["noise_sigma"] = estimate_noise_sigma(y.data)
             out["gate_skip"] = noise_gate(out["noise_sigma"], self.gate_eps)
@@ -230,12 +229,9 @@ def save_checkpoint(model, path):
         "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params],
     }
     blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.data, dtype=np.float64).tobytes())
+    parts = [_MAGIC, len(blob).to_bytes(4, "little"), blob]
+    parts += [np.ascontiguousarray(p.data, dtype=np.float64).tobytes() for p in params]
+    write_file(path, b"".join(parts))
 
 
 def load_checkpoint(path):

@@ -47,22 +47,24 @@ def stage(t_in, u_in, y, cfg, cell_fn, t0):
     return t_out, u_out
 
 
-def scene_forward(y, cfg, cell_fn):
-    """Run all K stages; returns (u_K, t_K, trajectory of (t_k, u_k)).
+def scene_forward(y, cfg, cell_fn, stages=None):
+    """Run all K stages; returns (u_K, t_K, stages).
 
     ``cell_fn`` maps an illumination tensor to the learned correction; it
     closes over either a mixed cell + logits (search) or a discrete cell.
+    Each stage's (t_k, u_k) is appended to the list ``stages`` if one is
+    given; otherwise a stage's maps are freed once the next stage is made.
     """
     if y.data.ndim != 4:
         raise ShapeError(f"expected a 4-d image tensor, got shape {y.data.shape}")
     t0 = init_illumination(y, cfg)
     t = t0
     u = ad.div(y, t0)
-    trajectory = []
     for _ in range(cfg.stages):
         t, u = stage(t, u, y, cfg, cell_fn, t0)
-        trajectory.append((t, u))
-    return u, t, trajectory
+        if stages is not None:
+            stages.append((t, u))
+    return u, t, stages
 
 
 def gaussian_kernel_1d(sigma):

@@ -321,17 +321,20 @@ class Cell:
             if got != want:
                 raise ConfigError(f"expected logits of shapes {want}, got {got}")
         # walk the source nodes in order; every edge out of node i is run
-        # together, once the chain edge into node i has made it
+        # together, once the chain edge into node i has made it.  Node i
+        # sends one output to the fusion, its distill edge's (the chain
+        # edge's for the last source node), which is copied into channel
+        # slot i of the fusion input as soon as it is made; without a tape
+        # the rest of node i's edge outputs is freed once node i + 1 is made
         edges = self.spec.edges
-        outs = [None] * len(edges)
-        nodes = [x]
+        n, _, h, w = x.data.shape
+        merged = ad.Tensor(np.empty((n, (NODES - 1) * width, h, w)))
+        node = x
         for i in range(NODES - 1):
             out_edges = [e for e, (src, _) in enumerate(edges) if src == i]
-            for e, y in zip(out_edges, self._edges_from(out_edges, nodes[i], arch)):
-                outs[e] = y
-            nodes.append(outs[i])  # chain edge e = i makes node i + 1
-        distill = outs[len(self.spec.chain_edges) :]
-        merged = ad.concat(distill + [nodes[-1]], axis=1)
+            outs = self._edges_from(out_edges, node, arch)
+            ad.fill(merged, outs[-1:], i * width)
+            node = outs[0]  # chain edge e = i makes node i + 1
         return ad.conv2d(merged, self.fusion_w, self.fusion_b)
 
 

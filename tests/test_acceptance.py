@@ -167,7 +167,7 @@ def test_acceptance_3_retinex_invariants():
     ok = True
     for _ in range(50):
         y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
-        _, _, traj = scene_forward(y, cfg, cell.forward)
+        _, _, traj = scene_forward(y, cfg, cell.forward, [])
         for t_k, u_k in traj:
             ok &= bool(np.all(u_k.data >= y.data - 1e-12))
             ok &= bool(np.allclose(u_k.data * t_k.data, y.data, atol=1e-6))

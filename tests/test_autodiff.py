@@ -475,6 +475,30 @@ def test_channels_rejects_empty_or_outside_ranges(rng, lo, hi):
         ad.channels(Tensor(rng.normal(size=(1, 3, 2, 2))), lo, hi)
 
 
+def test_fill_keeps_only_taped_parts_as_parents(rng):
+    """Parts filled one call at a time give concat's values and gradients,
+    and an untaped part, or any part under no_grad, is not kept."""
+    a = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 1, 3, 4)))
+    c = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+    out = Tensor(np.empty((2, 6, 3, 4)))
+    for part, lo in ((c, 3), (a, 0), (b, 2)):
+        assert ad.fill(out, [part], lo) is out
+    want = np.concatenate([a.data, b.data, c.data], axis=1)
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(ad.concat([a, b, c]).data, want)
+    assert out._parents == (c, a)
+    g = rng.normal(size=want.shape)
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    np.testing.assert_array_equal(a.grad, g[:, :2])
+    np.testing.assert_array_equal(c.grad, g[:, 3:])
+    with ad.no_grad():
+        untaped = ad.concat([a, b, c])
+    assert untaped._parents == () and untaped._backward is None
+    with pytest.raises(ShapeError):
+        ad.fill(Tensor(np.empty((2, 6, 3, 4))), [a], 5)
+
+
 def test_softmax_properties(rng):
     out = ad.softmax(Tensor(np.zeros(3))).data
     np.testing.assert_allclose(out, np.ones(3) / 3)

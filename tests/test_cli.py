@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ruas import cli
 from ruas.cli import main
 from ruas.errors import ContractError, DomainError
 from ruas.io_metrics import make_synthetic_dataset, save_png
@@ -556,6 +557,36 @@ def test_reference_of_another_size_exits_3_and_writes_nothing(
     err = capsys.readouterr().err
     assert str(bad.reference_path) in err and str(bad.input_path) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["enhance", "eval", "search", "train"])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_output_path_blocked_by_a_file_exits_3(
+    tmp_path, fast_config, tiny_dataset, capsys, monkeypatch, command, under_file
+):
+    """``--out`` naming a file, or a path under one, is an i/o error that
+    names the path, raised before the command does its work."""
+    root, records = tiny_dataset
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(0), variant="ruas_s"), model)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under_file else blocker
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for name in ("load_png", "evaluate", "run_search", "train_model"):
+        monkeypatch.setattr(cli, name, work)
+    argv = {
+        "enhance": ["enhance", "--model", str(model), "--input", str(records[0].input_path)],
+        "eval": ["eval", "--model", str(model), "--data", str(root)],
+        "search": ["search", "--config", fast_config, "--data", str(root)],
+        "train": ["train", "--config", fast_config, "--data", str(root)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(out) in err
 
 
 # no hypergradient (warm-up covers the one epoch) keeps the sweeps cheap

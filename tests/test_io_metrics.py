@@ -22,6 +22,7 @@ from ruas.io_metrics import (
     ssim,
     synth_lowlight,
 )
+from ruas.model import RuasModel, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +369,19 @@ def test_save_png_refuses_non_finite_values(tmp_path, value):
     with pytest.raises(NumericError, match="non-finite"):
         save_png(img, tmp_path / "x.png")
     assert not (tmp_path / "x.png").exists()
+
+
+def test_unwritable_outputs_raise_data_io_error(tmp_path):
+    """A PNG or checkpoint whose path is a directory, or lies under a file,
+    fails with DataIOError naming the path, not a raw OSError."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    img = np.full((3, 4, 4), 0.5)
+    model = RuasModel(np.random.default_rng(0), variant="ruas_s")
+    for path in (tmp_path / "dir", tmp_path / "file" / "x"):
+        for save in (lambda p: save_png(img, p), lambda p: save_checkpoint(model, p)):
+            with pytest.raises(DataIOError, match=str(path)):
+                save(path)
 
 
 # ---------------------------------------------------------------------------

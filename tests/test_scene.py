@@ -138,7 +138,7 @@ def test_scene_forward_matches_hand_unrolled_composition(rng):
     cfg = SceneConfig(stages=1, warm_start="no_rectify")
     cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["3-C"]] * 7, rng)
     y = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 8, 8)))
-    u, t, traj = scene_forward(y, cfg, cell.forward)
+    u, t, traj = scene_forward(y, cfg, cell.forward, [])
     t0 = ad.clamp(ad.sliding_max(y, 3), cfg.t_floor, 1.0)
     t_hat = ad.clamp(ad.sliding_max(t0, 3), cfg.t_floor, 1.0)
     t1 = ad.clamp(ad.sub(t_hat, cell.forward(t_hat)), cfg.t_floor, 1.0)
@@ -152,7 +152,7 @@ def test_monotone_brightening_and_reconstruction(rng):
     cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["3-RC"]] * 7, rng)
     for _ in range(10):
         y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
-        _, _, traj = scene_forward(y, cfg, cell.forward)
+        _, _, traj = scene_forward(y, cfg, cell.forward, [])
         for t_k, u_k in traj:
             assert np.all(u_k.data >= y.data - 1e-12)  # t <= 1 everywhere
             np.testing.assert_allclose(u_k.data * t_k.data, y.data, atol=1e-6)

@@ -1,5 +1,7 @@
 """Operator registry, cell wiring, mixing, discretization, and cost models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ruas import search_space
 from ruas.autodiff import Parameter, Tensor, backward
 from ruas.errors import ConfigError, ShapeError
 from ruas.model import DEFAULT_SCENE_OPS, RuasModel
+from ruas.scene import scene_forward
 from ruas.search_space import (
     SEARCH_OPS,
     ArchParams,
@@ -203,7 +206,7 @@ def per_edge_cell_forward(cell, x):
         reference_op(ops[n_chain + d], nodes[i], params[n_chain + d])
         for d, (i, _) in enumerate(cell.spec.distill_edges)
     ]
-    return ad.conv2d(ad.concat(distill + [nodes[-1]], axis=1), cell.fusion_w, cell.fusion_b)
+    return ad.conv2d(ad.concat(distill + [nodes[-1]]), cell.fusion_w, cell.fusion_b)
 
 
 # the ops of edges 0->1, 1->2, 2->3, 3->4, 0->4, 1->4, 2->4: nodes 0, 1 and 2
@@ -302,12 +305,14 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     edges in edge order; no weight is concatenated."""
     kinds = [OPS_BY_NAME[n] for n in GROUPED_ARCHS[arch]]
     cell = DiscreteCell(CellSpec(width=3), kinds, rng)
-    nodes, concats = [], []
-    node, concat = search_space.mixed_forward, ad.concat
+    nodes, fills = [], []
+    node, fill = search_space.mixed_forward, ad.fill
     monkeypatch.setattr(
         search_space, "mixed_forward", lambda x, edges: nodes.append((x, node(x, edges))) or nodes[-1][1]
     )
-    monkeypatch.setattr(ad, "concat", lambda ts, axis=1: concats.append(ts) or concat(ts, axis))
+    monkeypatch.setattr(
+        ad, "fill", lambda out, parts, lo: fills.append((list(parts), lo)) or fill(out, parts, lo)
+    )
     x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
     cell.forward(x)
     want = []
@@ -319,9 +324,10 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     for (inp, out), params in zip(nodes, want):
         assert out._parents[0] is inp
         assert [id(p) for p in out._parents[1:]] == [id(p) for p in params]
-    # the one concat is the fusion's input, of tensors that are no parameter
-    assert len(concats) == 1
-    assert not any(isinstance(t, Parameter) for t in concats[0])
+    # the fusion's input is filled once per source node, one edge output in
+    # its slot each, and no part is a parameter
+    assert [lo for _, lo in fills] == [3 * i for i in range(NODES - 1)]
+    assert all(len(parts) == 1 and not isinstance(parts[0], Parameter) for parts, _ in fills)
 
 
 def test_edge_node_masks_are_those_of_the_forward_input(rng):
@@ -363,7 +369,7 @@ def test_edge_node_stacks_mixed_and_derived_edges():
             edges.append((kinds, params, logits))
         x = Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
         if split:
-            out = ad.concat([mixed_forward(x, [edge]) for edge in edges], axis=1)
+            out = ad.concat([mixed_forward(x, [edge]) for edge in edges])
         else:
             out = mixed_forward(x, edges)
         backward(ad.reduce_sum(ad.mul(out, Tensor(rng.normal(size=(2, 9, 7, 6))))))
@@ -393,6 +399,38 @@ def test_derived_cell_at_64px_runs_one_conv_per_group(rng, monkeypatch):
         calls.clear()
         model.forward(y)
     assert len(calls) == 22
+
+
+@pytest.mark.parametrize("size", [96, 128])
+def test_no_grad_forward_holds_only_what_its_output_needs(rng, size):
+    """The tracemalloc peak of a no-grad ruas forward stays under 600 bytes
+    per input pixel; it was 792 when the pass kept every scene stage's maps,
+    three zero channels for the remover and every node of a cell until the
+    fusion."""
+    model = RuasModel(rng)
+    y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, size, size)))
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            model.forward(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * size * size
+
+
+def test_forward_appends_each_scene_stage_to_the_list_it_is_given(rng):
+    model = RuasModel(rng)
+    y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 16, 16)))
+    stages = []
+    with ad.no_grad():
+        out = model.forward(y, stages=stages)
+        _, _, want = scene_forward(y, model.scene_cfg, model.scene_cell.forward, [])
+    assert len(stages) == len(want) == model.scene_cfg.stages
+    for (t, u), (want_t, want_u) in zip(stages, want):
+        np.testing.assert_array_equal(t.data, want_t.data)
+        np.testing.assert_array_equal(u.data, want_u.data)
+    assert stages[-1][0] is out["t"] and stages[-1][1] is out["u"]
 
 
 def test_cell_spec_edges():

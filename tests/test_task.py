@@ -111,7 +111,7 @@ def test_remover_matches_straight_line_oracle(rng):
     u = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     got = remover.forward(u, cell.forward).data
     zeros = Tensor(np.zeros_like(u.data))
-    z = ad.conv2d(ad.concat([u, zeros], axis=1), remover.proj_in_w, remover.proj_in_b)
+    z = ad.conv2d(ad.concat([u, zeros]), remover.proj_in_w, remover.proj_in_b)
     corr = ad.conv2d(cell.forward(z), remover.proj_out_w, remover.proj_out_b)
     want = np.clip(u.data + corr.data, 0, 1)
     np.testing.assert_allclose(got, want, atol=1e-9)

@@ -20,7 +20,13 @@ epochs at lr 3e-5):
   low-light images of 128x128 and 97x130 px.  The other inputs are at most
   48 px, where every conv is one matmul; at 128x128 the 3x3 convs run in
   row bands, and 97x130, whose pixel count is not a multiple of 16, takes
-  one matmul per conv at a size that would otherwise band.
+  one matmul per conv at a size that would otherwise band;
+- `enhance --variant ruas_a` and `enhance --variant ruas_s --dump-stages`
+  of the checkpoint trained hierarchically on `FIXED_ARCH`, on the 32 px
+  inputs, the two large images and a noise-free 64 px low-light image.
+  Every other `enhance` runs the checkpoint's own variant, `ruas`; the
+  noisy inputs take `ruas_a`'s removal path, and the noise-free one its
+  gate.
 
 Every file goes under DIR, which must be empty or new, and one
 `sha256  path` line per file is printed, with paths relative to DIR in
@@ -71,7 +77,8 @@ FIXED_ARCH = {
 PNG_FORMATS = {"rgb8": (8, 2), "rgba8": (8, 6), "rgb16": (16, 2), "rgba16": (16, 6)}
 PNG_SHAPES = {"square": (32, 32), "tall": (48, 16), "wide": (16, 48)}
 PNG_FILTERS = ("none", "sub", "up", "avg", "paeth", "mixed")
-# (h, w) of the `enhance` inputs large enough for the convs to band
+# (h, w) of the `enhance` inputs large enough for the convs to band; the
+# script also writes the noise-free input that `ruas_a`'s gate skips
 LARGE_SHAPES = ((128, 128), (97, 130))
 LARGE = f"""
 import pathlib
@@ -84,6 +91,10 @@ for h, w in {LARGE_SHAPES}:
     clean = random_clean_image(rng, size=max(h, w))[:, :h, :w]
     dark, _ = synth_lowlight(clean, rng, noise_sigma=0.01)
     save_png(dark, out / f"{{h}}x{{w}}.png")
+gated = pathlib.Path("gated")
+gated.mkdir()
+dark, _ = synth_lowlight(random_clean_image(rng, size=64), rng, noise_sigma=0.0)
+save_png(dark, gated / "clean.png")
 """
 DECODE = """
 import pathlib
@@ -168,6 +179,11 @@ def run_all(src, out):
             ruas("enhance", "--model", model, "--input", "large", "--dump-stages",
                  "--out", f"enhance-large/{name}")
             ruas("eval", *common, "--model", model, "--out", f"eval/{name}")
+    model = "train/fixed-hierarchical/model.ckpt"
+    for variant, dump in (("ruas_a", ()), ("ruas_s", ("--dump-stages",))):
+        for inputs in ("data/input", "large", "gated"):
+            ruas("enhance", "--model", model, "--input", inputs, "--variant", variant, *dump,
+                 "--out", f"enhance-{variant}/{Path(inputs).name}")
     write_pngs(out / "png")
     python("-c", DECODE)
     ruas("enhance", "--model", "train/default-hierarchical/model.ckpt", "--input", "png",
