@@ -283,25 +283,27 @@ def sliding_max(a, window):
     """Per-channel sliding spatial max with an odd square window, same size.
 
     The gradient of each output goes to the first maximum of its window in
-    row-major order.
+    row-major order.  A window wider than twice the map covers all of it
+    from every pixel, so its radius is cut to ``max(h, w) - 1``.
     """
     a = _as_tensor(a)
     if window % 2 == 0 or window < 1:
         raise ConfigError(f"window must be odd and positive, got {window}")
     if a.data.ndim != 4 or a.data.shape[2] == 0 or a.data.shape[3] == 0:
         raise ShapeError(f"expected nonempty 4-d input, got shape {a.data.shape}")
-    r = window // 2
     n, c, h, w = a.data.shape
+    r = min(window // 2, max(h, w) - 1)
+    window = 2 * r + 1
     xd = a.data
     out_data = _running_max(_running_max(xd, r, 3), r, 2)
 
     def bw(g):
         xp = np.full((n, c, h + 2 * r, w + 2 * r), -np.inf)
         xp[:, :, r : r + h, r : r + w] = xd
-        shifts = [xp[:, :, i : i + h, j : j + w] for i in range(window) for j in range(window)]
         first = np.zeros(out_data.shape, dtype=np.intp)
-        for o in range(len(shifts) - 1, -1, -1):
-            first[shifts[o] == out_data] = o
+        for o in range(window * window - 1, -1, -1):
+            i, j = divmod(o, window)
+            first[xp[:, :, i : i + h, j : j + w] == out_data] = o
         # flat index into ``xp`` of each output's first maximum; bincount
         # adds the outputs' gradients in their row-major order, as a loop
         # over outputs would

@@ -31,7 +31,7 @@ from .errors import (
 from .io_metrics import load_dataset, load_png, output_dir, save_png, split_records, write_file
 from .model import RuasModel, load_checkpoint, save_checkpoint
 from .search import run_search
-from .search_space import SEARCH_OPS, count_params
+from .search_space import EDGES, SEARCH_OPS, count_params
 from .train import evaluate, metrics_csv, pretrain_scene, train_hierarchical, train_model
 
 EXIT_CONFIG = 2
@@ -260,7 +260,7 @@ def cmd_fixed_op(args):
             np.random.default_rng(seed),
             variant="ruas_s",
             scene_cfg=cfg.scene,
-            scene_ops=[kind.name] * 7,
+            scene_ops=[kind.name] * len(EDGES),
             tv_weight=tv_weight,
         )
         if train_hierarchical(model, records, tcfg).aborted:

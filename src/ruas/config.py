@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataIOError
 from .io_metrics import write_file
-from .search_space import CellSpec, lookup_op
+from .search_space import EDGES, lookup_op
 
 WARM_START_MODES = ("fixed", "no_rectify", "rectify")
 SEARCH_STRATEGIES = ("cooperative", "independent", "global")
@@ -181,11 +181,10 @@ class TaskConfig:
         check_fields(self)
         # both lists, whatever the variant: a checkpoint or run_config.json
         # echoes a list that the variant's model does not build
-        edges = len(CellSpec(width=1).edges)
         for name in ("scene_ops", "task_ops"):
             ops = getattr(self, name)
-            if ops is not None and len(ops) != edges:
-                raise ConfigError(f"{name} needs {edges} operator names, got {len(ops)}")
+            if ops is not None and len(ops) != len(EDGES):
+                raise ConfigError(f"{name} needs {len(EDGES)} operator names, got {len(ops)}")
             for op in ops or ():
                 lookup_op(op)
 

@@ -12,7 +12,6 @@ from .model import DEFAULT_SCENE_OPS, SCENE_WIDTH
 from .scene import SceneConfig, scene_forward, scene_loss
 from .search_space import (
     SEARCH_OPS,
-    CellSpec,
     DiscreteCell,
     lookup_op,
     make_op_params,
@@ -147,9 +146,7 @@ def scene_composite_checks(seed=7):
     """Gradient of scene_forward + scene loss w.r.t. every cell parameter."""
     rng = np.random.default_rng(seed)
     cfg = SceneConfig(stages=3)
-    cell = DiscreteCell(
-        CellSpec(width=SCENE_WIDTH), [lookup_op(n) for n in DEFAULT_SCENE_OPS], rng
-    )
+    cell = DiscreteCell(SCENE_WIDTH, [lookup_op(n) for n in DEFAULT_SCENE_OPS], rng)
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
     checks = []
 

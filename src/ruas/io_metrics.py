@@ -325,7 +325,11 @@ def psnr(a, b):
     return min(99.0, 10.0 * np.log10(1.0 / mse))
 
 
-def ssim(a, b, window=11, sigma=1.5):
+# the side of SSIM's Gaussian window; a scored image must be at least this big
+SSIM_WINDOW = 11
+
+
+def ssim(a, b, window=SSIM_WINDOW, sigma=1.5):
     """Structural similarity, per channel then averaged, valid windows only.
 
     The Gaussian window is separable (Wang et al. 2004), so each local
@@ -418,6 +422,8 @@ def synth_lowlight(
 
 def random_clean_image(rng, size=64):
     """Piecewise-smooth test scene: smooth background plus colored shapes."""
+    if size < 14:  # a rectangle's corner and its 6 px or wider sides must fit
+        raise ConfigError(f"synthetic images need a size of at least 14 px, got {size}")
     img = np.zeros((3, size, size))
     for c in range(3):
         img[c] = 0.3 + 0.5 * _smooth_field(rng, size, size, coarse=3)
@@ -456,15 +462,16 @@ class ImageRecord:
 
     def reference(self):
         """The reference image, None without one; DataIOError unless it has
-        its input's size."""
+        its input's size and SSIM's window fits in it."""
         if self.reference_path is None:
             return None
         if self._reference is None:
             ref, shape = load_png(self.reference_path), self.input().shape
-            if ref.shape != shape:
+            if ref.shape != shape or min(shape[-2:]) < SSIM_WINDOW:
                 raise DataIOError(
                     f"reference {self.reference_path} has shape {ref.shape}, its input"
-                    f" {self.input_path} has {shape}"
+                    f" {self.input_path} has {shape}; both must be equal and at least"
+                    f" {SSIM_WINDOW} px a side, the ssim window"
                 )
             self._reference = ref
         return self._reference

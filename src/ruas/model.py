@@ -17,7 +17,6 @@ from .io_metrics import write_file
 from .scene import scene_forward, scene_loss
 from .search_space import (
     ArchParams,
-    CellSpec,
     DiscreteCell,
     MixedCell,
     count_params,
@@ -61,13 +60,11 @@ class RuasModel:
         self.tv_weight = tv_weight
         self.scene_ops = _op_names(scene_ops)
         self.task_ops = _op_names(task_ops)
-        self.scene_spec = CellSpec(width=SCENE_WIDTH)
-        self.task_spec = CellSpec(width=TASK_WIDTH)
-        self.scene_cell = _cell(self.scene_spec, self.scene_ops, rng, "sm.cell")
+        self.scene_cell = _cell(SCENE_WIDTH, self.scene_ops, rng, "sm.cell")
         self.task_cell = None
         self.remover = None
         if variant in ("ruas", "ruas_a"):
-            self.task_cell = _cell(self.task_spec, self.task_ops, rng, "tm.cell")
+            self.task_cell = _cell(TASK_WIDTH, self.task_ops, rng, "tm.cell")
         # a mixed cell's logits are drawn after both cells, before the remover
         self.alpha_s = _logits(self.scene_cell, rng, "alpha_s")
         self.alpha_t = _logits(self.task_cell, rng, "alpha_t")
@@ -193,17 +190,17 @@ def _op_names(ops):
     return None if ops is None else tuple(str(o) for o in ops)
 
 
-def _cell(spec, ops, rng, name):
+def _cell(width, ops, rng, name):
     """The derived cell of the operators ``ops``; a MixedCell when None."""
     if ops is None:
-        return MixedCell(spec, rng, name=name, fusion_init="zeros")
+        return MixedCell(width, rng, name=name, fusion_init="zeros")
     kinds = [lookup_op(n) for n in ops]
-    return DiscreteCell(spec, kinds, rng, name=name, fusion_init="zeros")
+    return DiscreteCell(width, kinds, rng, name=name, fusion_init="zeros")
 
 
 def _logits(cell, rng, name):
     """The per-edge logits that a mixed ``cell`` runs under; None otherwise."""
-    return ArchParams(cell.spec, rng, name=name) if isinstance(cell, MixedCell) else None
+    return ArchParams(rng, name=name) if isinstance(cell, MixedCell) else None
 
 
 # ---------------------------------------------------------------------------

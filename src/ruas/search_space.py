@@ -196,36 +196,21 @@ def mixed_forward(x, edges):
     return ad._make(out, parents, bw)
 
 
-# the cell's node count, which its edge lists, its fusion width and its
-# forward pass share
+# the cell's wiring, which its parameters, logits, fusion width and forward
+# pass all read: chain edges (i, i + 1), then distill edges into the last node
 NODES = 5
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    width: int
-
-    @property
-    def chain_edges(self):
-        return [(i, i + 1) for i in range(NODES - 1)]
-
-    @property
-    def distill_edges(self):
-        return [(i, NODES - 1) for i in range(NODES - 2)]
-
-    @property
-    def edges(self):
-        return self.chain_edges + self.distill_edges
+CHAIN_EDGES = tuple((i, i + 1) for i in range(NODES - 1))
+DISTILL_EDGES = tuple((i, NODES - 1) for i in range(NODES - 2))
+EDGES = CHAIN_EDGES + DISTILL_EDGES
 
 
 class ArchParams:
     """Per-edge operator logits for one searchable cell, normal with std 1e-3."""
 
-    def __init__(self, spec, rng, name="alpha"):
-        self.spec = spec
+    def __init__(self, rng, name="alpha"):
         self.logits = [
             Parameter(rng.normal(0.0, 1e-3, len(SEARCH_OPS)), f"{name}.edge{e}_{i}to{j}")
-            for e, (i, j) in enumerate(spec.edges)
+            for e, (i, j) in enumerate(EDGES)
         ]
 
     def parameters(self):
@@ -257,23 +242,21 @@ class Cell:
     and logits once per call.
     """
 
-    def __init__(self, spec, edge_ops, rng, name="cell", fusion_init="random"):
-        if len(edge_ops) != len(spec.edges):
-            raise ConfigError(
-                f"need {len(spec.edges)} operator choices, got {len(edge_ops)}"
-            )
-        self.spec = spec
+    def __init__(self, width, edge_ops, rng, name="cell", fusion_init="random"):
+        if len(edge_ops) != len(EDGES):
+            raise ConfigError(f"need {len(EDGES)} operator choices, got {len(edge_ops)}")
+        self.width = width
         self.edge_ops = list(edge_ops)
         self.edge_params = [
             [
-                make_op_params(kind, spec.width, rng, f"{name}.edge{e}.{kind.name}")
+                make_op_params(kind, width, rng, f"{name}.edge{e}.{kind.name}")
                 for kind in ops
             ]
             for e, ops in enumerate(self.edge_ops)
         ]
         # the fusion reads the distill outputs and the chain input to the last node
         self.fusion_w, self.fusion_b = init_conv_weights(
-            spec.width, (NODES - 1) * spec.width, 1, rng, f"{name}.fusion"
+            width, (NODES - 1) * width, 1, rng, f"{name}.fusion"
         )
         # a zeroed fusion makes the whole cell start as a zero correction, so
         # the unrolled illumination stays near its local-max warm start until
@@ -301,14 +284,14 @@ class Cell:
         conv = [e for e in edges if not self.edge_ops[e][0].skip]
         if conv:
             y = mixed_forward(x, [(self.edge_ops[e], self.edge_params[e], None) for e in conv])
-            c = self.spec.width
+            c = self.width
             for pos, e in enumerate(conv):
                 part = y if len(conv) == 1 else ad.channels(y, pos * c, (pos + 1) * c)
                 outs[edges.index(e)] = part
         return outs
 
     def forward(self, x, arch=None):
-        width = self.spec.width
+        width = self.width
         if x.data.ndim != 4 or x.data.shape[1] != width:
             raise ShapeError(f"cell expects an (n, {width}, h, w) input, got shape {x.data.shape}")
         mixed = any(len(ops) > 1 for ops in self.edge_ops)
@@ -326,12 +309,11 @@ class Cell:
         # edge's for the last source node), which is copied into channel
         # slot i of the fusion input as soon as it is made; without a tape
         # the rest of node i's edge outputs is freed once node i + 1 is made
-        edges = self.spec.edges
         n, _, h, w = x.data.shape
         merged = ad.Tensor(np.empty((n, (NODES - 1) * width, h, w)))
         node = x
         for i in range(NODES - 1):
-            out_edges = [e for e, (src, _) in enumerate(edges) if src == i]
+            out_edges = [e for e, (src, _) in enumerate(EDGES) if src == i]
             outs = self._edges_from(out_edges, node, arch)
             ad.fill(merged, outs[-1:], i * width)
             node = outs[0]  # chain edge e = i makes node i + 1
@@ -341,15 +323,15 @@ class Cell:
 class MixedCell(Cell):
     """The searchable cell: every edge holds every search candidate."""
 
-    def __init__(self, spec, rng, name="cell", fusion_init="random"):
-        super().__init__(spec, [SEARCH_OPS] * len(spec.edges), rng, name, fusion_init)
+    def __init__(self, width, rng, name="cell", fusion_init="random"):
+        super().__init__(width, [SEARCH_OPS] * len(EDGES), rng, name, fusion_init)
 
 
 class DiscreteCell(Cell):
     """A derived cell with one fixed operator per edge."""
 
-    def __init__(self, spec, kinds, rng, name="cell", fusion_init="random"):
-        super().__init__(spec, [(kind,) for kind in kinds], rng, name, fusion_init)
+    def __init__(self, width, kinds, rng, name="cell", fusion_init="random"):
+        super().__init__(width, [(kind,) for kind in kinds], rng, name, fusion_init)
 
 
 def count_params(parameters):
@@ -357,10 +339,10 @@ def count_params(parameters):
 
 
 def arch_dump(arch):
-    """DOT-style text, one line per edge of ``arch``'s cell: the derived
-    operator and the mixture weights, for reports and artifacts."""
+    """DOT-style text, one line per cell edge: the operator ``arch`` derives
+    and its mixture weights, for reports and artifacts."""
     lines = []
-    for (i, j), kind, wvec in zip(arch.spec.edges, discretize(arch), arch.mixture_weights()):
+    for (i, j), kind, wvec in zip(EDGES, discretize(arch), arch.mixture_weights()):
         wtxt = ",".join(f"{v:.4f}" for v in wvec)
         lines.append(f"edge {i}->{j} op={kind.name} w={wtxt}")
     return "\n".join(lines) + "\n"

@@ -50,22 +50,21 @@ class NoiseRemover:
 
     A fixed 1x1 conv projects u to the cell width; the cell output is
     projected back to three channels and added residually to u, then
-    clamped to [0, 1].  The projection reads u through the first three
-    input columns of ``proj_in``; the weight keeps the (width, 6, 1, 1)
-    shape that checkpoints store, and its last three columns are never read
-    (their gradient is zero).
+    clamped to [0, 1].
     """
 
     def __init__(self, rng, width=6, name="psi_r"):
-        self.width = width
+        # drawn as a 6-channel projection and cut to the 3 channels of u, so
+        # the seeded draws of this and every later weight stay as they were
         self.proj_in_w, self.proj_in_b = init_conv_weights(width, 6, 1, rng, f"{name}.proj_in")
+        self.proj_in_w.data = self.proj_in_w.data[:, :3].copy()
         self.proj_out_w, self.proj_out_b = init_conv_weights(3, width, 1, rng, f"{name}.proj_out")
 
     def parameters(self):
         return [self.proj_in_w, self.proj_in_b, self.proj_out_w, self.proj_out_b]
 
     def forward(self, u, cell_fn):
-        z = ad.conv2d(u, ad.channels(self.proj_in_w, 0, 3), self.proj_in_b)
+        z = ad.conv2d(u, self.proj_in_w, self.proj_in_b)
         z = cell_fn(z)
         correction = ad.conv2d(z, self.proj_out_w, self.proj_out_b)
         return ad.clamp(ad.add(u, correction), 0.0, 1.0)

@@ -19,8 +19,9 @@ from ruas.model import RuasModel
 from ruas.scene import SceneConfig, init_illumination, rtv, scene_forward, warm_start
 from ruas.search import SearchConfig, hypergrad_onestep, run_search
 from ruas.search_space import (
+    CHAIN_EDGES,
+    DISTILL_EDGES,
     SEARCH_OPS,
-    CellSpec,
     DiscreteCell,
     OPS_BY_NAME,
     count_params,
@@ -87,11 +88,11 @@ def _cell_oracle(cell, x):
         return _op_oracle(kind, arr, params)
 
     nodes = [x]
-    n_chain = len(cell.spec.chain_edges)
+    n_chain = len(CHAIN_EDGES)
     for e in range(n_chain):
         nodes.append(edge(e, nodes[e]))
     distill = [
-        edge(n_chain + d, nodes[i]) for d, (i, _) in enumerate(cell.spec.distill_edges)
+        edge(n_chain + d, nodes[i]) for d, (i, _) in enumerate(DISTILL_EDGES)
     ]
     merged = np.concatenate(distill + [nodes[-1]], axis=1)
     return conv2d_oracle(merged, cell.fusion_w.data, cell.fusion_b.data)
@@ -114,7 +115,7 @@ def test_acceptance_2_oracle_equivalence():
 
         # full cell forward with random edge operators
         kinds = [registry[rng.integers(len(registry))] for _ in range(7)]
-        cell = DiscreteCell(CellSpec(width=3), kinds, rng)
+        cell = DiscreteCell(3, kinds, rng)
         xc = rng.uniform(0.05, 1.0, size=(1, 3, 6, 6))
         got = cell.forward(Tensor(xc)).data
         ok &= np.allclose(got, _cell_oracle(cell, xc), atol=1e-9)
@@ -163,7 +164,7 @@ def test_acceptance_2_oracle_equivalence():
 def test_acceptance_3_retinex_invariants():
     rng = np.random.default_rng(3)
     cfg = SceneConfig(stages=3)
-    cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["3-RC"]] * 7, rng)
+    cell = DiscreteCell(3, [OPS_BY_NAME["3-RC"]] * 7, rng)
     ok = True
     for _ in range(50):
         y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))

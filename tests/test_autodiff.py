@@ -350,6 +350,28 @@ def test_sliding_max_gradient_matches_loop_oracle(rng, window, ties):
         np.testing.assert_array_equal(xt.grad, sliding_max_grad_oracle(x, window, g))
 
 
+def test_sliding_max_wide_window_is_bounded_by_the_map(rng):
+    """A window wider than twice the map covers all of it from every pixel:
+    window 201 on an 8 px map is window 15, and its backward pass allocates
+    for the 15 px window (a 208 px padded map would be 676x the input)."""
+    x = rng.integers(-2, 3, size=(1, 1, 8, 8)) / 2.0  # ties pin the first-max rule
+    g = rng.normal(size=x.shape)
+    grads = []
+    for window in (15, 201):
+        xt = Tensor(x, requires_grad=True)
+        loss = ad.reduce_sum(ad.mul(ad.sliding_max(xt, window), Tensor(g)))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * x.nbytes
+        grads.append(xt.grad)
+    np.testing.assert_array_equal(grads[1], grads[0])
+    np.testing.assert_array_equal(grads[1], sliding_max_grad_oracle(x, 15, g))
+
+
 # (shape, kernel length, axis): batches of two, non-square maps, and kernels
 # longer than the axis they run along, whose outer taps read only padding
 CORRELATE_CASES = [

@@ -112,6 +112,28 @@ def test_checkpoint_with_a_noise_estimator_is_refused(tmp_path, tiny_dataset):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
 
 
+def test_checkpoint_with_a_six_column_projection_is_refused(tmp_path, tiny_dataset):
+    """The remover's projection reads the 3 channels of u, and a checkpoint
+    stores it as (6, 3, 1, 1); one that holds the 6-column weight of older
+    files fails the shape check (exit 3)."""
+    path = tmp_path / "old.ckpt"
+    model = RuasModel(np.random.default_rng(3))
+    save_checkpoint(model, path)
+    header, _ = _split(path)
+    name = "tm.psi_r.proj_in.weight"
+    meta = next(m for m in header["params"] if m["name"] == name)
+    assert meta["shape"] == [6, 3, 1, 1]
+    meta["shape"] = [6, 6, 1, 1]
+    by_name = {p.name: p.data for p in model.parameters()}
+    by_name[name] = np.concatenate([by_name[name], np.zeros((6, 3, 1, 1))], axis=1)
+    _write(path, header, b"".join(by_name[m["name"]].tobytes() for m in header["params"]))
+    with pytest.raises(DataIOError, match=f"shape mismatch for {name}"):
+        load_checkpoint(path)
+    _, records = tiny_dataset
+    argv = ["enhance", "--model", str(path), "--input", str(records[0].input_path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+
+
 @pytest.mark.parametrize(
     "text",
     [b"#not json", b'{"config": "\xff"}', b"[" * 100_000, b"[1, 2]", b"{}"],

@@ -559,6 +559,28 @@ def test_reference_of_another_size_exits_3_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval --model", "ablate-k --k-list 1", "fixed-op"])
+def test_reference_smaller_than_the_ssim_window_exits_3_and_writes_nothing(
+    tmp_path, fast_config, capsys, command
+):
+    """An 8 px reference cannot be scored by SSIM's 11 px window, so the
+    commands that score refuse it when they load it, before any work."""
+    root = tmp_path / "data"
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        save_png(rng.uniform(0.0, 0.3, (3, 8, 8)), root / "input" / f"img{i}.png")
+        save_png(rng.uniform(0.0, 1.0, (3, 8, 8)), root / "reference" / f"img{i}.png")
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(0), variant="ruas_s"), model)
+    out = tmp_path / "out"
+    argv = command.split() + ([str(model)] if command.startswith("eval") else [])
+    argv += ["--config", fast_config, "--data", str(root), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(root / "reference" / "img0.png") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["enhance", "eval", "search", "train"])
 @pytest.mark.parametrize("under_file", [False, True])
 def test_output_path_blocked_by_a_file_exits_3(

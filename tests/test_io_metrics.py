@@ -549,6 +549,21 @@ def test_synth_lowlight_darkens(rng):
         synth_lowlight(clean * 3.0, rng)
 
 
+def test_synthetic_images_need_14_px(tmp_path):
+    """Under 14 px a rectangle's 6 px least side leaves no room for its
+    corner: such a size is refused before anything is drawn or written."""
+    with pytest.raises(ConfigError, match="at least 14 px"):
+        make_synthetic_dataset(tmp_path / "small", 2, size=13, seed=0)
+    assert not (tmp_path / "small").exists()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="at least 14 px"):
+        random_clean_image(rng, size=13)
+    assert rng.uniform() == np.random.default_rng(0).uniform()
+    for seed in range(20):
+        records = make_synthetic_dataset(tmp_path / f"s{seed}", 1, size=14, seed=seed)
+        assert load_png(records[0].reference_path).shape == (1, 3, 14, 14)
+
+
 def test_make_synthetic_dataset_deterministic(tmp_path):
     a = make_synthetic_dataset(tmp_path / "a", 3, size=16, seed=9)
     b = make_synthetic_dataset(tmp_path / "b", 3, size=16, seed=9)

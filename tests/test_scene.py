@@ -18,7 +18,7 @@ from ruas.scene import (
     stage,
     warm_start,
 )
-from ruas.search_space import CellSpec, DiscreteCell, OPS_BY_NAME
+from ruas.search_space import DiscreteCell, OPS_BY_NAME
 
 
 def zero_cell(t):
@@ -136,7 +136,7 @@ def test_scene_forward_shape_check():
 def test_scene_forward_matches_hand_unrolled_composition(rng):
     """K=1 with a real cell equals the straight-line composition of the ops."""
     cfg = SceneConfig(stages=1, warm_start="no_rectify")
-    cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["3-C"]] * 7, rng)
+    cell = DiscreteCell(3, [OPS_BY_NAME["3-C"]] * 7, rng)
     y = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 8, 8)))
     u, t, traj = scene_forward(y, cfg, cell.forward, [])
     t0 = ad.clamp(ad.sliding_max(y, 3), cfg.t_floor, 1.0)
@@ -149,7 +149,7 @@ def test_scene_forward_matches_hand_unrolled_composition(rng):
 
 def test_monotone_brightening_and_reconstruction(rng):
     cfg = SceneConfig()
-    cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["3-RC"]] * 7, rng)
+    cell = DiscreteCell(3, [OPS_BY_NAME["3-RC"]] * 7, rng)
     for _ in range(10):
         y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
         _, _, traj = scene_forward(y, cfg, cell.forward, [])

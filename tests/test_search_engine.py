@@ -10,7 +10,7 @@ from ruas.errors import ConfigError
 from ruas.io_metrics import split_records
 from ruas.model import SCENE_WIDTH, TASK_WIDTH, RuasModel
 from ruas.search import SearchConfig, hypergrad_onestep, run_search
-from ruas.search_space import ArchParams, CellSpec, MixedCell
+from ruas.search_space import ArchParams, MixedCell
 from ruas.task import NoiseRemover
 
 
@@ -371,12 +371,11 @@ def test_supernet_draws_cells_then_logits_then_remover():
     """Every seeded search artifact rests on this order of draws: scene cell,
     task cell, scene logits, task logits, remover."""
     rng = np.random.default_rng(4)
-    scene, task = CellSpec(width=SCENE_WIDTH), CellSpec(width=TASK_WIDTH)
     parts = [
-        MixedCell(scene, rng, fusion_init="zeros"),
-        MixedCell(task, rng, fusion_init="zeros"),
-        ArchParams(scene, rng),
-        ArchParams(task, rng),
+        MixedCell(SCENE_WIDTH, rng, fusion_init="zeros"),
+        MixedCell(TASK_WIDTH, rng, fusion_init="zeros"),
+        ArchParams(rng),
+        ArchParams(rng),
         NoiseRemover(rng, width=TASK_WIDTH),
     ]
     model = RuasModel.supernet(np.random.default_rng(4))

@@ -14,8 +14,10 @@ from ruas.scene import scene_forward
 from ruas.search_space import (
     SEARCH_OPS,
     ArchParams,
+    CHAIN_EDGES,
+    DISTILL_EDGES,
+    EDGES,
     NODES,
-    CellSpec,
     DiscreteCell,
     MixedCell,
     OPS_BY_NAME,
@@ -30,10 +32,9 @@ from ruas.search_space import (
 
 def _cell(mixed, rng, fusion_init="random"):
     """A 3-wide 3-C discrete cell, or a mixed cell with its logits."""
-    spec = CellSpec(width=3)
     if mixed:
-        return MixedCell(spec, rng, fusion_init=fusion_init), ArchParams(spec, rng)
-    return DiscreteCell(spec, [OPS_BY_NAME["3-C"]] * 7, rng, fusion_init=fusion_init), None
+        return MixedCell(3, rng, fusion_init=fusion_init), ArchParams(rng)
+    return DiscreteCell(3, [OPS_BY_NAME["3-C"]] * 7, rng, fusion_init=fusion_init), None
 
 
 def test_registry_contents():
@@ -85,7 +86,7 @@ def test_apply_op_skip_is_identity(rng):
     out = apply_op(OPS_BY_NAME["SC"], x, {})
     assert out is x
     # a derived cell's skip edges pass their node along, with no tape node
-    cell = DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["SC"]] * 7, rng)
+    cell = DiscreteCell(3, [OPS_BY_NAME["SC"]] * 7, rng)
     assert cell._edges_from([0, 4], x, None) == [x, x]
 
 
@@ -199,12 +200,12 @@ def per_edge_cell_forward(cell, x):
     nodes = [x]
     ops = [edge[0] for edge in cell.edge_ops]
     params = [edge[0] for edge in cell.edge_params]
-    for e, (i, _) in enumerate(cell.spec.chain_edges):
+    for e, (i, _) in enumerate(CHAIN_EDGES):
         nodes.append(reference_op(ops[e], nodes[i], params[e]))
-    n_chain = len(cell.spec.chain_edges)
+    n_chain = len(CHAIN_EDGES)
     distill = [
         reference_op(ops[n_chain + d], nodes[i], params[n_chain + d])
-        for d, (i, _) in enumerate(cell.spec.distill_edges)
+        for d, (i, _) in enumerate(DISTILL_EDGES)
     ]
     return ad.conv2d(ad.concat(distill + [nodes[-1]]), cell.fusion_w, cell.fusion_b)
 
@@ -248,7 +249,7 @@ def test_grouped_derived_cell_matches_per_edge_ops(arch, shape):
     gradient sums over both edges' channels in one product)."""
     rng = np.random.default_rng(7)
     kinds = [OPS_BY_NAME[n] for n in GROUPED_ARCHS[arch]]
-    cell = DiscreteCell(CellSpec(width=shape[1]), kinds, rng)
+    cell = DiscreteCell(shape[1], kinds, rng)
     for p in cell.parameters():
         p.data = rng.normal(0.0, 0.3, p.data.shape)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
@@ -286,7 +287,7 @@ def test_unstacked_derived_cell_is_the_per_edge_walk(shape):
     terms, which decides how the input's gradient is summed."""
     for kinds in _unstacked_archs(25, 11):
         rng = np.random.default_rng(7)
-        cell = DiscreteCell(CellSpec(width=shape[1]), kinds, rng)
+        cell = DiscreteCell(shape[1], kinds, rng)
         for p in cell.parameters():
             p.data = rng.normal(0.0, 0.3, p.data.shape)
         x = Tensor(rng.normal(size=shape), requires_grad=True)
@@ -304,7 +305,7 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     conv edge, whose parents are its input and the weights and biases of its
     edges in edge order; no weight is concatenated."""
     kinds = [OPS_BY_NAME[n] for n in GROUPED_ARCHS[arch]]
-    cell = DiscreteCell(CellSpec(width=3), kinds, rng)
+    cell = DiscreteCell(3, kinds, rng)
     nodes, fills = [], []
     node, fill = search_space.mixed_forward, ad.fill
     monkeypatch.setattr(
@@ -317,7 +318,7 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     cell.forward(x)
     want = []
     for i in range(NODES - 1):
-        edges = [e for e, (src, _) in enumerate(cell.spec.edges) if src == i and not kinds[e].skip]
+        edges = [e for e, (src, _) in enumerate(EDGES) if src == i and not kinds[e].skip]
         if edges:
             want.append([p for e in edges for p in cell.edge_params[e][0].values()])
     assert len(nodes) == len(want) and nodes[0][0] is x
@@ -434,15 +435,14 @@ def test_forward_appends_each_scene_stage_to_the_list_it_is_given(rng):
 
 
 def test_cell_spec_edges():
-    spec = CellSpec(width=3)
-    assert spec.chain_edges == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert spec.distill_edges == [(0, 4), (1, 4), (2, 4)]
-    assert len(spec.edges) == 7
+    assert CHAIN_EDGES == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert DISTILL_EDGES == ((0, 4), (1, 4), (2, 4))
+    assert EDGES == CHAIN_EDGES + DISTILL_EDGES
+    assert len(EDGES) == 7
 
 
 def test_discretize_argmax_and_ties(rng):
-    spec = CellSpec(width=3)
-    arch = ArchParams(spec, rng)
+    arch = ArchParams(rng)
     for logits in arch.logits:
         logits.data = np.zeros_like(logits.data)
     kinds = discretize(arch)
@@ -455,8 +455,7 @@ def test_discretize_argmax_and_ties(rng):
 
 
 def test_all_skip_cell_with_averaging_fusion_is_identity(rng):
-    spec = CellSpec(width=3)
-    cell = DiscreteCell(spec, [OPS_BY_NAME["SC"]] * 7, rng)
+    cell = DiscreteCell(3, [OPS_BY_NAME["SC"]] * 7, rng)
     # the fusion conv averages its four input blocks channel-wise
     w = np.zeros_like(cell.fusion_w.data)
     for o in range(3):
@@ -503,13 +502,12 @@ def test_mixed_cell_needs_logits(rng):
 
 def test_discrete_cell_requires_full_choice_list(rng):
     with pytest.raises(ConfigError):
-        DiscreteCell(CellSpec(width=3), [OPS_BY_NAME["3-C"]] * 5, rng)
+        DiscreteCell(3, [OPS_BY_NAME["3-C"]] * 5, rng)
 
 
 def test_mixed_logit_gradients_flow(rng):
-    spec = CellSpec(width=3)
-    cell = MixedCell(spec, rng)
-    arch = ArchParams(spec, rng)
+    cell = MixedCell(3, rng)
+    arch = ArchParams(rng)
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     backward(ad.reduce_l2sq(cell.forward(x, arch)))
     assert all(l.grad is not None for l in arch.logits)
@@ -517,9 +515,8 @@ def test_mixed_logit_gradients_flow(rng):
 
 
 def test_count_params_and_flops(rng):
-    spec = CellSpec(width=3)
     # one 3x3 conv per edge: 7 * (3*3*9 + 3) weights+biases, plus 1x1 fusion
-    cell = DiscreteCell(spec, [OPS_BY_NAME["3-C"]] * 7, rng)
+    cell = DiscreteCell(3, [OPS_BY_NAME["3-C"]] * 7, rng)
     expected = 7 * (3 * 3 * 9 + 3) + (3 * 12 * 1 * 1 + 3)
     assert count_params(cell.parameters()) == expected
     # three stages of the cell: per pixel, its seven 3x3 convs and the fusion
@@ -535,24 +532,33 @@ def test_mixed_cell_flops_count_every_candidate(rng):
     assert sum(k.kernel**2 for k in SEARCH_OPS if not k.skip) == taps
     mixed_cell = lambda c: 7 * c * c * taps + c * 4 * c  # and the 1x1 fusion
     # three stages of the 3-wide scene cell, the 6-wide task cell, and the
-    # remover's 1x1 projections 6 -> 6 and 6 -> 3
+    # remover's 1x1 projections 3 -> 6 and 6 -> 3
     supernet = RuasModel.supernet(rng)
-    assert supernet.flops(8, 8) == 8 * 8 * (3 * mixed_cell(3) + mixed_cell(6) + 36 + 18)
+    assert supernet.flops(8, 8) == 8 * 8 * (3 * mixed_cell(3) + mixed_cell(6) + 18 + 18)
 
 
 def test_flops_follow_the_variant_that_runs():
     """A ruas model run as ruas_s counts no removal, as a native ruas_s does;
     the supernet run as ruas_s counts every candidate of its scene cell."""
     native = RuasModel(np.random.default_rng(0), variant="ruas_s")
-    assert RuasModel(np.random.default_rng(0)).flops(32, 32) == 4_377_600
+    assert RuasModel(np.random.default_rng(0)).flops(32, 32) == 4_359_168
     assert RuasModel(np.random.default_rng(0)).set_variant("ruas_s").flops(32, 32) == 1_852_416
     assert native.flops(32, 32) == 1_852_416
     supernet = RuasModel.supernet(np.random.default_rng(0)).set_variant("ruas_s")
     assert supernet.flops(32, 32) == 3 * 32 * 32 * (7 * 3 * 3 * 38 + 3 * 12)
 
 
+@pytest.mark.parametrize("variant", ["ruas", "ruas_a"])
+def test_flops_count_the_remover_projection_it_runs(variant):
+    """The remover projects the 3 channels of u to the 6-wide task cell:
+    18 multiply-adds per pixel, not the 36 of a 6-channel projection."""
+    model = RuasModel(np.random.default_rng(0), variant=variant)
+    assert model.remover.proj_in_w.data.shape == (6, 3, 1, 1)
+    assert model.flops(64, 64) == 17_436_672
+
+
 def test_arch_dump_formats(rng):
-    arch = ArchParams(CellSpec(width=3), rng)
+    arch = ArchParams(rng)
     text = arch_dump(arch)
     lines = text.strip().splitlines()
     assert len(lines) == 7

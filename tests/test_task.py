@@ -11,7 +11,7 @@ from ruas.config import TaskConfig
 from ruas.errors import ConfigError, ShapeError
 from ruas.io_metrics import random_clean_image, synth_lowlight
 from ruas.model import RuasModel
-from ruas.search_space import CellSpec, DiscreteCell, OPS_BY_NAME
+from ruas.search_space import DiscreteCell, OPS_BY_NAME
 from ruas.task import NoiseRemover, estimate_noise_sigma, noise_gate, task_loss
 
 MASK = ((1, -2, 1), (-2, 4, -2), (1, -2, 1))
@@ -84,7 +84,7 @@ def test_default_gate_separates_clean_from_noisy_inputs(size):
 def make_remover_parts(rng, zero_fusion=False):
     remover = NoiseRemover(rng, width=6)
     cell = DiscreteCell(
-        CellSpec(width=6),
+        6,
         [OPS_BY_NAME["3-C"]] * 7,
         rng,
         fusion_init="zeros" if zero_fusion else "random",
@@ -110,8 +110,8 @@ def test_remover_matches_straight_line_oracle(rng):
     remover, cell = make_remover_parts(rng)
     u = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     got = remover.forward(u, cell.forward).data
-    zeros = Tensor(np.zeros_like(u.data))
-    z = ad.conv2d(ad.concat([u, zeros]), remover.proj_in_w, remover.proj_in_b)
+    proj = remover.proj_in_w.data[:, :, 0, 0]
+    z = Tensor(np.einsum("oc,nchw->nohw", proj, u.data) + remover.proj_in_b.data[:, None, None])
     corr = ad.conv2d(cell.forward(z), remover.proj_out_w, remover.proj_out_b)
     want = np.clip(u.data + corr.data, 0, 1)
     np.testing.assert_allclose(got, want, atol=1e-9)

@@ -26,7 +26,10 @@ epochs at lr 3e-5):
   inputs, the two large images and a noise-free 64 px low-light image.
   Every other `enhance` runs the checkpoint's own variant, `ruas`; the
   noisy inputs take `ruas_a`'s removal path, and the noise-free one its
-  gate.
+  gate;
+- `compare-strategies`, `fixed-op`, `ablate-k --k-list 1,2` and
+  `gradcheck --out`, whose tables read the cell wiring, the parameter
+  counts and the multiply-add counts.
 
 Every file goes under DIR, which must be empty or new, and one
 `sha256  path` line per file is printed, with paths relative to DIR in
@@ -188,6 +191,10 @@ def run_all(src, out):
     python("-c", DECODE)
     ruas("enhance", "--model", "train/default-hierarchical/model.ckpt", "--input", "png",
          "--out", "enhance/png")
+    ruas("compare-strategies", *common, "--out", "compare")
+    ruas("fixed-op", *common, "--out", "fixed-op")
+    ruas("ablate-k", *common, "--k-list", "1,2", "--out", "ablate-k")
+    ruas("gradcheck", "--seed", SEED, "--out", "gradcheck")
 
 
 def digests(out):
