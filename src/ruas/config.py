@@ -19,6 +19,7 @@ import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .autodiff import DIV_GUARD
 from .errors import ConfigError, DataIOError
 from .io_metrics import write_file
 from .search_space import EDGES, lookup_op
@@ -111,7 +112,8 @@ class SceneConfig:
 
     _LIMITS = {
         "stages": "[1, inf)", "window": "[1, inf)", "gamma": "(0, 1]",
-        "warm_start": WARM_START_MODES, "t_floor": "(0, 1)",
+        "warm_start": WARM_START_MODES,
+        "t_floor": f"[{DIV_GUARD}, 1)",  # a lower t fails the guard of u = y / t
         "rtv_weight": "[0, inf)", "rtv_sigma": "(0, inf)", "rtv_eps": "(0, inf)",
     }
 

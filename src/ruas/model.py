@@ -128,8 +128,7 @@ class RuasModel:
 
     def task_out(self, u):
         """Noise removal of the scene output ``u``."""
-        cell_fn = lambda z: self.task_cell.forward(z, self.alpha_t)
-        return self.remover.forward(u, cell_fn)
+        return self.remover.forward(u, self.task_cell.forward, self.alpha_t)
 
     def forward(self, y, stages=None):
         """Full pipeline; returns a dict of the output ``x``, the scene's

@@ -39,12 +39,12 @@ def warm_start(t_k, u_k, y, cfg, t0=None):
     return ad.clamp(ad.sub(local, ad.mul(residual, cfg.gamma)), cfg.t_floor, 1.0)
 
 
-def stage(t_in, u_in, y, cfg, cell_fn, t0):
-    """One unrolled update: warm start, learned correction, division."""
+def stage(t_in, u_in, y, cfg, cell_fn, t0, divide=True):
+    """One unrolled update: warm start, learned correction, and division
+    unless ``divide`` is False, when the update's u is None."""
     t_hat = warm_start(t_in, u_in, y, cfg, t0=t0)
     t_out = ad.clamp(ad.sub(t_hat, cell_fn(t_hat)), cfg.t_floor, 1.0)
-    u_out = ad.div(y, t_out)
-    return t_out, u_out
+    return t_out, ad.div(y, t_out) if divide else None
 
 
 def scene_forward(y, cfg, cell_fn, stages=None):
@@ -54,14 +54,18 @@ def scene_forward(y, cfg, cell_fn, stages=None):
     closes over either a mixed cell + logits (search) or a discrete cell.
     Each stage's (t_k, u_k) is appended to the list ``stages`` if one is
     given; otherwise a stage's maps are freed once the next stage is made.
+    A u_k is computed only where it is read: by the rectify warm start, in
+    ``stages`` and as u_K.  ``t_floor`` is at least the division guard, so
+    none of the divisions skipped could have raised.
     """
     if y.data.ndim != 4:
         raise ShapeError(f"expected a 4-d image tensor, got shape {y.data.shape}")
     t0 = init_illumination(y, cfg)
-    t = t0
-    u = ad.div(y, t0)
-    for _ in range(cfg.stages):
-        t, u = stage(t, u, y, cfg, cell_fn, t0)
+    rectify = cfg.warm_start == "rectify"
+    t, u = t0, ad.div(y, t0) if rectify else None
+    for k in range(1, cfg.stages + 1):
+        divide = rectify or stages is not None or k == cfg.stages
+        t, u = stage(t, u, y, cfg, cell_fn, t0, divide)
         if stages is not None:
             stages.append((t, u))
     return u, t, stages

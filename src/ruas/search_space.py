@@ -271,26 +271,47 @@ class Cell:
         out = [p for per_op in self.edge_params for ps in per_op for p in ps.values()]
         return out + [self.fusion_w, self.fusion_b]
 
-    def _edges_from(self, edges, x, arch):
-        """The outputs of ``edges``, which all read the node ``x``: one edge
-        node per mixed edge, or one for all the derived edges but skips,
-        split by channels.  A derived skip outputs ``x`` itself."""
+    def _next_node(self, i, x, arch, merged):
+        """Run the edges out of node ``i``, which all read ``x``; copy the
+        output the fusion reads (the distill edge's, or the chain edge's for
+        the last source node) into channel slot i of ``merged``; return node
+        i + 1, the chain edge's output.  A mixed edge is one edge node; the
+        derived edges but skips are one in all, split by channels when it
+        holds two, and a derived skip outputs ``x``.  Without a tape node
+        i + 1 is then a copy of its slice, so the stacked conv output is
+        freed before node i + 1's conv allocates its own.
+        """
+        edges = [e for e, (src, _) in enumerate(EDGES) if src == i]
+        c = self.width
+        split = False
         if arch is not None:
-            return [
+            outs = [
                 mixed_forward(x, [(self.edge_ops[e], self.edge_params[e], arch.logits[e])])
                 for e in edges
             ]
-        outs = [x] * len(edges)
-        conv = [e for e in edges if not self.edge_ops[e][0].skip]
-        if conv:
-            y = mixed_forward(x, [(self.edge_ops[e], self.edge_params[e], None) for e in conv])
-            c = self.width
-            for pos, e in enumerate(conv):
-                part = y if len(conv) == 1 else ad.channels(y, pos * c, (pos + 1) * c)
-                outs[edges.index(e)] = part
-        return outs
+        else:
+            outs = [x] * len(edges)
+            conv = [e for e in edges if not self.edge_ops[e][0].skip]
+            if conv:
+                y = mixed_forward(x, [(self.edge_ops[e], self.edge_params[e], None) for e in conv])
+                split = len(conv) > 1
+                for pos, e in enumerate(conv):
+                    part = ad.channels(y, pos * c, (pos + 1) * c) if split else y
+                    outs[edges.index(e)] = part
+        ad.fill(merged, outs[-1:], i * c)
+        if split and not outs[0].requires_grad:
+            return ad.Tensor(outs[0].data.copy())
+        return outs[0]
 
     def forward(self, x, arch=None):
+        """The cell's output for ``x``, under ``arch``'s logits if mixed.
+
+        Each source node's edges run as soon as the node is made, and what
+        it sends to the fusion is copied into the fusion input at once.
+        Without a tape each node is freed once the next is made, the input
+        too: no name for ``x`` is kept past node 0, so a caller that passes
+        a temporary frees it there.
+        """
         width = self.width
         if x.data.ndim != 4 or x.data.shape[1] != width:
             raise ShapeError(f"cell expects an (n, {width}, h, w) input, got shape {x.data.shape}")
@@ -303,20 +324,11 @@ class Cell:
             want = [(len(ops),) for ops in self.edge_ops]
             if got != want:
                 raise ConfigError(f"expected logits of shapes {want}, got {got}")
-        # walk the source nodes in order; every edge out of node i is run
-        # together, once the chain edge into node i has made it.  Node i
-        # sends one output to the fusion, its distill edge's (the chain
-        # edge's for the last source node), which is copied into channel
-        # slot i of the fusion input as soon as it is made; without a tape
-        # the rest of node i's edge outputs is freed once node i + 1 is made
         n, _, h, w = x.data.shape
         merged = ad.Tensor(np.empty((n, (NODES - 1) * width, h, w)))
-        node = x
+        node, x = x, None
         for i in range(NODES - 1):
-            out_edges = [e for e, (src, _) in enumerate(EDGES) if src == i]
-            outs = self._edges_from(out_edges, node, arch)
-            ad.fill(merged, outs[-1:], i * width)
-            node = outs[0]  # chain edge e = i makes node i + 1
+            node = self._next_node(i, node, arch, merged)
         return ad.conv2d(merged, self.fusion_w, self.fusion_b)
 
 

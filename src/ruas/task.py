@@ -63,9 +63,15 @@ class NoiseRemover:
     def parameters(self):
         return [self.proj_in_w, self.proj_in_b, self.proj_out_w, self.proj_out_b]
 
-    def forward(self, u, cell_fn):
-        z = ad.conv2d(u, self.proj_in_w, self.proj_in_b)
-        z = cell_fn(z)
+    def forward(self, u, cell_fn, arch=None):
+        """The removal of ``u`` through ``cell_fn(z, arch)``, a cell's
+        ``forward`` under the logits ``arch`` (None for a derived cell).
+
+        The projection ``z`` is passed straight into that call and named
+        nowhere here, so without a tape the cell frees it once its first
+        node's edges are made.
+        """
+        z = cell_fn(ad.conv2d(u, self.proj_in_w, self.proj_in_b), arch)
         correction = ad.conv2d(z, self.proj_out_w, self.proj_out_b)
         return ad.clamp(ad.add(u, correction), 0.0, 1.0)
 

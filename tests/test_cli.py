@@ -139,8 +139,8 @@ def test_mistyped_scene_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
 
 @pytest.mark.parametrize(
     "scene",
-    [{"rtv_eps": 0}, {"rtv_eps": -1e-3}, {"rtv_weight": -0.1}],
-    ids=["zero-rtv-eps", "negative-rtv-eps", "negative-rtv-weight"],
+    [{"rtv_eps": 0}, {"rtv_eps": -1e-3}, {"rtv_weight": -0.1}, {"t_floor": 1e-13}],
+    ids=["zero-rtv-eps", "negative-rtv-eps", "negative-rtv-weight", "t-floor-below-guard"],
 )
 def test_out_of_range_rtv_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
     root, _ = tiny_dataset

@@ -34,6 +34,8 @@ def test_scene_config_validation():
         SceneConfig(gamma=1.5)
     with pytest.raises(ConfigError):
         SceneConfig(t_floor=0.0)
+    with pytest.raises(ConfigError, match=r"t_floor must be in \[1e-12, 1\)"):
+        SceneConfig(t_floor=1e-13)  # y / t0 would trip the division guard
     with pytest.raises(ConfigError):
         SceneConfig(window=4)
     with pytest.raises(ConfigError):
@@ -56,6 +58,7 @@ def test_scene_config_validation():
             with pytest.raises(ConfigError, match=f"{field} must be a real number"):
                 SceneConfig(**{field: value})
     SceneConfig(gamma=1, rtv_sigma=2, rtv_weight=0, rtv_eps=np.float64(1e-3))
+    SceneConfig(t_floor=ad.DIV_GUARD)
 
 
 def test_init_illumination_constant_and_impulse():
@@ -126,6 +129,23 @@ def test_unit_illumination_returns_input():
     u, t, _ = scene_forward(y, cfg, zero_cell)
     np.testing.assert_allclose(t.data, 1.0)
     np.testing.assert_allclose(u.data, 1.0)
+
+
+@pytest.mark.parametrize(
+    "warm, record, divisions",
+    [("fixed", False, 1), ("no_rectify", False, 1), ("rectify", False, 4),
+     ("no_rectify", True, 3), ("rectify", True, 4)],
+)
+def test_scene_forward_divides_only_for_the_maps_it_reads(rng, monkeypatch, warm, record, divisions):
+    """u_k is computed for the rectify warm start, a recorded stage and u_K:
+    K = 3 stages take 1, 3 or 4 divisions, not 4 every time."""
+    calls = []
+    div = ad.div
+    monkeypatch.setattr(ad, "div", lambda a, b: calls.append(b) or div(a, b))
+    y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 8, 8)))
+    u, t, _ = scene_forward(y, SceneConfig(warm_start=warm), zero_cell, [] if record else None)
+    assert len(calls) == divisions
+    np.testing.assert_array_equal(u.data, y.data / t.data)
 
 
 def test_scene_forward_shape_check():

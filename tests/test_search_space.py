@@ -10,7 +10,7 @@ from ruas import search_space
 from ruas.autodiff import Parameter, Tensor, backward
 from ruas.errors import ConfigError, ShapeError
 from ruas.model import DEFAULT_SCENE_OPS, RuasModel
-from ruas.scene import scene_forward
+from ruas.scene import SceneConfig, scene_forward
 from ruas.search_space import (
     SEARCH_OPS,
     ArchParams,
@@ -87,7 +87,9 @@ def test_apply_op_skip_is_identity(rng):
     assert out is x
     # a derived cell's skip edges pass their node along, with no tape node
     cell = DiscreteCell(3, [OPS_BY_NAME["SC"]] * 7, rng)
-    assert cell._edges_from([0, 4], x, None) == [x, x]
+    merged = Tensor(np.empty((1, 12, 6, 6)))
+    assert cell._next_node(0, x, None, merged) is x
+    np.testing.assert_array_equal(merged.data[:, :3], x.data)
 
 
 def test_apply_op_residual_adds_input(rng):
@@ -418,6 +420,63 @@ def test_no_grad_forward_holds_only_what_its_output_needs(rng, size):
     finally:
         tracemalloc.stop()
     assert peak < 600 * size * size
+
+
+@pytest.mark.parametrize("size", [128, 256])
+def test_no_grad_forward_frees_stacked_outputs_and_the_projection(rng, size):
+    """At most 460 bytes per pixel: 545 / 533 at 128 / 256 px while a
+    derived node's chain slice kept the whole stacked conv output alive
+    through the next node's conv, and the remover's projection lived until
+    the task cell returned.  What is left is the fusion input, one stacked
+    output, its input node, that node's padded copy and the scene's (t, u)."""
+    model = RuasModel(rng)
+    for cell in (model.scene_cell, model.task_cell):
+        cell.fusion_w.data = rng.uniform(-0.3, 0.3, cell.fusion_w.data.shape)
+    y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, size, size)))
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            model.forward(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 460 * size * size
+
+
+# edges 0->1, 1->2, 2->3, 3->4, 0->4, 1->4, 2->4.  Scene cell: a skip chain
+# out of node 0 beside a conv, two convs of different (kernel, dilation) out
+# of node 1 and a stacked pair out of node 2.  Task cell: stacked pairs out
+# of nodes 0 and 2, a skip chain beside one conv out of node 1, and node 3's
+# lone conv.
+SPLIT_SCENE_OPS = ("SC", "3-RC", "1-RC", "3-C", "3-C", "3-2-RDC", "1-C")
+SPLIT_TASK_OPS = ("3-2-RDC", "SC", "3-RC", "1-C", "3-2-DC", "1-RC", "3-C")
+
+
+@pytest.mark.parametrize("warm", ["fixed", "no_rectify", "rectify"])
+@pytest.mark.parametrize("ops", ["default", "split"])
+def test_no_grad_forward_equals_the_taped_forward(rng, warm, ops):
+    """Without a tape a cell copies its chain slices and frees what the
+    taped pass keeps as views, and the scene skips the u_k nothing reads;
+    every output and recorded stage is bit-identical to the taped pass's.
+    A batch of two makes the slices strided, and at 40x48 the task cell's
+    3x3 convs run in row bands."""
+    kw = {} if ops == "default" else {"scene_ops": SPLIT_SCENE_OPS, "task_ops": SPLIT_TASK_OPS}
+    model = RuasModel(rng, scene_cfg=SceneConfig(warm_start=warm), **kw)
+    for cell in (model.scene_cell, model.task_cell):
+        cell.fusion_w.data = rng.uniform(-0.3, 0.3, cell.fusion_w.data.shape)
+    y = Tensor(rng.uniform(0.05, 1.0, size=(2, 3, 40, 48)))
+    taped_stages, free_stages = [], []
+    taped = model.forward(y, stages=taped_stages)
+    assert taped["x"].requires_grad
+    with ad.no_grad():
+        free = model.forward(y, stages=free_stages)
+        bare = model.forward(y)
+    for got in (free, bare):
+        for key in ("x", "u", "t"):
+            np.testing.assert_array_equal(got[key].data, taped[key].data)
+    for (t, u), (want_t, want_u) in zip(free_stages, taped_stages, strict=True):
+        np.testing.assert_array_equal(t.data, want_t.data)
+        np.testing.assert_array_equal(u.data, want_u.data)
 
 
 def test_forward_appends_each_scene_stage_to_the_list_it_is_given(rng):

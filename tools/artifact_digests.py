@@ -31,12 +31,29 @@ epochs at lr 3e-5):
   `gradcheck --out`, whose tables read the cell wiring, the parameter
   counts and the multiply-add counts.
 
-Every file goes under DIR, which must be empty or new, and one
-`sha256  path` line per file is printed, with paths relative to DIR in
-sorted order, so that the manifests of two checkouts can be diffed:
+Every file goes under DIR, which must be empty or new (a temporary
+directory when --out is not given).  The manifest printed is one `# env`
+line (the Python, NumPy and BLAS of the interpreter that ran the commands,
+as `perfbench/run.py` prints them) and then one `sha256  path` line per
+file, with paths relative to DIR in sorted order, so that the manifests of
+two checkouts can be diffed:
 
     diff <(python3 tools/artifact_digests.py --src A --out /tmp/a) \\
          <(python3 tools/artifact_digests.py --src B --out /tmp/b)
+
+Each commit keeps its manifest as `tools/manifest.sha256`, and
+
+    python3 tools/artifact_digests.py --check tools/manifest.sha256
+
+runs this checkout's `ruas` (or CHECKOUT's, with --src) and compares: it
+exits 0 when every row matches, 1 listing the rows that differ, and 2
+without comparing when the `# env` line differs, because another Python,
+NumPy or BLAS build can round differently.  The line does not name the
+CPU, and OpenBLAS picks its kernels by CPU, so rows that differ on another
+machine may be the machine's.  A change that moves artifacts on purpose
+regenerates the file:
+
+    python3 tools/artifact_digests.py > tools/manifest.sha256
 
 BLAS runs on one thread, so the digests do not depend on the thread count.
 """
@@ -51,6 +68,7 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -108,6 +126,17 @@ for path in sorted(pathlib.Path("png").glob("*.png")):
     (out / f"{path.stem}.f64").write_bytes(load_png(path).tobytes())
 """
 
+ENV = """
+import json, platform
+import numpy as np
+blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({
+    "python": platform.python_version(),
+    "numpy": np.__version__,
+    "blas": f"{blas.get('name')} {blas.get('version')}",
+}))
+"""
+
 
 def _chunk(ctype, body):
     crc = zlib.crc32(ctype + body)
@@ -136,7 +165,8 @@ def write_pngs(out):
 
 
 def run_all(src, out):
-    """Run the seeded command set with the `ruas` package under ``src``."""
+    """Run the seeded command set with the `ruas` package under ``src``;
+    return the interpreter's environment line."""
     env = {
         **os.environ,
         "PYTHONPATH": str(src),
@@ -152,6 +182,7 @@ def run_all(src, out):
         )
         if done.returncode:
             raise SystemExit(f"{' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+        return done.stdout
 
     def ruas(*args):
         python("-m", "ruas.cli", *args)
@@ -195,31 +226,62 @@ def run_all(src, out):
     ruas("fixed-op", *common, "--out", "fixed-op")
     ruas("ablate-k", *common, "--k-list", "1,2", "--out", "ablate-k")
     ruas("gradcheck", "--seed", SEED, "--out", "gradcheck")
+    return "# env " + python("-c", ENV).strip()
 
 
 def digests(out):
-    """``(sha256, relative path)`` of every file under ``out``, sorted."""
+    """``sha256  path`` of every file under ``out``, sorted by path."""
     rows = []
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        rows.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out)))
+        rows.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
     return rows
+
+
+def check(manifest, lines):
+    """Compare the manifest ``lines`` made now with the file ``manifest``:
+    0 when they match, 1 listing the rows that differ, 2 when the
+    environment line differs."""
+    want = manifest.read_text().splitlines()
+    if want[:1] != lines[:1]:
+        print(f"environment differs from {manifest}'s; not compared:", file=sys.stderr)
+        print(f"  {manifest}: {(want or [''])[0]}\n  here: {lines[0]}", file=sys.stderr)
+        return 2
+    got, want = _by_path(lines), _by_path(want)
+    paths = got.keys() | want.keys()
+    moved = sorted(p for p in paths if got.get(p) != want.get(p))
+    for path in moved:
+        print(f"differs: {path}  {want.get(path, '(absent)')} -> {got.get(path, '(absent)')}")
+    print(f"{len(moved)} of {len(paths)} rows differ from {manifest}")
+    return 1 if moved else 0
+
+
+def _by_path(manifest):
+    """{path: sha256} of the rows under a manifest's environment line."""
+    return {path: digest for digest, path in (line.split("  ", 1) for line in manifest[1:])}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, help="checkout whose src/ruas is run")
-    ap.add_argument("--out", required=True, help="new or empty output directory")
+    ap.add_argument("--src", default=Path(__file__).resolve().parent.parent,
+                    help="checkout whose src/ruas is run (default: this tool's)")
+    ap.add_argument("--out", help="new or empty output directory (default: a temporary one)")
+    ap.add_argument("--check", metavar="FILE", type=Path,
+                    help="compare with the manifest FILE instead of printing one")
     args = ap.parse_args(argv)
     src = Path(args.src).resolve() / "src"
     if not (src / "ruas" / "__init__.py").is_file():
         raise SystemExit(f"no ruas package under {src}")
-    out = Path(args.out).resolve()
-    if out.exists() and any(out.iterdir()):
-        raise SystemExit(f"{out} is not empty")
-    out.mkdir(parents=True, exist_ok=True)
-    run_all(src, out)
-    for digest, path in digests(out):
-        print(f"{digest}  {path}")
+    if args.check is not None and not args.check.is_file():
+        raise SystemExit(f"no manifest {args.check}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(args.out or tmp).resolve()
+        if out.exists() and any(out.iterdir()):
+            raise SystemExit(f"{out} is not empty")
+        out.mkdir(parents=True, exist_ok=True)
+        lines = [run_all(src, out), *digests(out)]
+    if args.check is not None:
+        return check(args.check, lines)
+    print("\n".join(lines))
     return 0
 
 
