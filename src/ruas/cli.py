@@ -164,23 +164,32 @@ def _raise_if_aborted(rows):
 
 def cmd_enhance(args):
     model = load_checkpoint(args.model).set_variant(args.variant)
-    out = output_dir(args.out)
     in_path = Path(args.input)
     inputs = sorted(in_path.glob("*.png")) if in_path.is_dir() else [in_path]
     if not inputs:
         raise ConfigError(f"no PNG inputs under {in_path}")
-    single = len(inputs) == 1
+    out = Path(args.out)
+    k_range = range(1, model.scene_cfg.stages + 1) if args.dump_stages else ()
+    names = [f"stage{k}_{m}.png" for k in k_range for m in "tu"]
+    # each input's output paths: the enhanced image, then t and u per stage
+    plan = {}
     for p in inputs:
+        prefix = "" if len(inputs) == 1 else f"{p.stem}_"
+        plan[p] = [out / f"{p.stem}.png"] + [out / f"{prefix}{n}" for n in names]
+    sources = {p.resolve() for p in inputs}
+    for path in (path for paths in plan.values() for path in paths):
+        if path.resolve() in sources:
+            raise ConfigError(f"output {path} would overwrite an input; choose another --out")
+    output_dir(out)
+    for p, (dst, *map_paths) in plan.items():
         y = Tensor(load_png(p))
         stages = [] if args.dump_stages else None
         with ad.no_grad():
             x = model.forward(y, stages)["x"]
-        save_png(x.data, out / f"{p.stem}.png")
-        if args.dump_stages:
-            prefix = "" if single else f"{p.stem}_"
-            for k, (t, u) in enumerate(stages, start=1):
-                save_png(np.clip(t.data, 0, 1), out / f"{prefix}stage{k}_t.png")
-                save_png(np.clip(u.data, 0, 1), out / f"{prefix}stage{k}_u.png")
+        save_png(x.data, dst)
+        maps = [m for pair in stages for m in pair] if stages else []
+        for path, m in zip(map_paths, maps, strict=True):
+            save_png(np.clip(m.data, 0, 1), path)
     return 0
 
 

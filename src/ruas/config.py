@@ -114,7 +114,8 @@ class SceneConfig:
         "stages": "[1, inf)", "window": "[1, inf)", "gamma": "(0, 1]",
         "warm_start": WARM_START_MODES,
         "t_floor": f"[{DIV_GUARD}, 1)",  # a lower t fails the guard of u = y / t
-        "rtv_weight": "[0, inf)", "rtv_sigma": "(0, inf)", "rtv_eps": "(0, inf)",
+        "rtv_weight": "[0, inf)", "rtv_sigma": "(0, inf)",
+        "rtv_eps": f"[{DIV_GUARD}, inf)",  # rtv divides by |G*d| + eps, 0 where t is flat
     }
 
     def __post_init__(self):

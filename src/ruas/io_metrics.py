@@ -275,13 +275,14 @@ def write_file(path, data):
 def save_png(img, path):
     """Write a (1, 3, h, w) or (3, h, w) float array in [0, 1] as 8-bit RGB.
 
-    Values are clipped to [0, 1]; a NaN or infinity raises NumericError.
+    Values are clipped to [0, 1]; a NaN or infinity raises NumericError, and
+    a batch of several images raises ShapeError.
     """
     arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim == 4:
+    if arr.ndim == 4 and arr.shape[0] == 1:
         arr = arr[0]
     if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ShapeError(f"expected (3, h, w) image, got shape {arr.shape}")
+        raise ShapeError(f"expected a (1, 3, h, w) or (3, h, w) image, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"cannot write {path}: the image has non-finite values")
     h, w = arr.shape[1], arr.shape[2]
@@ -334,13 +335,16 @@ def ssim(a, b, window=SSIM_WINDOW, sigma=1.5):
 
     The Gaussian window is separable (Wang et al. 2004), so each local
     moment is a 1-D pass along h and then one along w, each cropped to where
-    the whole window lies inside the image.
+    the whole window lies inside the image.  It scores one image pair: a
+    leading axis other than 1 raises ShapeError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
     while a.ndim > 3:
+        if a.shape[0] != 1:
+            raise ShapeError(f"ssim scores one image pair, got a batch of shape {a.shape}")
         a, b = a[0], b[0]
     if a.ndim == 2:
         a, b = a[None], b[None]

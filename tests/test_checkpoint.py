@@ -205,8 +205,20 @@ def test_non_integer_stages_in_header(saved):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rtv_eps", 0.0), ("rtv_eps", -1e-3), ("rtv_weight", -0.1), ("t_floor", 1e-13)],
-    ids=["zero-rtv-eps", "negative-rtv-eps", "negative-rtv-weight", "t-floor-below-guard"],
+    [
+        ("rtv_eps", 0.0),
+        ("rtv_eps", -1e-3),
+        ("rtv_eps", 1e-13),
+        ("rtv_weight", -0.1),
+        ("t_floor", 1e-13),
+    ],
+    ids=[
+        "zero-rtv-eps",
+        "negative-rtv-eps",
+        "rtv-eps-below-guard",
+        "negative-rtv-weight",
+        "t-floor-below-guard",
+    ],
 )
 def test_out_of_range_rtv_fields_in_header(saved, tmp_path, tiny_dataset, field, value):
     """A header with its hash recomputed for an out-of-range RTV setting is

@@ -35,6 +35,19 @@ def test_gradcheck_passes(tmp_path, capsys):
     lines = (tmp_path / "gradcheck.csv").read_text().strip().splitlines()
     assert lines[0] == "check,max_rel_error"
     assert len(lines) > 10
+    # the 56 rows, in order: every primitive, the mixed edge, the scene cell
+    ops = ("1-C", "3-C", "1-RC", "3-RC", "3-2-DC", "3-2-RDC")
+    mixed = [f"mixed_forward[{op}.{p}]" for op in ops for p in ("weight", "bias")]
+    cell = "edge0.3-RC edge1.3-2-RDC edge2.3-RC edge3.3-C edge4.3-C edge5.3-2-DC edge6.3-C fusion"
+    scene = [f"scene_composite[cell.{e}.{p}]" for e in cell.split() for p in ("weight", "bias")]
+    names = (
+        "add sub mul div_num div_den neg relu clamp abs conv2d_x_d1 conv2d_w_d1 conv2d_b_d1"
+        " conv2d_x_d2 conv2d_w_d2 conv2d_b_d2 softmax reduce_sum reduce_mean reduce_l1"
+        " reduce_l2sq sliding_max spatial_diff correlate1d concat channels conv2d_w_banded"
+        " mixed_forward_logits mixed_forward_x"
+    ).split() + mixed + scene
+    assert len(names) == 56
+    assert [line.split(",")[0] for line in lines[1:]] == names
 
 
 def test_unknown_config_key_exits_2(tmp_path, tiny_dataset):
@@ -139,8 +152,20 @@ def test_mistyped_scene_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
 
 @pytest.mark.parametrize(
     "scene",
-    [{"rtv_eps": 0}, {"rtv_eps": -1e-3}, {"rtv_weight": -0.1}, {"t_floor": 1e-13}],
-    ids=["zero-rtv-eps", "negative-rtv-eps", "negative-rtv-weight", "t-floor-below-guard"],
+    [
+        {"rtv_eps": 0},
+        {"rtv_eps": -1e-3},
+        {"rtv_eps": 1e-13},
+        {"rtv_weight": -0.1},
+        {"t_floor": 1e-13},
+    ],
+    ids=[
+        "zero-rtv-eps",
+        "negative-rtv-eps",
+        "rtv-eps-below-guard",
+        "negative-rtv-weight",
+        "t-floor-below-guard",
+    ],
 )
 def test_out_of_range_rtv_fields_exit_2(tmp_path, tiny_dataset, capsys, scene):
     root, _ = tiny_dataset
@@ -609,6 +634,28 @@ def test_output_path_blocked_by_a_file_exits_3(
     assert main(argv + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and str(out) in err
+
+
+@pytest.mark.parametrize("case", ["directory", "single-file"])
+def test_enhance_refuses_to_overwrite_its_inputs(tmp_path, capsys, case):
+    """An output path that resolves to an input is a config error naming the
+    file, raised before anything is written: the inputs keep their bytes."""
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(0), variant="ruas_s"), model)
+    src = tmp_path / "input"
+    rng = np.random.default_rng(1)
+    for name in ("a", "b"):
+        save_png(rng.uniform(0, 1, size=(3, 16, 16)), src / f"{name}.png")
+    before = {p: p.read_bytes() for p in src.iterdir()}
+    target = src if case == "directory" else src / "b.png"
+    # the same directory, spelled another way
+    out = tmp_path / "input" / ".." / "input"
+    argv = ["enhance", "--model", str(model), "--input", str(target), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    name = "a.png" if case == "directory" else "b.png"
+    assert err.startswith("config error:") and name in err and "overwrite" in err
+    assert {p: p.read_bytes() for p in src.iterdir()} == before
 
 
 # no hypergradient (warm-up covers the one epoch) keeps the sweeps cheap

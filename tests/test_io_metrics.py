@@ -424,6 +424,24 @@ def test_ssim_window_size_check(rng):
         ssim(a, a, window=4)
 
 
+def test_ssim_and_save_png_refuse_a_batch(rng, tmp_path):
+    """Both used to read only the first image of a batch: ssim scored 1.0 on
+    a pair whose second images differ, and save_png wrote the first."""
+    a = rng.uniform(0, 1, size=(2, 3, 16, 16))
+    b = a.copy()
+    b[1] = 1.0 - b[1]
+    assert psnr(a, b) < 20.0
+    with pytest.raises(ShapeError, match="batch"):
+        ssim(a, b)
+    with pytest.raises(ShapeError, match=r"\(2, 3, 16, 16\)"):
+        save_png(a, tmp_path / "x.png")
+    assert not (tmp_path / "x.png").exists()
+    # one image, with or without its batch axis, and 2-d maps are scored
+    assert ssim(a[:1], a[:1]) == ssim(a[0], a[0]) == ssim(a[0, 0], a[0, 0]) == 1.0
+    save_png(a[:1], tmp_path / "one.png")
+    assert load_png(tmp_path / "one.png").shape == (1, 3, 16, 16)
+
+
 def _gaussian_window(size=11, sigma=1.5):
     """The normalised 2-D Gaussian window."""
     xs = np.arange(size) - (size - 1) / 2.0

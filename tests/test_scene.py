@@ -43,7 +43,7 @@ def test_scene_config_validation():
     with pytest.raises(ConfigError):
         SceneConfig(rtv_sigma=0.0)
     for eps in (0, 0.0, -1e-3):
-        with pytest.raises(ConfigError, match="rtv_eps must be positive"):
+        with pytest.raises(ConfigError, match=r"rtv_eps must be in \[1e-12, inf\)"):
             SceneConfig(rtv_eps=eps)
     with pytest.raises(ConfigError, match="rtv_weight must be nonnegative"):
         SceneConfig(rtv_weight=-0.1)

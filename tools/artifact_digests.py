@@ -27,6 +27,10 @@ epochs at lr 3e-5):
   Every other `enhance` runs the checkpoint's own variant, `ruas`; the
   noisy inputs take `ruas_a`'s removal path, and the noise-free one its
   gate;
+- the raw float64 bytes of `RuasModel.forward(y)["x"]` under `no_grad`
+  for every trained checkpoint, on the two large images and the first
+  32 px input.  Every PNG above rounds the forward to 8 bits, so these are
+  the rows a last-bit change of the forward moves;
 - `compare-strategies`, `fixed-op`, `ablate-k --k-list 1,2` and
   `gradcheck --out`, whose tables read the cell wiring, the parameter
   counts and the multiply-add counts.
@@ -125,6 +129,22 @@ out.mkdir()
 for path in sorted(pathlib.Path("png").glob("*.png")):
     (out / f"{path.stem}.f64").write_bytes(load_png(path).tobytes())
 """
+FORWARD = """
+import pathlib
+from ruas import autodiff as ad
+from ruas.io_metrics import load_png
+from ruas.model import load_checkpoint
+inputs = sorted(pathlib.Path("large").glob("*.png"))
+inputs += sorted(pathlib.Path("data/input").glob("*.png"))[:1]
+for ckpt in sorted(pathlib.Path("train").glob("*/model.ckpt")):
+    model = load_checkpoint(ckpt)
+    out = pathlib.Path("forward") / ckpt.parent.name
+    out.mkdir(parents=True)
+    for path in inputs:
+        with ad.no_grad():
+            x = model.forward(ad.Tensor(load_png(path)))["x"].data
+        (out / f"{path.stem}.f64").write_bytes(x.astype("<f8", copy=False).tobytes())
+"""
 
 ENV = """
 import json, platform
@@ -220,6 +240,7 @@ def run_all(src, out):
                  "--out", f"enhance-{variant}/{Path(inputs).name}")
     write_pngs(out / "png")
     python("-c", DECODE)
+    python("-c", FORWARD)
     ruas("enhance", "--model", "train/default-hierarchical/model.ckpt", "--input", "png",
          "--out", "enhance/png")
     ruas("compare-strategies", *common, "--out", "compare")
