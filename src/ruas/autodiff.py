@@ -250,11 +250,34 @@ def channels(a, lo, hi):
     shape = a.data.shape
 
     def bw(g):
-        ga = np.zeros(shape)
-        ga[:, lo:hi] = g
-        yield a, ga
+        yield a, _ChannelSlice(g, lo, hi, shape)
 
     return _make(a.data[:, lo:hi], (a,), bw)
+
+
+class _ChannelSlice:
+    """A gradient that is ``g`` at channels lo..hi-1 of a ``shape`` array and
+    zero elsewhere, as ``channels``' backward yields it: ``backward`` writes
+    the slices of one tensor into one zero map."""
+
+    __slots__ = ("g", "lo", "hi", "shape")
+
+    def __init__(self, g, lo, hi, shape):
+        self.g, self.lo, self.hi, self.shape = g, lo, hi, shape
+
+    def add_to(self, z):
+        z[:, self.lo : self.hi] += self.g
+        return z
+
+
+def _dense(contrib):
+    """A gradient contribution as an array: a ``_ChannelSlice`` as the zero
+    map it stands for."""
+    if not isinstance(contrib, _ChannelSlice):
+        return contrib
+    z = np.zeros(contrib.shape)
+    z[:, contrib.lo : contrib.hi] = contrib.g
+    return z
 
 
 def spatial_diff(a, axis):
@@ -293,26 +316,28 @@ def sliding_max(a, window):
         raise ShapeError(f"expected nonempty 4-d input, got shape {a.data.shape}")
     n, c, h, w = a.data.shape
     r = min(window // 2, max(h, w) - 1)
-    window = 2 * r + 1
     xd = a.data
-    out_data = _running_max(_running_max(xd, r, 3), r, 2)
+    rowmax = _running_max(xd, r, 3)
+    out_data = _running_max(rowmax, r, 2)
 
     def bw(g):
-        xp = np.full((n, c, h + 2 * r, w + 2 * r), -np.inf)
-        xp[:, :, r : r + h, r : r + w] = xd
-        first = np.zeros(out_data.shape, dtype=np.intp)
-        for o in range(window * window - 1, -1, -1):
-            i, j = divmod(o, window)
-            first[xp[:, :, i : i + h, j : j + w] == out_data] = o
-        # flat index into ``xp`` of each output's first maximum; bincount
-        # adds the outputs' gradients in their row-major order, as a loop
-        # over outputs would
-        hp, wp = xp.shape[2:]
-        corner = (np.arange(n * c).reshape(n, c, 1, 1) * hp + np.arange(h)[:, None]) * wp
-        offsets = (np.arange(window)[:, None] * wp + np.arange(window)).ravel()
-        src = corner + np.arange(w) + offsets[first]
-        gp = np.bincount(src.ravel(), weights=g.ravel(), minlength=xp.size)
-        yield a, gp.reshape(xp.shape)[:, :, r : r + h, r : r + w]
+        # an output's first maximum in row-major order lies in the first row
+        # of its window whose row max is the output, at that row's first
+        # column equal to its row max: a pass per window row and one per
+        # window column find it, where a scan of the window takes window²
+        hp, wp = h + 2 * r, w + 2 * r
+        rows = _first_equal(_padded_inf(rowmax, r, 2), out_data, 2)
+        cols = np.zeros((n, c, hp, w), dtype=np.intp)
+        cols[:, :, r : r + h] = _first_equal(_padded_inf(xd, r, 3), rowmax, 3)
+        # each output's window starts at padded row ``top``
+        top = np.arange(n * c).reshape(n, c, 1, 1) * hp + np.arange(h)[:, None]
+        first = cols.ravel()[(top + rows) * w + np.arange(w)] + rows * wp
+        first *= out_data == out_data  # a NaN window's gradient goes to offset 0
+        # bincount adds the outputs' gradients at their first maxima in the
+        # outputs' row-major order, as a loop over outputs would
+        src = first + top * wp + np.arange(w)
+        gp = np.bincount(src.ravel(), weights=g.ravel(), minlength=n * c * hp * wp)
+        yield a, gp.reshape(n, c, hp, wp)[:, :, r : r + h, r : r + w]
 
     return _make(out_data, (a,), bw)
 
@@ -334,6 +359,36 @@ def _running_max(x, r, axis):
         np.maximum(x[lo], out[hi], out=out[hi])
         np.maximum(out[lo], x[hi], out=out[lo])
     return out
+
+
+def _padded_inf(x, r, axis):
+    """``x`` with ``r`` entries of -inf before and after it along ``axis``."""
+    shape = list(x.shape)
+    shape[axis] += 2 * r
+    xp = np.full(shape, -np.inf)
+    xp[(slice(None),) * axis + (slice(r, r + x.shape[axis]),)] = x
+    return xp
+
+
+def _first_equal(xp, m, axis):
+    """The first k at which ``xp`` shifted by k along ``axis`` equals ``m``,
+    for k below the window ``xp.shape[axis] - m.shape[axis] + 1``; the last
+    k where none does.
+
+    Each shift is a count, not a masked write: k is the number of shifts
+    before the last at which a position has not yet found a match.
+    """
+    extent = m.shape[axis]
+    steps = xp.shape[axis] - extent
+    lead = (slice(None),) * axis
+    eq = np.empty(m.shape, dtype=bool)
+    found = np.zeros(m.shape, dtype=bool)
+    matched = np.zeros(m.shape, dtype=np.intp)
+    for k in range(steps):
+        np.equal(xp[lead + (slice(k, k + extent),)], m, out=eq)
+        found |= eq
+        matched += found
+    return steps - matched
 
 
 def correlate1d(a, kernel, axis):
@@ -645,43 +700,50 @@ def backward(loss, wrt=None):
     if not loss.requires_grad:
         return
 
+    # a depth-first walk that appends each node after its parents; a None
+    # on the stack stands above a node whose parents are all appended
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [loss]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
+        node = stack.pop()
+        if node is None:
+            topo.append(stack.pop())
             continue
-        if id(node) in seen or not node.requires_grad:
+        if node in seen or not node.requires_grad:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        seen.add(node)
+        stack += (node, None)
+        stack += node._parents
 
     # parents come before their children in topo, so one forward walk marks
     # every node that a requested tensor reaches; the rest are constants
     constants = []
     if wrt is not None:
-        marked = {id(t) for t in wrt}
+        marked = set(wrt)
         for node in topo:
-            if id(node) in marked or any(id(p) in marked for p in node._parents):
-                marked.add(id(node))
+            if node in marked or not marked.isdisjoint(node._parents):
+                marked.add(node)
             else:
                 constants.append(node)
-        if id(loss) not in marked:
+        if loss not in marked:
             return
     for node in constants:
         node.requires_grad = False
     try:
         # adjoints of interior nodes live in a per-pass map; only leaves
-        # (tensors created by the user) accumulate into .grad
-        adjoint = {id(loss): np.ones((), dtype=np.float64)}
+        # (tensors created by the user) accumulate into .grad.  A fan-in
+        # adds in place into an adjoint this pass allocated (``owned``),
+        # never into an array a backward closure yielded, which may be
+        # another node's too; the sums are the ones a new array per sum
+        # would hold (Griewank & Walther 2008, "Evaluating Derivatives")
+        adjoint = {loss: np.ones((), dtype=np.float64)}
+        owned = set()
         for node in reversed(topo):
-            g = adjoint.pop(id(node), None)
+            g = adjoint.pop(node, None)
             if g is None:
                 continue
+            g = _dense(g)
             if node._backward is None:
                 node.grad = np.array(g, copy=True) if node.grad is None else node.grad + g
                 continue
@@ -689,18 +751,42 @@ def backward(loss, wrt=None):
                 if not parent.requires_grad:
                     continue
                 if parent._backward is None:
+                    contrib = _dense(contrib)
                     parent.grad = (
                         np.array(contrib, copy=True)
                         if parent.grad is None
                         else parent.grad + contrib
                     )
-                elif id(parent) in adjoint:
-                    adjoint[id(parent)] = adjoint[id(parent)] + contrib
+                    continue
+                cur = adjoint.get(parent)
+                if cur is None:
+                    if not isinstance(contrib, _ChannelSlice):
+                        contrib = np.asarray(contrib, dtype=np.float64)
+                    adjoint[parent] = contrib
+                elif _disjoint_slices(cur, contrib):
+                    # two slices: each is 0 + g in one zero map, as the sum
+                    # of their two zero maps would hold it
+                    adjoint[parent] = contrib.add_to(cur.add_to(np.zeros(cur.shape)))
+                    owned.add(parent)
                 else:
-                    adjoint[id(parent)] = np.asarray(contrib, dtype=np.float64)
+                    if parent in owned:
+                        cur += _dense(contrib)  # a 0-d sum is a NumPy scalar: rebound
+                    else:
+                        cur = _dense(cur) + _dense(contrib)
+                        owned.add(parent)
+                    adjoint[parent] = cur
     finally:
         for node in constants:
             node.requires_grad = True
+
+
+def _disjoint_slices(a, b):
+    """Whether ``a`` and ``b`` are ``_ChannelSlice``s of disjoint channels."""
+    return (
+        isinstance(a, _ChannelSlice)
+        and isinstance(b, _ChannelSlice)
+        and (a.hi <= b.lo or b.hi <= a.lo)
+    )
 
 
 def gradients(loss, params):

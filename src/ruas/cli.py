@@ -177,9 +177,14 @@ def cmd_enhance(args):
         prefix = "" if len(inputs) == 1 else f"{p.stem}_"
         plan[p] = [out / f"{p.stem}.png"] + [out / f"{prefix}{n}" for n in names]
     sources = {p.resolve() for p in inputs}
-    for path in (path for paths in plan.values() for path in paths):
-        if path.resolve() in sources:
-            raise ConfigError(f"output {path} would overwrite an input; choose another --out")
+    writer = {}  # resolved output path -> the input it is planned for
+    for p, paths in plan.items():
+        for path in map(Path.resolve, paths):
+            if path in sources:
+                raise ConfigError(f"output {path} would overwrite an input; choose another --out")
+            if path in writer:
+                raise ConfigError(f"output {path} is planned for both {writer[path]} and {p}")
+            writer[path] = p
     output_dir(out)
     for p, (dst, *map_paths) in plan.items():
         y = Tensor(load_png(p))

@@ -15,7 +15,8 @@ from ruas.errors import (
     NumericError,
     ShapeError,
 )
-from ruas.model import RuasModel
+from ruas.model import DEFAULT_SCENE_OPS, RuasModel
+from ruas.search_space import DiscreteCell, lookup_op
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,48 @@ def test_sliding_max_wide_window_is_bounded_by_the_map(rng):
     np.testing.assert_array_equal(grads[1], sliding_max_grad_oracle(x, 15, g))
 
 
+
+def sliding_max_grad_reference(x, window, g):
+    """The gradient of sum(g * sliding_max(x)) by a scan of every window
+    offset, as the backward pass once took it: each output's first maximum
+    in row-major order is the lowest offset of the padded window equal to
+    it, and a NaN window, equal nowhere, sends its gradient to offset 0."""
+    n, c, h, w = x.shape
+    r = min(window // 2, max(h, w) - 1)
+    window = 2 * r + 1
+    out = ad.sliding_max(Tensor(x), window).data
+    xp = np.full((n, c, h + 2 * r, w + 2 * r), -np.inf)
+    xp[:, :, r : r + h, r : r + w] = x
+    first = np.zeros(out.shape, dtype=np.intp)
+    for o in range(window * window - 1, -1, -1):
+        i, j = divmod(o, window)
+        first[xp[:, :, i : i + h, j : j + w] == out] = o
+    hp, wp = xp.shape[2:]
+    corner = (np.arange(n * c).reshape(n, c, 1, 1) * hp + np.arange(h)[:, None]) * wp
+    offsets = (np.arange(window)[:, None] * wp + np.arange(window)).ravel()
+    src = corner + np.arange(w) + offsets[first]
+    gp = np.bincount(src.ravel(), weights=g.ravel(), minlength=xp.size)
+    return gp.reshape(xp.shape)[:, :, r : r + h, r : r + w]
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 64, 64), (2, 3, 17, 23), (1, 1, 1, 5), (1, 2, 3, 1)])
+@pytest.mark.parametrize("window", [1, 3, 5, 7, 15, 31, 201])
+def test_sliding_max_gradient_matches_the_window_scan(rng, shape, window):
+    """The separable first-maximum search gives the window scan's gradient
+    bit for bit, signs of zero included, on values rounded to halves (ties
+    in most windows) and on a map holding one NaN."""
+    ties = np.round(rng.normal(size=shape) * 2) / 2
+    with_nan = ties.copy()
+    with_nan.flat[rng.integers(ties.size)] = np.nan
+    g = np.round(rng.normal(size=shape) * 2) / 2 * np.sign(rng.normal(size=shape))
+    for x in (ties, with_nan):
+        xt = Tensor(x, requires_grad=True)
+        backward(ad.reduce_sum(ad.mul(ad.sliding_max(xt, window), Tensor(g))))
+        want = sliding_max_grad_reference(x, window, g)
+        np.testing.assert_array_equal(xt.grad, want)
+        np.testing.assert_array_equal(np.signbit(xt.grad), np.signbit(want))
+
+
 # (shape, kernel length, axis): batches of two, non-square maps, and kernels
 # longer than the axis they run along, whose outer taps read only padding
 CORRELATE_CASES = [
@@ -495,6 +538,77 @@ def test_channels_match_loop_oracle(rng, shape, lo, hi):
 def test_channels_rejects_empty_or_outside_ranges(rng, lo, hi):
     with pytest.raises(ShapeError):
         ad.channels(Tensor(rng.normal(size=(1, 3, 2, 2))), lo, hi)
+
+
+def _channel_grads(rng, slices):
+    """The gradient of an interior (n, 4, h, w) node read only through
+    ``channels`` at ``slices``, each slice's gradient holding -0.0 entries;
+    and those gradients."""
+    x = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+    y = ad.mul(x, Tensor(np.ones(x.data.shape)))
+    gs = [np.round(rng.normal(size=(2, hi - lo, 3, 3))) * -1.0 for lo, hi in slices]
+    assert all(np.any((g == 0) & np.signbit(g)) for g in gs)
+    loss = ad.reduce_sum(ad.mul(ad.channels(y, *slices[0]), Tensor(gs[0])))
+    for (lo, hi), g in zip(slices[1:], gs[1:]):
+        loss = ad.add(loss, ad.reduce_sum(ad.mul(ad.channels(y, lo, hi), Tensor(g))))
+    backward(loss)
+    return x.grad, gs
+
+
+def test_channels_lone_slice_keeps_its_signed_zeros(rng):
+    """A slice that is its tensor's only gradient reads as the zero map that
+    holds it, -0.0 included."""
+    grad, (g,) = _channel_grads(rng, [(1, 3)])
+    want = np.zeros(grad.shape)
+    want[:, 1:3] = g
+    np.testing.assert_array_equal(grad, want)
+    np.testing.assert_array_equal(np.signbit(grad), np.signbit(want))
+
+
+def test_channels_slices_of_one_tensor_sum_as_zero_maps(rng):
+    """Two slices of one tensor give 0 + g on each, as the sum of their two
+    zero maps does: no -0.0 is left."""
+    grad, (g0, g1) = _channel_grads(rng, [(2, 4), (0, 2)])
+    np.testing.assert_array_equal(grad, np.concatenate([0.0 + g1, 0.0 + g0], axis=1))
+    assert not np.signbit(grad[grad == 0]).any()
+
+
+def test_stacked_cell_node_backward_makes_one_zero_map(rng, monkeypatch):
+    """A derived cell's stacked node, (1, 12, 64, 64) at width 6, gets its
+    two edges' gradients in one zero map: three stacked nodes, three maps."""
+    kinds = [lookup_op(name) for name in DEFAULT_SCENE_OPS]
+    cell = DiscreteCell(6, kinds, rng)
+    x = Tensor(rng.normal(size=(1, 6, 64, 64)), requires_grad=True)
+    loss = ad.reduce_l2sq(cell.forward(x))
+    made = []
+    zeros = np.zeros
+
+    def counting_zeros(shape, *args, **kwargs):
+        made.append(tuple(np.atleast_1d(shape)))
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counting_zeros)
+    backward(loss)
+    monkeypatch.undo()
+    assert made.count((1, 12, 64, 64)) == 3
+
+
+def test_fanin_never_writes_into_a_yielded_array(rng):
+    """A backward that yields one array to two parents, then a third
+    contribution to one of them: the array keeps its values."""
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    p, q = ad.mul(x, Tensor(2.0)), ad.mul(x, Tensor(3.0))
+    shared = rng.normal(size=(3, 4))
+    kept = shared.copy()
+
+    def bw(g):
+        yield p, shared
+        yield q, shared
+
+    both = ad._make(p.data + q.data, (p, q), bw)
+    backward(ad.add(ad.reduce_sum(both), ad.reduce_sum(p)))
+    np.testing.assert_array_equal(shared, kept)
+    np.testing.assert_array_equal(x.grad, 2.0 * (shared + 1.0) + 3.0 * shared)
 
 
 def test_fill_keeps_only_taped_parts_as_parents(rng):

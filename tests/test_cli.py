@@ -658,6 +658,26 @@ def test_enhance_refuses_to_overwrite_its_inputs(tmp_path, capsys, case):
     assert {p: p.read_bytes() for p in src.iterdir()} == before
 
 
+
+def test_enhance_refuses_two_inputs_that_write_one_path(tmp_path, capsys):
+    """With --dump-stages, ``x``'s stage-1 t map and ``x_stage1_t``'s
+    enhanced image are both ``x_stage1_t.png``: a config error naming both
+    inputs, raised before the output directory is made."""
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(RuasModel(np.random.default_rng(0), variant="ruas_s"), model)
+    src = tmp_path / "input"
+    rng = np.random.default_rng(1)
+    for name in ("x", "x_stage1_t"):
+        save_png(rng.uniform(0, 1, size=(3, 16, 16)), src / f"{name}.png")
+    out = tmp_path / "out"
+    argv = ["enhance", "--model", str(model), "--input", str(src), "--dump-stages"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "x_stage1_t.png" in err
+    assert str(src / "x.png") in err and str(src / "x_stage1_t.png") in err
+    assert not out.exists()
+
+
 # no hypergradient (warm-up covers the one epoch) keeps the sweeps cheap
 SMOKE = {
     "search": {"epochs": 1, "warmup_epochs": 1, "lr_omega": 3e-5},

@@ -33,7 +33,10 @@ epochs at lr 3e-5):
   the rows a last-bit change of the forward moves;
 - `compare-strategies`, `fixed-op`, `ablate-k --k-list 1,2` and
   `gradcheck --out`, whose tables read the cell wiring, the parameter
-  counts and the multiply-add counts.
+  counts and the multiply-add counts;
+- `train --strategy hierarchical` and `search --strategy cooperative`
+  under `WIDE_CONFIG`, whose 7 px window and rectified warm start put the
+  sliding max and its backward at a radius no other run reaches.
 
 Every file goes under DIR, which must be empty or new (a temporary
 directory when --out is not given).  The manifest printed is one `# env`
@@ -81,6 +84,8 @@ CONFIG = {
     "search": {"epochs": 2, "warmup_epochs": 1, "lr_omega": 3e-5, "lr_alpha": 3e-4},
     "train": {"epochs": 2, "pretrain_epochs": 2, "lr": 3e-5},
 }
+# CONFIG leaves the scene at its defaults: window 3, no rectification
+WIDE_CONFIG = {**CONFIG, "scene": {"window": 7, "warm_start": "rectify"}}
 SEARCH_STRATEGIES = ("cooperative", "independent", "global")
 TRAIN_STRATEGIES = ("hierarchical", "end_to_end")
 # hand-written cells whose derived edges cover the cases the edge node
@@ -247,6 +252,10 @@ def run_all(src, out):
     ruas("fixed-op", *common, "--out", "fixed-op")
     ruas("ablate-k", *common, "--k-list", "1,2", "--out", "ablate-k")
     ruas("gradcheck", "--seed", SEED, "--out", "gradcheck")
+    (out / "wide.json").write_text(json.dumps(WIDE_CONFIG, indent=2) + "\n")
+    wide = ("--config", "wide.json", *common[2:])
+    ruas("train", *wide, "--strategy", "hierarchical", "--out", "wide/train-hierarchical")
+    ruas("search", *wide, "--strategy", "cooperative", "--out", "wide/search-cooperative")
     return "# env " + python("-c", ENV).strip()
 
 
