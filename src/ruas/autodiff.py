@@ -48,6 +48,11 @@ class no_grad:
         return False
 
 
+def grad_enabled():
+    """Whether ops are recorded on the tape: False inside ``no_grad``."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode AD."""
 
@@ -482,9 +487,10 @@ def conv2d(x, w, b=None, dilation=1):
 # one matmul, where per-band calls would cost more than they save.  A band
 # must not change a bit of the output, and a BLAS matmul gives each output
 # entry the arithmetic of the whole-image product only when
-#   - every band is a whole number of BAND_ALIGN-pixel blocks: GEMM kernels
-#     compute output pixels in register blocks of up to 16, and the partial
-#     block at the end of a product is summed by other code;
+#   - every band is a whole number of BAND_ALIGN-pixel blocks
+#     (``whole_blocks``): GEMM kernels compute output pixels in register
+#     blocks of up to 16, and the partial block at the end of a product is
+#     summed by other code;
 #   - the dot products are at most BAND_MAX_DEPTH long: a large product
 #     splits them into blocks (384 long in OpenBLAS's AVX-512 kernels) that
 #     the small-matrix kernel a band takes does not split.
@@ -495,6 +501,13 @@ BAND_ALIGN = 16
 BAND_MAX_DEPTH = 384
 
 
+def whole_blocks(pixels):
+    """Whether a product over ``pixels`` output pixels is a whole number of
+    BAND_ALIGN-pixel blocks, so that splitting it into such runs leaves
+    every output bit as it was."""
+    return pixels % BAND_ALIGN == 0
+
+
 def _band_rows(n, c, k, h, w):
     """Output rows per column band of a conv; ``h`` means one band."""
     depth = c * k * k
@@ -503,7 +516,7 @@ def _band_rows(n, c, k, h, w):
         k == 1
         or row_bytes * h <= BAND_MIN_BYTES
         or depth > BAND_MAX_DEPTH
-        or h * w % BAND_ALIGN
+        or not whole_blocks(h * w)
     ):
         return h
     unit = BAND_ALIGN // math.gcd(w, BAND_ALIGN)  # rows of whole pixel blocks

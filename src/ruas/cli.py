@@ -2,7 +2,7 @@
 
 Subcommands: search, train, enhance, eval, gradcheck, ablate-k,
 compare-strategies, fixed-op.  Exit codes: 0 success, 2 configuration
-error, 3 I/O error, 4 numeric error.
+error, 3 I/O error or out of memory, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -376,6 +376,9 @@ def main(argv=None):
     except RuasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print(f"out of memory: ruas {args.command}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -233,10 +233,10 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise DataIOError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             kind = type(doc).__name__

@@ -31,6 +31,11 @@ class OpKind:
     def __str__(self):
         return self.name
 
+    @property
+    def reach(self):
+        """Pixels past itself, per side, that an output pixel reads."""
+        return 0 if self.skip else self.dilation * (self.kernel - 1) // 2
+
 
 # the operator table: the candidates of every searched edge, in the scene and
 # the task cell alike, in table order
@@ -270,6 +275,15 @@ class Cell:
     def parameters(self):
         out = [p for per_op in self.edge_params for ps in per_op for p in ps.values()]
         return out + [self.fusion_w, self.fusion_b]
+
+    def radius(self):
+        """Pixels past itself, per side, that an output pixel reads: the
+        longest reach along ``EDGES`` into the last node, each edge counted
+        at its widest candidate's.  The 1x1 fusion adds none."""
+        reach = [0] * NODES
+        for (i, j), ops in zip(EDGES, self.edge_ops):
+            reach[j] = max(reach[j], reach[i] + max(kind.reach for kind in ops))
+        return reach[-1]
 
     def _next_node(self, i, x, arch, merged):
         """Run the edges out of node ``i``, which all read ``x``; copy the

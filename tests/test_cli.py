@@ -76,6 +76,25 @@ def test_missing_config_file_exits_3(tmp_path, tiny_dataset):
     assert code == 3
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, tiny_dataset, capsys):
+    root, _ = tiny_dataset
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00{")
+    code = main(["train", "--config", str(bad), "--data", str(root), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_exits_3_naming_the_command(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", exhausted)
+    assert main(["gradcheck"]) == 3
+    assert capsys.readouterr().err == "out of memory: ruas gradcheck\n"
+
+
 NO_FILE = object()
 
 

@@ -10,7 +10,7 @@ from ruas.autodiff import Tensor
 from ruas.config import TaskConfig
 from ruas.errors import ConfigError, ShapeError
 from ruas.io_metrics import random_clean_image, synth_lowlight
-from ruas.model import RuasModel
+from ruas.model import DEFAULT_TASK_OPS, RuasModel
 from ruas.search_space import DiscreteCell, OPS_BY_NAME
 from ruas.task import NoiseRemover, estimate_noise_sigma, noise_gate, task_loss
 
@@ -191,3 +191,97 @@ def test_enhance_output_unit_range(rng, tiny_dataset):
         model = RuasModel(np.random.default_rng(0), variant=variant)
         x = model.enhance(Tensor(records[0].input())).data
         assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# banded noise removal
+
+# task-cell ops (None: the supernet's mixed cell); edges 0->1, 1->2, 2->3,
+# 3->4, 0->4, 1->4, 2->4
+BAND_CELLS = {
+    "default": DEFAULT_TASK_OPS,
+    "all-3-2-RDC": ("3-2-RDC",) * 7,
+    "skip-heavy": ("SC", "3-C", "SC", "SC", "1-RC", "SC", "3-2-RDC"),
+    "mixed": None,
+}
+
+
+def _band_model(cell, variant="ruas"):
+    """A model on the task cell ``cell`` whose convs all shape the output."""
+    rng = np.random.default_rng(11)
+    if BAND_CELLS[cell] is None:
+        model = RuasModel.supernet(rng).set_variant(variant)
+        for logits in model.alpha_t.logits:
+            logits.data = rng.normal(size=logits.data.shape)
+    else:
+        model = RuasModel(rng, variant=variant, task_ops=BAND_CELLS[cell])
+    for c in (model.scene_cell, model.task_cell):
+        c.fusion_w.data = rng.uniform(-0.3, 0.3, c.fusion_w.data.shape)
+    return model
+
+
+def _one_pass(model, u):
+    return model.remover.forward(u, model.task_cell.forward, model.alpha_t).data
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("h", [129, 200, 272, 300])
+@pytest.mark.parametrize("cell", BAND_CELLS)
+def test_banded_removal_is_the_one_pass_bit_for_bit(cell, h):
+    """Bands of 128 rows with the cell's radius of halo rows per side; the
+    last band is short at every height but 256 + 16.  At 144 px a batch of
+    two runs through every band at once."""
+    model = _band_model(cell)
+    rng = np.random.default_rng(h)
+    for n, w in ((1, 64), (2, 144), (1, 256)):
+        u = rng.uniform(-0.2, 1.2, size=(n, 3, h, w))
+        u[:, :, ::7, ::5] = -0.0
+        u = Tensor(u)
+        with ad.no_grad():
+            _assert_same_bits(model.task_out(u).data, _one_pass(model, u))
+
+
+@pytest.mark.parametrize("variant", ["ruas", "ruas_a"])
+@pytest.mark.parametrize("cell", BAND_CELLS)
+def test_banded_forward_is_the_one_pass_bit_for_bit(cell, variant):
+    model = _band_model(cell, variant)
+    rng = np.random.default_rng(5)
+    clean = random_clean_image(rng, size=272)[..., :144]
+    y, _ = synth_lowlight(clean, rng, noise_sigma=0.03)
+    with ad.no_grad():
+        out = model.forward(Tensor(y))
+        assert out["gate_skip"] is (None if variant == "ruas" else False)
+        _assert_same_bits(out["x"].data, _one_pass(model, out["u"]))
+
+
+@pytest.mark.parametrize(
+    "shape, taped, passes",
+    [
+        ((272, 144), False, 3),
+        ((129, 64), False, 2),
+        ((128, 256), False, 1),
+        ((272, 144), True, 1),
+        ((200, 97), False, 1),
+        ((200, 130), False, 1),
+    ],
+)
+def test_removal_bands_only_untaped_maps_of_whole_pixel_blocks(shape, taped, passes):
+    """A taped pass, a map of at most 128 rows and a width that is not a
+    multiple of 16 (97 and 130 px) run the remover once, on the whole map."""
+    model = _band_model("default")
+    calls = []
+    forward = model.remover.forward
+    model.remover.forward = lambda u, *a: calls.append(u.data.shape[2]) or forward(u, *a)
+    u = Tensor(np.random.default_rng(0).uniform(0.0, 1.0, size=(1, 3, *shape)))
+    if taped:
+        assert model.task_out(u).requires_grad
+    else:
+        with ad.no_grad():
+            model.task_out(u)
+    assert len(calls) == passes
+    if passes == 1:
+        assert calls == [shape[0]]

@@ -16,19 +16,20 @@ epochs at lr 3e-5):
   returns for each, and `enhance` of each with one trained checkpoint.
   `save_png` writes filter 0 only, so these are the files that reach the
   decoder's Sub/Up/Avg/Paeth paths;
-- `enhance --dump-stages` of every trained checkpoint on two seeded
-  low-light images of 128x128 and 97x130 px.  The other inputs are at most
-  48 px, where every conv is one matmul; at 128x128 the 3x3 convs run in
-  row bands, and 97x130, whose pixel count is not a multiple of 16, takes
-  one matmul per conv at a size that would otherwise band;
+- `enhance --dump-stages` of every trained checkpoint on three seeded
+  low-light images of 128x128, 97x130 and 272x144 px.  The other inputs are
+  at most 48 px, where every conv is one matmul; at 128x128 the 3x3 convs
+  run in row bands, 97x130, whose pixel count is not a multiple of 16,
+  takes one matmul per conv at a size that would otherwise band, and the
+  noise removal of 272x144 runs in three row bands, the last one short;
 - `enhance --variant ruas_a` and `enhance --variant ruas_s --dump-stages`
   of the checkpoint trained hierarchically on `FIXED_ARCH`, on the 32 px
-  inputs, the two large images and a noise-free 64 px low-light image.
+  inputs, the three large images and a noise-free 64 px low-light image.
   Every other `enhance` runs the checkpoint's own variant, `ruas`; the
   noisy inputs take `ruas_a`'s removal path, and the noise-free one its
   gate;
 - the raw float64 bytes of `RuasModel.forward(y)["x"]` under `no_grad`
-  for every trained checkpoint, on the two large images and the first
+  for every trained checkpoint, on the three large images and the first
   32 px input.  Every PNG above rounds the forward to 8 bits, so these are
   the rows a last-bit change of the forward moves;
 - `compare-strategies`, `fixed-op`, `ablate-k --k-list 1,2` and
@@ -110,6 +111,9 @@ PNG_FILTERS = ("none", "sub", "up", "avg", "paeth", "mixed")
 # (h, w) of the `enhance` inputs large enough for the convs to band; the
 # script also writes the noise-free input that `ruas_a`'s gate skips
 LARGE_SHAPES = ((128, 128), (97, 130))
+# (h, w) of the `enhance` inputs whose noise removal runs in row bands, drawn
+# after every other input so that adding one moves none
+BANDED_SHAPES = ((272, 144),)
 LARGE = f"""
 import pathlib
 import numpy as np
@@ -125,6 +129,10 @@ gated = pathlib.Path("gated")
 gated.mkdir()
 dark, _ = synth_lowlight(random_clean_image(rng, size=64), rng, noise_sigma=0.0)
 save_png(dark, gated / "clean.png")
+for h, w in {BANDED_SHAPES}:
+    clean = random_clean_image(rng, size=max(h, w))[..., :h, :w]
+    dark, _ = synth_lowlight(clean, rng, noise_sigma=0.01)
+    save_png(dark, out / f"{{h}}x{{w}}.png")
 """
 DECODE = """
 import pathlib
