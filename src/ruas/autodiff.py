@@ -5,7 +5,8 @@ loss replays the tape in reverse topological order, accumulating adjoints
 additively at fan-in nodes.  ``backward(loss, wrt=params)`` differentiates
 only into ``params``: every tape node that no requested tensor reaches reads
 as a constant for that pass, so the gradients nothing requested depends on
-(a conv weight gradient, say) are never computed.
+(a conv weight gradient, say) are never computed.  ``backward`` keeps the
+tape; ``gradients(loss, params)`` frees it as it walks it.
 
 Only the primitives needed by the unrolled enhancement models live here:
 convolution (plain and dilated, stride 1, "same" zero padding), depthwise
@@ -703,9 +704,17 @@ def backward(loss, wrt=None):
     constant for this pass, so the primitives skip the gradients no requested
     leaf depends on, such as the weight gradient of a convolution whose
     weight is not requested.  The values that are computed are the ones a
-    full pass computes.  Repeated calls without clearing gradients
-    accumulate additively.
+    full pass computes.  The graph is kept, so repeated calls without
+    clearing gradients accumulate additively.
     """
+    _walk(loss, wrt, release=False)
+
+
+def _walk(loss, wrt, release):
+    """The reverse walk of ``backward``.  With ``release`` it uses the graph
+    up as it goes: a node gives up its parents and its backward closure when
+    the walk reaches it, so once the walk has passed a node, nothing of the
+    graph holds that node or what its closure captured."""
     if loss.data.ndim != 0:
         raise ContractError(
             f"backward expects a scalar loss, got shape {loss.data.shape}"
@@ -728,6 +737,7 @@ def backward(loss, wrt=None):
         seen.add(node)
         stack += (node, None)
         stack += node._parents
+    del seen  # as ``marked`` below: a set of every node keeps them all alive
 
     # parents come before their children in topo, so one forward walk marks
     # every node that a requested tensor reaches; the rest are constants
@@ -741,8 +751,12 @@ def backward(loss, wrt=None):
                 constants.append(node)
         if loss not in marked:
             return
+        del marked
     for node in constants:
         node.requires_grad = False
+    if release:
+        # an interior constant is cut when it is reached, and stays constant
+        constants = [node for node in constants if node._backward is None]
     try:
         # adjoints of interior nodes live in a per-pass map; only leaves
         # (tensors created by the user) accumulate into .grad.  A fan-in
@@ -752,15 +766,20 @@ def backward(loss, wrt=None):
         # would hold (Griewank & Walther 2008, "Evaluating Derivatives")
         adjoint = {loss: np.ones((), dtype=np.float64)}
         owned = set()
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            bw = node._backward
+            if release:
+                node._parents, node._backward = (), None
             g = adjoint.pop(node, None)
+            owned.discard(node)
             if g is None:
                 continue
             g = _dense(g)
-            if node._backward is None:
+            if bw is None:
                 node.grad = np.array(g, copy=True) if node.grad is None else node.grad + g
                 continue
-            for parent, contrib in node._backward(g):
+            for parent, contrib in bw(g):
                 if not parent.requires_grad:
                     continue
                 if parent._backward is None:
@@ -805,10 +824,16 @@ def _disjoint_slices(a, b):
 def gradients(loss, params):
     """The gradients of ``loss`` w.r.t. ``params`` alone, one array per
     parameter, which is also its new ``.grad``: the old ones are cleared
-    first, and a parameter off every gradient path gets zeros."""
+    first, and a parameter off every gradient path gets zeros.
+
+    The values are ``backward(loss, wrt=params)``'s, but the walk uses up
+    the loss's graph: each tape node lets go of its parents and its backward
+    closure as the walk reaches it, so the forward's arrays are freed during
+    the walk instead of when the caller drops ``loss``.  ``loss`` and its
+    interior nodes cannot be back-propagated again."""
     for p in params:
         p.grad = None
-    backward(loss, wrt=params)
+    _walk(loss, params, release=True)
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -870,7 +895,8 @@ class SGD:
         self.zero_grad()
 
     def backward_step(self, loss):
-        """Clear the gradients, back-propagate ``loss``, then step.
+        """Clear the gradients, back-propagate ``loss`` (using up its graph,
+        as ``gradients`` does), then step.
 
         A parameter off every gradient path of ``loss`` (an operator behind a
         dead ReLU, say) steps on a zero gradient: weight decay and momentum

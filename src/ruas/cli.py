@@ -8,6 +8,7 @@ error, 3 I/O error or out of memory, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -359,7 +360,26 @@ def build_parser():
     return parser
 
 
+def _keep_freed_pages():
+    """Fix glibc malloc's trim threshold at 1 GiB and its mmap threshold at
+    32 MiB, as ``perfbench/run.py`` pins them through ``MALLOC_*``.
+
+    A taped step frees its tape during the backward walk; with glibc's
+    defaults the heap then gives those pages back and every step faults them
+    in again (README: about 20x the minor faults of a 64 px ``train``).
+    Skipped where libc exports no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

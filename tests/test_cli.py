@@ -797,3 +797,27 @@ def test_tv_weight_reaches_the_command(tmp_path, tiny_dataset, command, config, 
         assert main(argv + ["--seed", "1"]) == 0
         outputs.append((out / artifact).read_text())
     assert outputs[0] != outputs[1]
+
+
+def test_main_pins_the_malloc_thresholds_where_libc_has_mallopt(monkeypatch):
+    """``main`` sets glibc's trim threshold (M_TRIM_THRESHOLD, -1) to 1 GiB
+    and its mmap threshold (M_MMAP_THRESHOLD, -3) to 32 MiB before it parses
+    anything, and goes on without them where libc has no ``mallopt``."""
+    calls = []
+
+    class Mallopt:
+        def __call__(self, *args):
+            calls.append(args)
+            return 1
+
+    class Libc:
+        mallopt = Mallopt()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(calls) == 2

@@ -42,9 +42,10 @@ epochs at lr 3e-5):
 Every file goes under DIR, which must be empty or new (a temporary
 directory when --out is not given).  The manifest printed is one `# env`
 line (the Python, NumPy and BLAS of the interpreter that ran the commands,
-as `perfbench/run.py` prints them) and then one `sha256  path` line per
-file, with paths relative to DIR in sorted order, so that the manifests of
-two checkouts can be diffed:
+as `perfbench/run.py` prints them, and the OpenBLAS kernel and thread count
+that the commands ran with) and then one `sha256  path` line per file, with
+paths relative to DIR in sorted order, so that the manifests of two
+checkouts can be diffed:
 
     diff <(python3 tools/artifact_digests.py --src A --out /tmp/a) \\
          <(python3 tools/artifact_digests.py --src B --out /tmp/b)
@@ -56,10 +57,11 @@ Each commit keeps its manifest as `tools/manifest.sha256`, and
 runs this checkout's `ruas` (or CHECKOUT's, with --src) and compares: it
 exits 0 when every row matches, 1 listing the rows that differ, and 2
 without comparing when the `# env` line differs, because another Python,
-NumPy or BLAS build can round differently.  The line does not name the
-CPU, and OpenBLAS picks its kernels by CPU, so rows that differ on another
-machine may be the machine's.  A change that moves artifacts on purpose
-regenerates the file:
+NumPy or BLAS build, or another BLAS kernel, can round differently.
+OpenBLAS picks its kernel by CPU (or by `OPENBLAS_CORETYPE`), and the line
+names the one it picked (`SkylakeX`, say), read through ctypes from the
+OpenBLAS library that NumPy bundles (null without one).  A change that
+moves artifacts on purpose regenerates the file:
 
     python3 tools/artifact_digests.py > tools/manifest.sha256
 
@@ -122,9 +124,9 @@ rng = np.random.default_rng({SEED})
 out = pathlib.Path("large")
 out.mkdir()
 for h, w in {LARGE_SHAPES}:
-    clean = random_clean_image(rng, size=max(h, w))[:, :h, :w]
-    dark, _ = synth_lowlight(clean, rng, noise_sigma=0.01)
-    save_png(dark, out / f"{{h}}x{{w}}.png")
+    # the noise is drawn on the square image: the crop moves no later draw
+    dark, _ = synth_lowlight(random_clean_image(rng, size=max(h, w)), rng, noise_sigma=0.01)
+    save_png(dark[..., :h, :w], out / f"{{h}}x{{w}}.png")
 gated = pathlib.Path("gated")
 gated.mkdir()
 dark, _ = synth_lowlight(random_clean_image(rng, size=64), rng, noise_sigma=0.0)
@@ -160,13 +162,23 @@ for ckpt in sorted(pathlib.Path("train").glob("*/model.ckpt")):
 """
 
 ENV = """
-import json, platform
+import ctypes, json, pathlib, platform
 import numpy as np
 blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+core = threads = None
+libs = sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+if libs:
+    lib = ctypes.CDLL(str(libs[0]))
+    get_core, get_threads = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
+    get_core.argtypes, get_core.restype = (), ctypes.c_char_p
+    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+    core, threads = get_core().decode(), get_threads()
 print(json.dumps({
     "python": platform.python_version(),
     "numpy": np.__version__,
     "blas": f"{blas.get('name')} {blas.get('version')}",
+    "blas_core": core,
+    "blas_threads": threads,
 }))
 """
 
