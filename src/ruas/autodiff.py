@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Tensors record the primitives applied to them; ``backward`` on a scalar
-loss replays the tape in reverse topological order, accumulating adjoints
-additively at fan-in nodes.  ``backward(loss, wrt=params)`` differentiates
-only into ``params``: every tape node that no requested tensor reaches reads
-as a constant for that pass, so the gradients nothing requested depends on
-(a conv weight gradient, say) are never computed.  ``backward`` keeps the
-tape; ``gradients(loss, params)`` frees it as it walks it.
+Tensors record the primitives applied to them; ``backward(loss, params)``
+is the one gradient call.  It replays the tape of a scalar loss in reverse
+topological order in one sweep, accumulating adjoints additively at fan-in
+nodes, and returns the gradient of each parameter.  Every tape node that no
+parameter reaches reads as a constant for the sweep, so the gradients
+nothing requested depends on (a conv weight gradient, say) are never
+computed, and the sweep frees the tape as it walks it.
 
 Only the primitives needed by the unrolled enhancement models live here:
 convolution (plain and dilated, stride 1, "same" zero padding), depthwise
@@ -696,31 +696,27 @@ def reduce(op, a):
 # backward pass
 
 
-def backward(loss, wrt=None):
-    """Populate adjoints of every requires_grad ancestor of a scalar loss.
+def backward(loss, params):
+    """The gradients of a scalar ``loss`` w.r.t. ``params``, one array per
+    parameter, which is also its new ``.grad``: the old ones are cleared
+    first, and a parameter off every gradient path gets zeros.
 
-    With ``wrt`` (an iterable of tensors), only those leaves receive a
-    ``.grad``: a node on no path from a ``wrt`` tensor to the loss reads as a
-    constant for this pass, so the primitives skip the gradients no requested
-    leaf depends on, such as the weight gradient of a convolution whose
-    weight is not requested.  The values that are computed are the ones a
-    full pass computes.  The graph is kept, so repeated calls without
-    clearing gradients accumulate additively.
+    This is one reverse sweep over the tape.  A node on no path from a
+    parameter to the loss reads as a constant for the sweep, so the
+    primitives skip the gradients no parameter depends on, such as the
+    weight gradient of a convolution whose weight is not in ``params``.
+    The sweep uses up the loss's graph: each node lets go of its parents and
+    its backward closure when the sweep reaches it, so the forward's arrays
+    are freed during the sweep instead of when the caller drops ``loss``,
+    and ``loss`` and its interior nodes cannot be back-propagated again.
     """
-    _walk(loss, wrt, release=False)
-
-
-def _walk(loss, wrt, release):
-    """The reverse walk of ``backward``.  With ``release`` it uses the graph
-    up as it goes: a node gives up its parents and its backward closure when
-    the walk reaches it, so once the walk has passed a node, nothing of the
-    graph holds that node or what its closure captured."""
     if loss.data.ndim != 0:
         raise ContractError(
             f"backward expects a scalar loss, got shape {loss.data.shape}"
         )
-    if not loss.requires_grad:
-        return
+    params = list(params)
+    for p in params:
+        p.grad = None
 
     # a depth-first walk that appends each node after its parents; a None
     # on the stack stands above a node whose parents are all appended
@@ -740,44 +736,41 @@ def _walk(loss, wrt, release):
     del seen  # as ``marked`` below: a set of every node keeps them all alive
 
     # parents come before their children in topo, so one forward walk marks
-    # every node that a requested tensor reaches; the rest are constants
+    # every node that a parameter reaches; the rest are constants
+    marked = set(params)
     constants = []
-    if wrt is not None:
-        marked = set(wrt)
-        for node in topo:
-            if node in marked or not marked.isdisjoint(node._parents):
-                marked.add(node)
-            else:
-                constants.append(node)
-        if loss not in marked:
-            return
-        del marked
+    for node in topo:
+        if node in marked or not marked.isdisjoint(node._parents):
+            marked.add(node)
+        else:
+            constants.append(node)
+    if loss not in marked:  # no parameter reaches the loss
+        topo, constants = [], []
+    del marked
     for node in constants:
         node.requires_grad = False
-    if release:
-        # an interior constant is cut when it is reached, and stays constant
-        constants = [node for node in constants if node._backward is None]
+    # an interior constant is cut when it is reached, and stays constant
+    constants = [node for node in constants if node._backward is None]
     try:
-        # adjoints of interior nodes live in a per-pass map; only leaves
-        # (tensors created by the user) accumulate into .grad.  A fan-in
-        # adds in place into an adjoint this pass allocated (``owned``),
-        # never into an array a backward closure yielded, which may be
-        # another node's too; the sums are the ones a new array per sum
-        # would hold (Griewank & Walther 2008, "Evaluating Derivatives")
+        # adjoints of interior nodes live in a per-sweep map; only leaves
+        # accumulate into .grad.  A fan-in adds in place into an adjoint
+        # this sweep allocated (``owned``), never into an array a backward
+        # closure yielded, which may be another node's too; the sums are
+        # the ones a new array per sum would hold (Griewank & Walther 2008,
+        # "Evaluating Derivatives")
         adjoint = {loss: np.ones((), dtype=np.float64)}
         owned = set()
         while topo:
             node = topo.pop()
             bw = node._backward
-            if release:
-                node._parents, node._backward = (), None
+            node._parents, node._backward = (), None
             g = adjoint.pop(node, None)
             owned.discard(node)
             if g is None:
                 continue
             g = _dense(g)
-            if bw is None:
-                node.grad = np.array(g, copy=True) if node.grad is None else node.grad + g
+            if bw is None:  # the loss is itself a parameter
+                node.grad = np.array(g, copy=True)
                 continue
             for parent, contrib in bw(g):
                 if not parent.requires_grad:
@@ -810,6 +803,10 @@ def _walk(loss, wrt, release):
     finally:
         for node in constants:
             node.requires_grad = True
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+    return [p.grad for p in params]
 
 
 def _disjoint_slices(a, b):
@@ -819,25 +816,6 @@ def _disjoint_slices(a, b):
         and isinstance(b, _ChannelSlice)
         and (a.hi <= b.lo or b.hi <= a.lo)
     )
-
-
-def gradients(loss, params):
-    """The gradients of ``loss`` w.r.t. ``params`` alone, one array per
-    parameter, which is also its new ``.grad``: the old ones are cleared
-    first, and a parameter off every gradient path gets zeros.
-
-    The values are ``backward(loss, wrt=params)``'s, but the walk uses up
-    the loss's graph: each tape node lets go of its parents and its backward
-    closure as the walk reaches it, so the forward's arrays are freed during
-    the walk instead of when the caller drops ``loss``.  ``loss`` and its
-    interior nodes cannot be back-propagated again."""
-    for p in params:
-        p.grad = None
-    _walk(loss, params, release=True)
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-    return [p.grad for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -895,14 +873,14 @@ class SGD:
         self.zero_grad()
 
     def backward_step(self, loss):
-        """Clear the gradients, back-propagate ``loss`` (using up its graph,
-        as ``gradients`` does), then step.
+        """Take the gradients of ``loss`` w.r.t. the parameters in one
+        ``backward`` sweep, which uses up its graph, then step.
 
         A parameter off every gradient path of ``loss`` (an operator behind a
         dead ReLU, say) steps on a zero gradient: weight decay and momentum
         only.
         """
-        gradients(loss, self.params)
+        backward(loss, self.params)
         self.step()
 
     def zero_grad(self):
@@ -916,9 +894,7 @@ def grad_check(f, x, h=1e-4):
     The error is |analytic - numeric| / max(1, |numeric|), maximized over
     the coordinates of ``x``.
     """
-    x.grad = None
-    backward(f(x))
-    analytic = np.array(x.grad, copy=True)
+    analytic = backward(f(x), [x])[0]
 
     numeric = np.zeros_like(x.data)
     flat = x.data.ravel()

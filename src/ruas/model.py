@@ -214,11 +214,20 @@ def _op_names(ops):
 
 
 def _cell(width, ops, rng, name):
-    """The derived cell of the operators ``ops``; a MixedCell when None."""
+    """The derived cell of the operators ``ops``, a MixedCell when None,
+    with its fusion weights zeroed.
+
+    A zeroed fusion makes the whole cell start as a zero correction, so the
+    unrolled illumination stays near its local-max warm start until training
+    moves it; a random fusion can knock t into the clamp floor on the first
+    forward pass, where the gradient is dead.
+    """
     if ops is None:
-        return MixedCell(width, rng, name=name, fusion_init="zeros")
-    kinds = [lookup_op(n) for n in ops]
-    return DiscreteCell(width, kinds, rng, name=name, fusion_init="zeros")
+        cell = MixedCell(width, rng, name=name)
+    else:
+        cell = DiscreteCell(width, [lookup_op(n) for n in ops], rng, name=name)
+    cell.fusion_w.data = np.zeros_like(cell.fusion_w.data)
+    return cell
 
 
 def _logits(cell, rng, name):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SGD, Tensor, gradients
+from .autodiff import SGD, Tensor, backward
 from .config import SearchConfig  # noqa: F401  (ruas.search.SearchConfig)
 from .errors import NumericError
 from .model import RuasModel
@@ -55,12 +55,12 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
     alphas, omegas = list(alphas), list(omegas)
 
     if lr_omega == 0.0:
-        g = gradients(loss_val_fn(), alphas)
+        g = backward(loss_val_fn(), alphas)
         _check_finite(g, "direct validation gradient")
         return g
 
     # gradient of the training loss at the current weights
-    g_tr = gradients(loss_tr_fn(), omegas)
+    g_tr = backward(loss_tr_fn(), omegas)
     _check_finite(g_tr, "inner training gradient")
 
     saved = [w.data.copy() for w in omegas]
@@ -68,7 +68,7 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
         # virtual inner step, then validation gradients at the stepped weights
         for w, g in zip(omegas, g_tr):
             w.data = w.data - lr_omega * g
-        g_val = gradients(loss_val_fn(), alphas + omegas)
+        g_val = backward(loss_val_fn(), alphas + omegas)
         g_val_alpha, g_val_omega = g_val[: len(alphas)], g_val[len(alphas) :]
         _check_finite(g_val, "validation gradient at virtual step")
 
@@ -79,11 +79,11 @@ def hypergrad_onestep(alphas, omegas, loss_val_fn, loss_tr_fn, lr_omega, fd_step
 
         for w, s, g in zip(omegas, saved, g_val_omega):
             w.data = s + eps * g
-        ga_plus = gradients(loss_tr_fn(), alphas)
+        ga_plus = backward(loss_tr_fn(), alphas)
 
         for w, s, g in zip(omegas, saved, g_val_omega):
             w.data = s - eps * g
-        ga_minus = gradients(loss_tr_fn(), alphas)
+        ga_minus = backward(loss_tr_fn(), alphas)
         _check_finite(ga_plus + ga_minus, "finite-difference probe")
     finally:
         for w, s in zip(omegas, saved):

@@ -247,7 +247,7 @@ class Cell:
     and logits once per call.
     """
 
-    def __init__(self, width, edge_ops, rng, name="cell", fusion_init="random"):
+    def __init__(self, width, edge_ops, rng, name="cell"):
         if len(edge_ops) != len(EDGES):
             raise ConfigError(f"need {len(EDGES)} operator choices, got {len(edge_ops)}")
         self.width = width
@@ -263,14 +263,6 @@ class Cell:
         self.fusion_w, self.fusion_b = init_conv_weights(
             width, (NODES - 1) * width, 1, rng, f"{name}.fusion"
         )
-        # a zeroed fusion makes the whole cell start as a zero correction, so
-        # the unrolled illumination stays near its local-max warm start until
-        # training moves it; a random fusion can knock t into the clamp floor
-        # on the first forward pass, where the gradient is dead
-        if fusion_init == "zeros":
-            self.fusion_w.data = np.zeros_like(self.fusion_w.data)
-        elif fusion_init != "random":
-            raise ConfigError(f"unknown fusion_init {fusion_init!r}")
 
     def parameters(self):
         out = [p for per_op in self.edge_params for ps in per_op for p in ps.values()]
@@ -349,15 +341,15 @@ class Cell:
 class MixedCell(Cell):
     """The searchable cell: every edge holds every search candidate."""
 
-    def __init__(self, width, rng, name="cell", fusion_init="random"):
-        super().__init__(width, [SEARCH_OPS] * len(EDGES), rng, name, fusion_init)
+    def __init__(self, width, rng, name="cell"):
+        super().__init__(width, [SEARCH_OPS] * len(EDGES), rng, name)
 
 
 class DiscreteCell(Cell):
     """A derived cell with one fixed operator per edge."""
 
-    def __init__(self, width, kinds, rng, name="cell", fusion_init="random"):
-        super().__init__(width, [(kind,) for kind in kinds], rng, name, fusion_init)
+    def __init__(self, width, kinds, rng, name="cell"):
+        super().__init__(width, [(kind,) for kind in kinds], rng, name)
 
 
 def count_params(parameters):

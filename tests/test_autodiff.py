@@ -175,7 +175,8 @@ def test_conv2d_gradients_match_loop_oracle(rng):
         x, wk, b = _conv_case(rng, n, cin, cout, h, w, k)
         g = rng.normal(size=(n, cout, h, w))
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, wk, b))
-        backward(ad.reduce_sum(ad.mul(ad.conv2d(xt, wt, bt, dilation=dil), Tensor(g))))
+        loss = ad.reduce_sum(ad.mul(ad.conv2d(xt, wt, bt, dilation=dil), Tensor(g)))
+        backward(loss, [xt, wt, bt])
         want_x, want_w = conv2d_grad_oracle(x, wk, g, dilation=dil)
         np.testing.assert_allclose(xt.grad, want_x, atol=1e-9)
         np.testing.assert_allclose(wt.grad, want_w, atol=1e-9)
@@ -196,7 +197,7 @@ def test_conv2d_bands_match_loop_oracle(rng, monkeypatch, rows):
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, wk, b))
         out = ad.conv2d(xt, wt, bt, dilation=dil)
         np.testing.assert_allclose(out.data, conv2d_oracle(x, wk, b, dilation=dil), atol=1e-9)
-        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [xt, wt, bt])
         want_x, want_w = conv2d_grad_oracle(x, wk, g, dilation=dil)
         np.testing.assert_allclose(xt.grad, want_x, atol=1e-9)
         np.testing.assert_allclose(wt.grad, want_w, atol=1e-9)
@@ -295,7 +296,8 @@ def test_search_convs_at_32px_take_one_matmul(rng, monkeypatch):
     model = RuasModel.supernet(rng)
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 32, 32)))
     task = model.task_loss_on(model.scene_out(y)[0])
-    backward(ad.add(model.scene_loss(y), task))
+    alphas = model.alpha_s.parameters() + model.alpha_t.parameters()
+    backward(ad.add(model.scene_loss(y), task), alphas + model.parameters())
     assert all(one for _, _, one in seen)
     assert max(seen) == (884_736, (12, 3), True)
 
@@ -348,7 +350,7 @@ def test_sliding_max_gradient_matches_loop_oracle(rng, window, ties):
         g = rng.normal(size=shape)
         xt = Tensor(x, requires_grad=True)
         out = ad.sliding_max(xt, window)
-        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [xt])
         np.testing.assert_array_equal(out.data, sliding_max_oracle(x, window))
         np.testing.assert_array_equal(xt.grad, sliding_max_grad_oracle(x, window, g))
 
@@ -365,7 +367,7 @@ def test_sliding_max_wide_window_is_bounded_by_the_map(rng):
         loss = ad.reduce_sum(ad.mul(ad.sliding_max(xt, window), Tensor(g)))
         tracemalloc.start()
         try:
-            backward(loss)
+            backward(loss, [xt])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -411,7 +413,7 @@ def test_sliding_max_gradient_matches_the_window_scan(rng, shape, window):
     g = np.round(rng.normal(size=shape) * 2) / 2 * np.sign(rng.normal(size=shape))
     for x in (ties, with_nan):
         xt = Tensor(x, requires_grad=True)
-        backward(ad.reduce_sum(ad.mul(ad.sliding_max(xt, window), Tensor(g))))
+        backward(ad.reduce_sum(ad.mul(ad.sliding_max(xt, window), Tensor(g))), [xt])
         want = sliding_max_grad_reference(x, window, g)
         np.testing.assert_array_equal(xt.grad, want)
         np.testing.assert_array_equal(np.signbit(xt.grad), np.signbit(want))
@@ -439,7 +441,7 @@ def test_correlate1d_matches_loop_oracle(rng, shape, m, axis):
     x, kernel, g = rng.normal(size=shape), rng.normal(size=m), rng.normal(size=shape)
     xt = Tensor(x, requires_grad=True)
     out = ad.correlate1d(xt, kernel, axis)
-    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [xt])
     np.testing.assert_allclose(out.data, correlate1d_oracle(x, kernel, axis), atol=1e-9)
     np.testing.assert_allclose(xt.grad, correlate1d_grad_oracle(kernel, axis, g), atol=1e-9)
 
@@ -454,7 +456,7 @@ def test_correlate1d_long_kernel_is_bounded_by_the_map(rng):
     try:
         xt = Tensor(x, requires_grad=True)
         out = ad.correlate1d(ad.correlate1d(xt, kernel, 2), kernel, 3)
-        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [xt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -531,7 +533,7 @@ def test_channels_match_loop_oracle(rng, shape, lo, hi):
     out = ad.channels(x, lo, hi)
     np.testing.assert_array_equal(out.data, channels_oracle(x.data, lo, hi))
     g = rng.normal(size=out.data.shape)
-    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [x])
     np.testing.assert_array_equal(x.grad, channels_grad_oracle(shape, lo, g))
     assert dict(primitive_checks())["channels"] < TOLERANCE
 
@@ -553,8 +555,7 @@ def _channel_grads(rng, slices):
     loss = ad.reduce_sum(ad.mul(ad.channels(y, *slices[0]), Tensor(gs[0])))
     for (lo, hi), g in zip(slices[1:], gs[1:]):
         loss = ad.add(loss, ad.reduce_sum(ad.mul(ad.channels(y, lo, hi), Tensor(g))))
-    backward(loss)
-    return x.grad, gs
+    return backward(loss, [x])[0], gs
 
 
 def test_channels_lone_slice_keeps_its_signed_zeros(rng):
@@ -590,7 +591,7 @@ def test_stacked_cell_node_backward_makes_one_zero_map(rng, monkeypatch):
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", counting_zeros)
-    backward(loss)
+    backward(loss, [x] + cell.parameters())
     monkeypatch.undo()
     assert made.count((1, 12, 64, 64)) == 3
 
@@ -608,7 +609,7 @@ def test_fanin_never_writes_into_a_yielded_array(rng):
         yield q, shared
 
     both = ad._make(p.data + q.data, (p, q), bw)
-    backward(ad.add(ad.reduce_sum(both), ad.reduce_sum(p)))
+    backward(ad.add(ad.reduce_sum(both), ad.reduce_sum(p)), [x])
     np.testing.assert_array_equal(shared, kept)
     np.testing.assert_array_equal(x.grad, 2.0 * (shared + 1.0) + 3.0 * shared)
 
@@ -627,7 +628,7 @@ def test_fill_keeps_only_taped_parts_as_parents(rng):
     np.testing.assert_array_equal(ad.concat([a, b, c]).data, want)
     assert out._parents == (c, a)
     g = rng.normal(size=want.shape)
-    backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [a, c])
     np.testing.assert_array_equal(a.grad, g[:, :2])
     np.testing.assert_array_equal(c.grad, g[:, 3:])
     with ad.no_grad():
@@ -667,7 +668,7 @@ def test_broadcasting_gradients(rng):
     # scalar times image: the scalar's gradient sums over all elements
     a = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
     s = Tensor(np.array(2.0), requires_grad=True)
-    backward(ad.reduce_sum(ad.mul(a, s)))
+    backward(ad.reduce_sum(ad.mul(a, s)), [a, s])
     np.testing.assert_allclose(s.grad, a.data.sum())
     np.testing.assert_allclose(a.grad, np.full_like(a.data, 2.0))
 
@@ -678,30 +679,21 @@ def test_broadcasting_gradients(rng):
 
 def test_fanin_adjoint_additivity(rng):
     x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    backward(ad.reduce_l2sq(x))
-    single = x.grad.copy()
-    x.grad = None
-    backward(ad.add(ad.reduce_l2sq(x), ad.reduce_l2sq(x)))
-    np.testing.assert_allclose(x.grad, 2.0 * single)
-
-
-def test_repeated_backward_accumulates(rng):
-    x = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    backward(ad.reduce_sum(x))
-    backward(ad.reduce_sum(x))
-    np.testing.assert_allclose(x.grad, 2.0 * np.ones(3))
+    (single,) = backward(ad.reduce_l2sq(x), [x])
+    (double,) = backward(ad.add(ad.reduce_l2sq(x), ad.reduce_l2sq(x)), [x])
+    np.testing.assert_allclose(double, 2.0 * single)
 
 
 def test_backward_requires_scalar(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with pytest.raises(ContractError):
-        backward(ad.mul(x, 2.0))
+        backward(ad.mul(x, 2.0), [x])
 
 
 def test_interior_nodes_keep_no_grad(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
     mid = ad.mul(x, x)
-    backward(ad.reduce_sum(mid))
+    backward(ad.reduce_sum(mid), [x])
     assert mid.grad is None
     assert x.grad is not None
 
@@ -723,27 +715,27 @@ def test_backward_wrt_differentiates_only_the_requested_leaves(rng, monkeypatch)
     def loss():
         return ad.reduce_sum(ad.mul(ad.relu(ad.conv2d(x, w)), ad.mul(b, b)))
 
-    backward(loss())
-    want = x.grad
-    x.grad = w.grad = b.grad = None
+    want = backward(loss(), [x, w, b])[0]
+    w.grad = b.grad = None
 
     wgrads = []
     raw = ad._raw_conv_wgrad
     monkeypatch.setattr(ad, "_raw_conv_wgrad", lambda *a: wgrads.append(1) or raw(*a))
-    backward(loss(), wrt=[x])
+    backward(loss(), [x])
     assert np.array_equal(x.grad, want)
     assert w.grad is None and b.grad is None
     assert wgrads == []
 
-    backward(loss(), wrt=[w])
+    backward(loss(), [w])
     assert w.grad is not None and len(wgrads) == 1
 
 
 def test_backward_wrt_unreached_leaf_is_a_no_op(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
     other = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    backward(ad.reduce_l2sq(x), wrt=[other])
-    assert x.grad is None and other.grad is None
+    (got,) = backward(ad.reduce_l2sq(x), [other])
+    np.testing.assert_array_equal(got, np.zeros(3))
+    assert other.grad is got and x.grad is None
 
 
 @pytest.mark.parametrize("fails", [False, True])
@@ -759,16 +751,14 @@ def test_backward_wrt_restores_requires_grad(rng, fails):
         yield prod, np.full(prod.data.shape, float(g))
 
     loss = ad._make(prod.data.sum(), (prod,), bw)
-    nodes = [a, b, const_side, prod, loss]
-    assert all(t.requires_grad for t in nodes)
     if fails:
         with pytest.raises(NumericError):
-            backward(loss, wrt=[a])
+            backward(loss, [a])
     else:
-        backward(loss, wrt=[a])
+        backward(loss, [a])
         np.testing.assert_array_equal(a.grad, const_side.data)
         assert b.grad is None
-    assert all(t.requires_grad for t in nodes)
+    assert a.requires_grad and b.requires_grad
 
 
 def _taped_step(rng, case):
@@ -786,44 +776,69 @@ def _taped_step(rng, case):
     return (lambda y: search._combined_loss(model, y, 1.0)), params
 
 
+def reference_backward(loss, params):
+    """The gradients of ``loss`` w.r.t. ``params`` by a plain reverse walk
+    that keeps the graph: every taped node in the engine's topological order
+    (a depth-first walk that visits a node's parents last to first), one
+    dense adjoint per node, and a new array for each fan-in sum."""
+    order, seen = [], {loss}
+    stack = [(loss, reversed(loss._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent.requires_grad and parent not in seen:
+                seen.add(parent)
+                stack.append((parent, reversed(parent._parents)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    adjoint = {loss: np.ones(())}
+    for node in reversed(order):
+        if node._backward is None or node not in adjoint:  # a leaf keeps its sum
+            continue
+        for parent, contrib in node._backward(adjoint.pop(node)):
+            if parent.requires_grad:
+                contrib = ad._dense(contrib)
+                adjoint[parent] = adjoint[parent] + contrib if parent in adjoint else contrib
+    return [adjoint.get(p, np.zeros_like(p.data)) for p in params]
+
+
 @pytest.mark.parametrize("case", ["ruas", "ruas_s", "supernet-all", "supernet-alphas"])
-def test_gradients_are_the_graph_keeping_backward_bit_for_bit(rng, case):
-    """``gradients`` frees the tape as it walks it; on a fresh graph each,
-    its gradients are those of ``backward``, which keeps the graph, bit for
-    bit and sign of zero for sign of zero."""
+def test_backward_is_the_reference_walk_bit_for_bit(rng, case):
+    """On a fresh graph each, ``backward`` gives the reference walk's
+    gradients bit for bit and sign of zero for sign of zero: its channel
+    slices written into one zero map and its in-place fan-in sums hold what
+    plain sums of dense arrays hold."""
     loss, params = _taped_step(rng, case)
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, 64, 64)))
-    for p in params:
-        p.grad = None
-    backward(loss(y), wrt=params)
-    want = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    want = reference_backward(loss(y), params)
     assert sum(np.count_nonzero(w) for w in want) > 0
-    got = ad.gradients(loss(y), params)
+    got = backward(loss(y), params)
     for p, g, w in zip(params, got, want):
+        assert p.grad is g
         assert np.array_equal(g, w), p.name
         assert np.array_equal(np.signbit(g), np.signbit(w)), p.name
 
 
 def test_gradients_frees_interior_arrays_during_the_walk(rng):
-    """While the caller still holds ``loss``, ``gradients`` has freed an
-    interior node's array by the time the walk reaches the node below it;
-    ``backward`` keeps every array until the caller drops the loss."""
-    for walk, freed in ((backward, False), (ad.gradients, True)):
-        x = Parameter(rng.normal(size=(2, 3)), "x")
-        dead = []
+    """While the caller still holds ``loss``, ``backward`` has freed an
+    interior node's array by the time the walk reaches the node below it."""
+    x = Parameter(rng.normal(size=(2, 3)), "x")
+    dead = []
 
-        def bw(g):
-            dead.append(watched() is None)
-            yield x, g
+    def bw(g):
+        dead.append(watched() is None)
+        yield x, g
 
-        mid = ad.mul(ad._make(x.data * 1.0, (x,), bw), 2.0)
-        watched = weakref.ref(mid.data)
-        loss = ad.reduce_sum(ad.relu(mid))  # relu's backward reads mid.data
-        del mid
-        walk(loss, [x])
-        assert dead == [freed]
-        np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
-        assert loss.data.ndim == 0
+    mid = ad.mul(ad._make(x.data * 1.0, (x,), bw), 2.0)
+    watched = weakref.ref(mid.data)
+    loss = ad.reduce_sum(ad.relu(mid))  # relu's backward reads mid.data
+    del mid
+    backward(loss, [x])
+    assert dead == [True]
+    np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
+    assert loss.data.ndim == 0
 
 
 def test_taped_step_frees_the_tape_as_it_walks_it(rng):
@@ -836,7 +851,7 @@ def test_taped_step_frees_the_tape_as_it_walks_it(rng):
     y = Tensor(rng.uniform(0.05, 1.0, size=(1, 3, size, size)))
     tracemalloc.start()
     try:
-        ad.gradients(train._full_loss(model, y, 0.5), model.parameters())
+        backward(train._full_loss(model, y, 0.5), model.parameters())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -845,7 +860,7 @@ def test_taped_step_frees_the_tape_as_it_walks_it(rng):
 
 def test_clamp_gradient_dead_outside_interval():
     x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
-    backward(ad.reduce_sum(ad.clamp(x, 0.0, 1.0)))
+    backward(ad.reduce_sum(ad.clamp(x, 0.0, 1.0)), [x])
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
@@ -865,11 +880,11 @@ def test_masks_are_those_of_the_forward_input(rng, op):
     still follows the input the forward pass saw."""
     data = rng.choice([-1.0, 1.0], size=(2, 3)) * rng.uniform(0.2, 1.0, (2, 3))
     want = Parameter(data.copy(), "want")
-    backward(op(want))
+    backward(op(want), [want])
     p = Parameter(data.copy(), "p")
     loss = op(p)
     p.data = p.data + 1.0  # moves every sign and most clamp masks
-    backward(loss)
+    backward(loss, [p])
     np.testing.assert_array_equal(p.grad, want.grad)
     assert np.any(want.grad != 0)
 

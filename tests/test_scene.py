@@ -250,7 +250,7 @@ def test_rtv_wide_sigma_is_bounded_by_the_map(rng):
     try:
         tt = Tensor(t, requires_grad=True)
         value = rtv(tt, sigma=1000.0, eps=1e-3)
-        backward(value)
+        backward(value, [tt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -201,20 +201,17 @@ def test_frozen_scene_task_grads_equal_full_tape(tiny_dataset):
     scene_params = model.alpha_s.parameters() + model.omega_s()
 
     full = model.task_loss_on(model.scene_out(y)[0])
-    ad.backward(full)
-    want = [np.array(p.grad, copy=True) for p in task_params]
-    assert all(p.grad is not None for p in scene_params)
+    want = ad.backward(full, task_params + scene_params)
+    assert any(np.any(g) for g in want[len(task_params) :])
 
-    for p in task_params + scene_params:
-        p.grad = None
     with ad.no_grad():
         u, _, _ = model.scene_out(y)
     frozen = model.task_loss_on(u)
-    ad.backward(frozen)
+    got = ad.backward(frozen, task_params + scene_params)
     assert float(frozen.data) == float(full.data)
-    for p, g in zip(task_params, want):
-        assert np.array_equal(p.grad, g), p.name
-    assert all(p.grad is None for p in scene_params)
+    for p, g, w in zip(task_params, got, want):
+        assert np.array_equal(g, w), p.name
+    assert not any(np.any(g) for g in got[len(task_params) :])
 
 
 def test_alpha_only_pass_matches_full_pass_and_skips_weight_gradients(
@@ -230,15 +227,14 @@ def test_alpha_only_pass_matches_full_pass_and_skips_weight_gradients(
         task = model.task_loss_on(model.scene_out(y)[0])
         return ad.add(model.scene_loss(y), task)
 
-    ad.backward(loss())
-    want = [np.array(a.grad, copy=True) for a in alphas]
-    for p in alphas + omegas:
+    want = ad.backward(loss(), alphas + omegas)[: len(alphas)]
+    for p in omegas:
         p.grad = None
 
     wgrads = []
     raw = ad._raw_conv_wgrad
     monkeypatch.setattr(ad, "_raw_conv_wgrad", lambda *a: wgrads.append(1) or raw(*a))
-    ad.backward(loss(), wrt=alphas)
+    ad.backward(loss(), alphas)
     for a, g in zip(alphas, want):
         assert np.array_equal(a.grad, g), a.name
     assert [w.name for w in omegas if w.grad is not None] == []
@@ -289,20 +285,26 @@ def test_task_phase_takes_one_scene_pass_per_pair_input(tiny_dataset, monkeypatc
         task.tr_loss = tagged(task.tr_loss, "loss")
         return out
 
-    walk = ad._walk
+    backward = ad.backward
 
-    def checking_walk(loss, wrt, release):
-        if loss is not last_task_loss[0]:
-            return walk(loss, wrt, release)
-        for p in scene_params:
-            p.grad = None
-        walk(loss, wrt, release)
-        seen["task_backward"] += 1
-        seen["leaked"] += [p.name for p in scene_params if p.grad is not None]
+    def checking_backward(loss, params):
+        if loss is last_task_loss[0]:
+            # every tensor on the tape, which the sweep is about to cut
+            tape, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if node not in tape:
+                    tape.add(node)
+                    stack += node._parents
+            seen["task_backward"] += 1
+            seen["leaked"] += [p.name for p in scene_params if p in tape]
+        return backward(loss, params)
 
     monkeypatch.setattr(RuasModel, "scene_out", counting_scene_out)
     monkeypatch.setattr(search, "_stages", tagging_stages)
-    monkeypatch.setattr(ad, "_walk", checking_walk)  # autodiff.gradients calls it
+    # the hypergradient calls search's name, SGD.backward_step autodiff's
+    monkeypatch.setattr(search, "backward", checking_backward)
+    monkeypatch.setattr(ad, "backward", checking_backward)
     run_search(data, cfg, seed=5)
 
     pairs = len(data.train)
@@ -371,9 +373,11 @@ def test_supernet_draws_cells_then_logits_then_remover():
     """Every seeded search artifact rests on this order of draws: scene cell,
     task cell, scene logits, task logits, remover."""
     rng = np.random.default_rng(4)
+    cells = [MixedCell(SCENE_WIDTH, rng), MixedCell(TASK_WIDTH, rng)]
+    for cell in cells:  # RuasModel zeroes its cells' fusion weights
+        cell.fusion_w.data = np.zeros_like(cell.fusion_w.data)
     parts = [
-        MixedCell(SCENE_WIDTH, rng, fusion_init="zeros"),
-        MixedCell(TASK_WIDTH, rng, fusion_init="zeros"),
+        *cells,
         ArchParams(rng),
         ArchParams(rng),
         NoiseRemover(rng, width=TASK_WIDTH),

@@ -30,11 +30,11 @@ from ruas.search_space import (
 )
 
 
-def _cell(mixed, rng, fusion_init="random"):
+def _cell(mixed, rng):
     """A 3-wide 3-C discrete cell, or a mixed cell with its logits."""
     if mixed:
-        return MixedCell(3, rng, fusion_init=fusion_init), ArchParams(rng)
-    return DiscreteCell(3, [OPS_BY_NAME["3-C"]] * 7, rng, fusion_init=fusion_init), None
+        return MixedCell(3, rng), ArchParams(rng)
+    return DiscreteCell(3, [OPS_BY_NAME["3-C"]] * 7, rng), None
 
 
 def test_registry_contents():
@@ -161,8 +161,9 @@ MIXED_CASES = {
 
 
 def _edge_run(forward, registry, shape, x_grad, seed):
-    """Output, leaves (input, logits, conv parameters) and their gradients
-    for sum(probe * edge(x)), every input seeded."""
+    """Output, the parents of its tape node and theirs, leaves (input,
+    logits, conv parameters) and their gradients for sum(probe * edge(x)),
+    every input seeded."""
     rng = np.random.default_rng(seed)
     weights = [make_op_params(k, shape[1], rng, f"op{i}") for i, k in enumerate(registry)]
     for params in weights:
@@ -172,17 +173,19 @@ def _edge_run(forward, registry, shape, x_grad, seed):
     logits = Parameter(rng.normal(size=len(registry)), "logits")
     probe = Tensor(rng.normal(size=shape))
     out = forward(x, logits, weights, registry)
-    backward(ad.reduce_sum(ad.mul(out, probe)))
+    # taken before the backward sweep cuts them
+    parents = out._parents, [p._parents for p in out._parents]
     leaves = [x, logits] + [p for params in weights for p in params.values()]
-    return out, leaves, [t.grad for t in leaves]
+    backward(ad.reduce_sum(ad.mul(out, probe)), [t for t in leaves if t.requires_grad])
+    return out.data, parents, leaves, [t.grad for t in leaves]
 
 
 @pytest.mark.parametrize("case", list(MIXED_CASES))
 def test_fused_mixed_edge_matches_composite(case):
     registry, shape, x_grad = MIXED_CASES[case]
-    want, _, want_grads = _edge_run(composite_mixed_forward, registry, shape, x_grad, 11)
-    got, leaves, got_grads = _edge_run(mixed_edge, registry, shape, x_grad, 11)
-    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9)
+    want, _, _, want_grads = _edge_run(composite_mixed_forward, registry, shape, x_grad, 11)
+    got, (parents, grand), leaves, got_grads = _edge_run(mixed_edge, registry, shape, x_grad, 11)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     assert (got_grads[0] is None) == (not x_grad)
     for g, w in zip(got_grads, want_grads):
         if w is None:
@@ -193,8 +196,8 @@ def test_fused_mixed_edge_matches_composite(case):
     # one tape node per edge: its parents are the input, the softmax of the
     # logits and the conv parameters, with no node in between
     x, logits, *params = leaves
-    assert got._parents[0] is x and got._parents[1]._parents == (logits,)
-    assert [id(p) for p in got._parents[2:]] == [id(p) for p in params]
+    assert parents[0] is x and grand[1] == (logits,)
+    assert [id(p) for p in parents[2:]] == [id(p) for p in params]
 
 
 def per_edge_cell_forward(cell, x):
@@ -233,11 +236,8 @@ def _cell_run(forward, cell, x, probe):
     """Output of ``forward(cell, x)`` and the gradients of sum(probe * out)
     w.r.t. the input and every cell parameter."""
     leaves = [x] + cell.parameters()
-    for t in leaves:
-        t.grad = None
     out = forward(cell, x)
-    backward(ad.reduce_sum(ad.mul(out, probe)))
-    return out.data, [t.grad for t in leaves]
+    return out.data, backward(ad.reduce_sum(ad.mul(out, probe)), leaves)
 
 
 @pytest.mark.parametrize(
@@ -346,11 +346,11 @@ def test_edge_node_masks_are_those_of_the_forward_input(rng):
     for edges, width in ((derived, 6), (mixed, 3)):
         probe = Tensor(rng.normal(size=(1, width, 6, 6)))
         want = Parameter(data.copy(), "want")
-        backward(ad.reduce_sum(ad.mul(mixed_forward(want, edges), probe)))
+        backward(ad.reduce_sum(ad.mul(mixed_forward(want, edges), probe)), [want])
         p = Parameter(data.copy(), "p")
         loss = ad.reduce_sum(ad.mul(mixed_forward(p, edges), probe))
         p.data = p.data + 1.0  # moves most ReLU masks
-        backward(loss)
+        backward(loss, [p])
         np.testing.assert_array_equal(p.grad, want.grad)
 
 
@@ -375,10 +375,10 @@ def test_edge_node_stacks_mixed_and_derived_edges():
             out = ad.concat([mixed_forward(x, [edge]) for edge in edges])
         else:
             out = mixed_forward(x, edges)
-        backward(ad.reduce_sum(ad.mul(out, Tensor(rng.normal(size=(2, 9, 7, 6))))))
         leaves = [x] + [l for *_, l in edges if l is not None]
         leaves += [p for _, params, _ in edges for ps in params for p in ps.values()]
-        return out.data, [t.grad for t in leaves]
+        probe = Tensor(rng.normal(size=(2, 9, 7, 6)))
+        return out.data, backward(ad.reduce_sum(ad.mul(out, probe)), leaves)
 
     (want, want_grads), (got, got_grads) = run(split=True), run(split=False)
     for g, w in zip([got] + got_grads, [want] + want_grads):
@@ -582,10 +582,9 @@ def test_all_skip_cell_with_averaging_fusion_is_identity(rng):
 def test_zero_fusion_cell_outputs_zero(rng):
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
     for mixed in (False, True):
-        cell, arch = _cell(mixed, rng, fusion_init="zeros")
+        cell, arch = _cell(mixed, rng)
+        cell.fusion_w.data = np.zeros_like(cell.fusion_w.data)
         np.testing.assert_array_equal(cell.forward(x, arch).data, 0.0)
-        with pytest.raises(ConfigError):
-            _cell(mixed, rng, fusion_init="ones")
 
 
 def test_cell_channel_check(rng):
@@ -621,7 +620,7 @@ def test_mixed_logit_gradients_flow(rng):
     cell = MixedCell(3, rng)
     arch = ArchParams(rng)
     x = Tensor(rng.uniform(0.1, 1.0, size=(1, 3, 6, 6)))
-    backward(ad.reduce_l2sq(cell.forward(x, arch)))
+    backward(ad.reduce_l2sq(cell.forward(x, arch)), arch.logits)
     assert all(l.grad is not None for l in arch.logits)
     assert any(np.abs(l.grad).max() > 0 for l in arch.logits)
 

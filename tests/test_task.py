@@ -83,12 +83,9 @@ def test_default_gate_separates_clean_from_noisy_inputs(size):
 
 def make_remover_parts(rng, zero_fusion=False):
     remover = NoiseRemover(rng, width=6)
-    cell = DiscreteCell(
-        6,
-        [OPS_BY_NAME["3-C"]] * 7,
-        rng,
-        fusion_init="zeros" if zero_fusion else "random",
-    )
+    cell = DiscreteCell(6, [OPS_BY_NAME["3-C"]] * 7, rng)
+    if zero_fusion:
+        cell.fusion_w.data = np.zeros_like(cell.fusion_w.data)
     return remover, cell
 
 
