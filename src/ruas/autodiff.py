@@ -11,8 +11,8 @@ computed, and the sweep frees the tape as it walks it.
 Only the primitives needed by the unrolled enhancement models live here:
 convolution (plain and dilated, stride 1, "same" zero padding), depthwise
 1-D correlation with a fixed kernel, elementwise arithmetic, channel slices
-and fills, sliding spatial max, softmax, reductions, and a momentum-SGD
-optimizer.
+and fills, the convolution of a channel concatenation as one node, sliding
+spatial max, softmax, reductions, and a momentum-SGD optimizer.
 """
 
 from __future__ import annotations
@@ -478,6 +478,36 @@ def conv2d(x, w, b=None, dilation=1):
         if b is not None and b.requires_grad:
             yield b, g.sum(axis=(0, 2, 3))
 
+    return _make(out_data, parents, bw)
+
+
+def concat_conv2d(parts, w, b=None):
+    """``conv2d(concat(parts), w, b)`` as one tape node whose parents are the
+    taped parts, then ``w`` and ``b``.  The concatenation holds the parts'
+    data a second time, so it is freed after the forward, and backward
+    rebuilds it for the weight gradient alone."""
+    parts = [_as_tensor(p) for p in parts]
+    w, b = _as_tensor(w), None if b is None else _as_tensor(b)
+    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts]).tolist()
+    n, _, h, wd = parts[0].data.shape
+    with no_grad():
+        out_data = conv2d(fill(Tensor(np.empty((n, bounds[-1], h, wd))), parts, 0), w, b).data
+    k = w.data.shape[2]
+    datas = [p.data for p in parts]
+    slots = [(p, lo, hi) for p, lo, hi in zip(parts, bounds, bounds[1:]) if _taped([p])]
+
+    def bw(g):
+        if w.requires_grad:
+            yield w, _raw_conv_wgrad(np.concatenate(datas, axis=1), g, k, 1)
+        if b is not None and b.requires_grad:
+            yield b, g.sum(axis=(0, 2, 3))
+        if any(p.requires_grad for p, _, _ in slots):
+            wt = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            gx = _raw_conv(g, wt, 1)
+            for p, lo, hi in slots:
+                yield p, gx[:, lo:hi]
+
+    parents = [p for p, _, _ in slots] + [w] + ([] if b is None else [b])
     return _make(out_data, parents, bw)
 
 

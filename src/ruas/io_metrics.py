@@ -175,8 +175,9 @@ def _unfilter(rows, bpp):
     return out
 
 
-def load_png(path):
-    """Decode a PNG into a (1, 3, h, w) float array in [0, 1].
+def decode_png(path):
+    """Decode a PNG into its (h, w, 3) integer samples: uint8 for an 8-bit
+    file, uint16 for a 16-bit one.
 
     Accepts 8- or 16-bit RGB or RGBA, non-interlaced, with any of the five
     row filters; alpha is dropped.  Chunk CRCs, the IHDR fields and a size
@@ -237,16 +238,27 @@ def load_png(path):
         raise DataIOError(f"{path}: unknown filter type {rows[:, 0].max()}")
     out = _unfilter(rows, bpp)
 
-    # alpha is dropped while the samples are still integers, and the one
-    # float array is scaled in place: the result views exactly its own floats
+    # an RGBA file's samples are copied without alpha, so that they hold no
+    # more than the image
     if depth == 8:
-        img = out.reshape(h, w, channels)[:, :, :3].astype(np.float64)
-        img /= 255.0
-    else:
-        img16 = out.reshape(h, w, channels, 2)[:, :, :3]
-        img = (img16[..., 0].astype(np.uint16) << 8 | img16[..., 1]).astype(np.float64)
-        img /= 65535.0
+        return np.ascontiguousarray(out.reshape(h, w, channels)[:, :, :3])
+    img16 = out.reshape(h, w, channels, 2)[:, :, :3]
+    return img16[..., 0].astype(np.uint16) << 8 | img16[..., 1]
+
+
+def to_image(samples):
+    """``decode_png``'s samples as a (1, 3, h, w) float array in [0, 1]: the
+    transposed view of one float array scaled in place.  NumPy's sums follow
+    memory order, so this layout is part of every seeded result."""
+    img = samples.astype(np.float64)
+    img /= 255.0 if samples.dtype == np.uint8 else 65535.0
     return img.transpose(2, 0, 1)[None, ...]
+
+
+def load_png(path):
+    """Decode a PNG into a (1, 3, h, w) float array in [0, 1]; see
+    ``decode_png`` for the files it accepts."""
+    return to_image(decode_png(path))
 
 
 def output_dir(path):
@@ -453,16 +465,24 @@ def random_clean_image(rng, size=64):
 
 @dataclass
 class ImageRecord:
+    """One dataset image and its optional reference.  Each file is decoded
+    once and kept at its bit depth (1 byte per 8-bit sample, where a float
+    takes 8); each ``input()`` or ``reference()`` call builds a fresh float
+    image from the samples, as ``load_png`` builds it."""
+
     id: str
     input_path: Path
     reference_path: Path | None = None
     _input: np.ndarray | None = None
     _reference: np.ndarray | None = None
 
-    def input(self):
+    def _input_samples(self):
         if self._input is None:
-            self._input = load_png(self.input_path)
+            self._input = decode_png(self.input_path)
         return self._input
+
+    def input(self):
+        return to_image(self._input_samples())
 
     def reference(self):
         """The reference image, None without one; DataIOError unless it has
@@ -470,15 +490,15 @@ class ImageRecord:
         if self.reference_path is None:
             return None
         if self._reference is None:
-            ref, shape = load_png(self.reference_path), self.input().shape
-            if ref.shape != shape or min(shape[-2:]) < SSIM_WINDOW:
+            ref, inp = decode_png(self.reference_path), self._input_samples()
+            if ref.shape != inp.shape or min(inp.shape[:2]) < SSIM_WINDOW:
                 raise DataIOError(
-                    f"reference {self.reference_path} has shape {ref.shape}, its input"
-                    f" {self.input_path} has {shape}; both must be equal and at least"
-                    f" {SSIM_WINDOW} px a side, the ssim window"
+                    f"reference {self.reference_path} has shape {(1, 3, *ref.shape[:2])}, its"
+                    f" input {self.input_path} has {(1, 3, *inp.shape[:2])}; both must be"
+                    f" equal and at least {SSIM_WINDOW} px a side, the ssim window"
                 )
             self._reference = ref
-        return self._reference
+        return to_image(self._reference)
 
 
 @dataclass

@@ -277,15 +277,15 @@ class Cell:
             reach[j] = max(reach[j], reach[i] + max(kind.reach for kind in ops))
         return reach[-1]
 
-    def _next_node(self, i, x, arch, merged):
-        """Run the edges out of node ``i``, which all read ``x``; copy the
-        output the fusion reads (the distill edge's, or the chain edge's for
-        the last source node) into channel slot i of ``merged``; return node
-        i + 1, the chain edge's output.  A mixed edge is one edge node; the
-        derived edges but skips are one in all, split by channels when it
-        holds two, and a derived skip outputs ``x``.  Without a tape node
-        i + 1 is then a copy of its slice, so the stacked conv output is
-        freed before node i + 1's conv allocates its own.
+    def _next_node(self, i, x, arch):
+        """Run the edges out of node ``i``, which all read ``x``; return node
+        i + 1, the chain edge's output, and the part of node i that the
+        fusion reads: the distill edge's output, or the chain edge's for the
+        last source node.  A mixed edge is one edge node; the derived edges
+        but skips are one in all, split by channels when it holds two, and a
+        derived skip outputs ``x``.  Without a tape node i + 1 is then a
+        copy of its slice, so the stacked conv output is freed once the
+        caller drops the part.
         """
         edges = [e for e, (src, _) in enumerate(EDGES) if src == i]
         c = self.width
@@ -304,19 +304,19 @@ class Cell:
                 for pos, e in enumerate(conv):
                     part = ad.channels(y, pos * c, (pos + 1) * c) if split else y
                     outs[edges.index(e)] = part
-        ad.fill(merged, outs[-1:], i * c)
         if split and not outs[0].requires_grad:
-            return ad.Tensor(outs[0].data.copy())
-        return outs[0]
+            return ad.Tensor(outs[0].data.copy()), outs[-1]
+        return outs[0], outs[-1]
 
     def forward(self, x, arch=None):
         """The cell's output for ``x``, under ``arch``'s logits if mixed.
 
-        Each source node's edges run as soon as the node is made, and what
-        it sends to the fusion is copied into the fusion input at once.
-        Without a tape each node is freed once the next is made, the input
-        too: no name for ``x`` is kept past node 0, so a caller that passes
-        a temporary frees it there.
+        Each source node's edges run as soon as the node is made.  With a
+        tape the fusion is one node over the parts, which the tape holds
+        anyway, so no copy of them is kept.  Without one each part is copied
+        into the fusion input at once and freed, and each node is freed once
+        the next is made, the input too: no name for ``x`` is kept past node
+        0, so a caller that passes a temporary frees it there.
         """
         width = self.width
         if x.data.ndim != 4 or x.data.shape[1] != width:
@@ -331,10 +331,18 @@ class Cell:
             if got != want:
                 raise ConfigError(f"expected logits of shapes {want}, got {got}")
         n, _, h, w = x.data.shape
-        merged = ad.Tensor(np.empty((n, (NODES - 1) * width, h, w)))
+        parts = []
+        merged = None if ad.grad_enabled() else ad.Tensor(np.empty((n, (NODES - 1) * width, h, w)))
         node, x = x, None
         for i in range(NODES - 1):
-            node = self._next_node(i, node, arch, merged)
+            node, part = self._next_node(i, node, arch)
+            if merged is None:
+                parts.append(part)
+            else:
+                ad.fill(merged, [part], i * width)
+                del part
+        if merged is None:
+            return ad.concat_conv2d(parts, self.fusion_w, self.fusion_b)
         return ad.conv2d(merged, self.fusion_w, self.fusion_b)
 
 

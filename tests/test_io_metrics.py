@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ruas.errors import ConfigError, DataIOError, NumericError, RuasError, ShapeError
 from ruas.io_metrics import (
     MAX_PIXELS,
+    ImageRecord,
     load_dataset,
     load_png,
     make_synthetic_dataset,
@@ -617,3 +618,65 @@ def test_split_too_small(tiny_dataset):
     _, records = tiny_dataset
     with pytest.raises(ConfigError):
         split_records(records[:1])
+
+
+def _random_png(path, fmt, h, w, rng):
+    """A filter-0 file of random samples in one of PNG_FORMATS."""
+    depth, color, channels = PNG_FORMATS[fmt]
+    rows = rng.integers(0, 256, size=(h, w * channels * depth // 8 + 1), dtype=np.uint8)
+    rows[:, 0] = 0
+    path.write_bytes(_png(_ihdr(w, h, depth, color), zlib.compress(rows.tobytes())))
+    return path
+
+
+@pytest.mark.parametrize("fmt", list(PNG_FORMATS))
+def test_record_keeps_samples_and_returns_what_load_png_returns(tmp_path, fmt):
+    """A record caches each file's samples at its bit depth, alpha dropped,
+    and every call builds a fresh float image equal to ``load_png``'s, with
+    its strides: NumPy's sums follow memory order."""
+    rng = np.random.default_rng(21)
+    h, w = 16, 12
+    inp = _random_png(tmp_path / "in.png", fmt, h, w, rng)
+    ref = _random_png(tmp_path / "ref.png", fmt, h, w, rng)
+    rec = ImageRecord("x", inp, ref)
+    for get, path in ((rec.input, inp), (rec.reference, ref)):
+        first, want = get(), load_png(path)
+        assert np.array_equal(first, want) and first.strides == want.strides
+        first[...] = -1.0
+        second = get()
+        assert second is not first and np.array_equal(second, want)
+    dtype = np.uint8 if PNG_FORMATS[fmt][0] == 8 else np.uint16
+    for samples in (rec._input, rec._reference):
+        assert samples.dtype == dtype and samples.shape == (h, w, 3)
+
+
+def test_record_reference_of_another_size_is_refused(tmp_path):
+    """The size check reads the cached samples and words its error as the
+    float images' shapes."""
+    rng = np.random.default_rng(22)
+    inp = _random_png(tmp_path / "in.png", "rgb8", 16, 16, rng)
+    ref = _random_png(tmp_path / "ref.png", "rgb16", 12, 16, rng)
+    rec = ImageRecord("x", inp, ref)
+    with pytest.raises(DataIOError) as exc:
+        rec.reference()
+    assert str(exc.value) == (
+        f"reference {ref} has shape (1, 3, 12, 16), its input {inp} has (1, 3, 16, 16);"
+        " both must be equal and at least 11 px a side, the ssim window"
+    )
+    assert rec._reference is None
+
+
+def test_records_hold_one_byte_per_8_bit_sample(tmp_path):
+    """Eight decoded 64 px pairs hold at most 1.1 bytes per sample; they held
+    8.02 while each record cached its input and reference as float64."""
+    make_synthetic_dataset(tmp_path, 8, size=64, seed=23)
+    records = load_dataset(tmp_path)
+    tracemalloc.start()
+    try:
+        for rec in records:
+            rec.input()
+            rec.reference()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * len(records) * 2 * 64 * 64 * 3

@@ -85,11 +85,11 @@ def test_apply_op_skip_is_identity(rng):
     x = Tensor(rng.normal(size=(1, 3, 6, 6)))
     out = apply_op(OPS_BY_NAME["SC"], x, {})
     assert out is x
-    # a derived cell's skip edges pass their node along, with no tape node
+    # a derived cell's skip edges pass their node along, with no tape node,
+    # as the next node and as the part the fusion reads
     cell = DiscreteCell(3, [OPS_BY_NAME["SC"]] * 7, rng)
-    merged = Tensor(np.empty((1, 12, 6, 6)))
-    assert cell._next_node(0, x, None, merged) is x
-    np.testing.assert_array_equal(merged.data[:, :3], x.data)
+    node, part = cell._next_node(0, x, None)
+    assert node is x and part is x
 
 
 def test_apply_op_residual_adds_input(rng):
@@ -308,16 +308,13 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     edges in edge order; no weight is concatenated."""
     kinds = [OPS_BY_NAME[n] for n in GROUPED_ARCHS[arch]]
     cell = DiscreteCell(3, kinds, rng)
-    nodes, fills = [], []
-    node, fill = search_space.mixed_forward, ad.fill
+    nodes = []
+    node = search_space.mixed_forward
     monkeypatch.setattr(
         search_space, "mixed_forward", lambda x, edges: nodes.append((x, node(x, edges))) or nodes[-1][1]
     )
-    monkeypatch.setattr(
-        ad, "fill", lambda out, parts, lo: fills.append((list(parts), lo)) or fill(out, parts, lo)
-    )
     x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
-    cell.forward(x)
+    fused = cell.forward(x)
     want = []
     for i in range(NODES - 1):
         edges = [e for e, (src, _) in enumerate(EDGES) if src == i and not kinds[e].skip]
@@ -327,10 +324,12 @@ def test_derived_cell_tape_has_one_node_per_source_node(arch, rng, monkeypatch):
     for (inp, out), params in zip(nodes, want):
         assert out._parents[0] is inp
         assert [id(p) for p in out._parents[1:]] == [id(p) for p in params]
-    # the fusion's input is filled once per source node, one edge output in
-    # its slot each, and no part is a parameter
-    assert [lo for _, lo in fills] == [3 * i for i in range(NODES - 1)]
-    assert all(len(parts) == 1 and not isinstance(parts[0], Parameter) for parts, _ in fills)
+    # the fusion is one node over one part per source node, then its weight
+    # and bias; no part is a parameter
+    parts = fused._parents[:-2]
+    assert len(parts) == NODES - 1
+    assert not any(isinstance(p, Parameter) for p in parts)
+    assert fused._parents[-2:] == (cell.fusion_w, cell.fusion_b)
 
 
 def test_edge_node_masks_are_those_of_the_forward_input(rng):
